@@ -2,9 +2,16 @@
 
 Every statistic is computed with exact integer arithmetic; ratios are
 `fractions.Fraction` values. Decimal rendering happens only at the report
-layer. All functions are pure over an immutable ClassifiedCorpus, and all
-sorted outputs break ties by the canonical strategy enumeration order, so
-results are independent of incident order and stable across runs.
+layer. All functions are pure over the strategy-mask histogram of an
+immutable ClassifiedCorpus (at most 2**n bins for n strategies), never over
+per-incident profiles, and all sorted outputs break ties by the canonical
+strategy enumeration order, so results are independent of incident order
+and stable across runs.
+
+Strategy, pair and pattern containment counts all come from one table: the
+superset-sum (zeta) transform of the histogram over the subset lattice
+(Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), which
+takes n * 2**(n-1) additions.
 """
 
 from __future__ import annotations
@@ -12,11 +19,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .errors import EmptyCorpus, InvalidRange, NegativeSupport
-from .strategies import ClassifiedCorpus, StrategyCatalog
+from .strategies import ClassifiedCorpus
 
 
 @dataclass(frozen=True)
@@ -32,11 +40,12 @@ class PrevalenceReport:
     entries: tuple[PrevalenceEntry, ...]
     denominator: int
 
+    @cached_property
+    def _counts(self) -> dict[str, int]:
+        return {entry.strategy_id: entry.count for entry in self.entries}
+
     def count(self, strategy_id: str) -> int:
-        for entry in self.entries:
-            if entry.strategy_id == strategy_id:
-                return entry.count
-        raise KeyError(strategy_id)
+        return self._counts[strategy_id]
 
     def fraction(self, strategy_id: str) -> Fraction:
         return Fraction(self.count(strategy_id), self.denominator)
@@ -76,12 +85,16 @@ class PatternTable:
     def distinct_pattern_count(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _rows_by_set(self) -> dict[frozenset[str], PatternRow]:
+        return {frozenset(row.strategies): row for row in self.rows}
+
     def row(self, strategies) -> PatternRow:
         wanted = frozenset(strategies)
-        for row in self.rows:
-            if frozenset(row.strategies) == wanted:
-                return row
-        raise KeyError(sorted(wanted))
+        try:
+            return self._rows_by_set[wanted]
+        except KeyError:
+            raise KeyError(sorted(wanted)) from None
 
     def exact_count(self, strategies) -> int:
         try:
@@ -118,18 +131,21 @@ class CooccurrenceGraph:
     nodes: tuple[CooccurrenceNode, ...]
     edges: tuple[CooccurrenceEdge, ...]
 
+    @cached_property
+    def _node_counts(self) -> dict[str, int]:
+        return {node.strategy_id: node.count for node in self.nodes}
+
+    @cached_property
+    def _edge_weights(self) -> dict[tuple[str, str], int]:
+        weights = {(edge.a, edge.b): edge.weight for edge in self.edges}
+        weights.update({(b, a): w for (a, b), w in weights.items()})
+        return weights
+
     def node_weight(self, strategy_id: str) -> int:
-        for node in self.nodes:
-            if node.strategy_id == strategy_id:
-                return node.count
-        raise KeyError(strategy_id)
+        return self._node_counts[strategy_id]
 
     def edge_weight(self, a: str, b: str) -> int:
-        wanted = frozenset((a, b))
-        for edge in self.edges:
-            if frozenset((edge.a, edge.b)) == wanted:
-                return edge.weight
-        return 0
+        return self._edge_weights.get((a, b), 0)
 
 
 @dataclass(frozen=True)
@@ -152,17 +168,28 @@ class ConditionalGraph:
     edges: tuple[ConditionalEdge, ...]
     min_support: int
 
+    @cached_property
+    def _node_counts(self) -> dict[str, int]:
+        return {node.strategy_id: node.count for node in self.nodes}
+
+    @cached_property
+    def _edges_by_pair(self) -> dict[tuple[str, str], ConditionalEdge]:
+        return {(edge.source, edge.target): edge for edge in self.edges}
+
     def probability(self, source: str, target: str) -> Fraction:
-        """P(target | source), defined for any pair including source==target."""
-        source_count = next(n.count for n in self.nodes if n.strategy_id == source)
-        if source_count == 0:
+        """P(target | source), defined for any pair including source==target.
+
+        Raises KeyError for a source that is not a node, or for a pair
+        without an edge (a source below min_support, or an unknown target).
+        """
+        if self._node_counts[source] == 0:
             raise ZeroDivisionError(f"strategy {source!r} occurs in no mapped incident")
         if source == target:
             return Fraction(1)
-        for edge in self.edges:
-            if edge.source == source and edge.target == target:
-                return edge.probability
-        raise KeyError((source, target))
+        try:
+            return self._edges_by_pair[(source, target)].probability
+        except KeyError:
+            raise KeyError((source, target)) from None
 
 
 @dataclass(frozen=True)
@@ -175,19 +202,43 @@ class MappingCoverage:
         return Fraction(self.mapped, self.total)
 
 
-def _mapped_profiles(cc: ClassifiedCorpus):
-    mapped = cc.mapped_profiles
-    if not mapped:
+def _superset_sums(cc: ClassifiedCorpus) -> list[int]:
+    """table[m] = number of mapped incidents whose strategy mask contains m.
+
+    table[0] is the mapped total, table[1 << i] the count of strategy i and
+    table[1 << i | 1 << j] the joint count of strategies i and j. Raises
+    EmptyCorpus when no incident is mapped.
+    """
+    n = len(cc.catalog.strategies)
+    table = [0] * (1 << n)
+    for mask, count in cc.histogram.items():
+        if mask:
+            table[mask] = count
+    # In-place zeta transform: after step i, table[m] sums the bins that
+    # agree with m outside bits 0..i and contain m within them.
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if not m & bit:
+                table[m] += table[m | bit]
+    if not table[0]:
         raise EmptyCorpus("no mapped incidents: statistics are undefined")
-    return mapped
+    return table
 
 
-def _strategy_counts(cc: ClassifiedCorpus) -> dict[str, int]:
-    counts = {s.id: 0 for s in cc.catalog.strategies}
-    for profile in cc.profiles:
-        for strategy_id in profile.strategies:
-            counts[strategy_id] += 1
-    return counts
+def _strategy_counts(cc: ClassifiedCorpus, table: list[int]) -> dict[str, int]:
+    return {s.id: table[1 << i] for i, s in enumerate(cc.catalog.strategies)}
+
+
+def _joint_counts(cc: ClassifiedCorpus, table: list[int]) -> dict[tuple[str, str], int]:
+    """Joint incident count of every ordered pair of distinct strategies."""
+    strategies = cc.catalog.strategies
+    return {
+        (a.id, b.id): table[1 << i | 1 << j]
+        for i, a in enumerate(strategies)
+        for j, b in enumerate(strategies)
+        if i != j
+    }
 
 
 def prevalence(cc: ClassifiedCorpus) -> PrevalenceReport:
@@ -195,9 +246,9 @@ def prevalence(cc: ClassifiedCorpus) -> PrevalenceReport:
 
     Entries are sorted by count descending, ties by enumeration order.
     """
-    mapped = _mapped_profiles(cc)
-    counts = _strategy_counts(cc)
-    denominator = len(mapped)
+    table = _superset_sums(cc)
+    counts = _strategy_counts(cc, table)
+    denominator = table[0]
     entries = tuple(
         PrevalenceEntry(s.id, s.name, counts[s.id], Fraction(counts[s.id], denominator))
         for s in sorted(
@@ -210,10 +261,14 @@ def prevalence(cc: ClassifiedCorpus) -> PrevalenceReport:
 
 def size_distribution(cc: ClassifiedCorpus) -> SizeDistribution:
     """How many mapped incidents combine k strategies, for each k >= 1."""
-    mapped = _mapped_profiles(cc)
-    counts = Counter(len(p.strategies) for p in mapped)
+    counts: Counter[int] = Counter()
+    for mask, count in cc.histogram.items():
+        if mask:
+            counts[mask.bit_count()] += count
+    if not counts:
+        raise EmptyCorpus("no mapped incidents: statistics are undefined")
     multi = sum(c for size, c in counts.items() if size >= 2)
-    return SizeDistribution(dict(sorted(counts.items())), len(mapped), multi)
+    return SizeDistribution(dict(sorted(counts.items())), sum(counts.values()), multi)
 
 
 def pattern_frequencies(cc: ClassifiedCorpus) -> PatternTable:
@@ -222,16 +277,13 @@ def pattern_frequencies(cc: ClassifiedCorpus) -> PatternTable:
     Rows are sorted by exact count descending, then pattern size ascending,
     then enumeration order of the member ids.
     """
-    mapped = _mapped_profiles(cc)
-    exact: Counter[frozenset[str]] = Counter(p.strategies for p in mapped)
+    table = _superset_sums(cc)
     order = cc.catalog.order_index
-
-    rows = []
-    for pattern, count in exact.items():
-        containment = sum(1 for p in mapped if pattern <= p.strategies)
-        rows.append(
-            PatternRow(cc.catalog.sort_ids(pattern), count, containment)
-        )
+    rows = [
+        PatternRow(cc.catalog.ids_of_mask(mask), count, table[mask])
+        for mask, count in cc.histogram.items()
+        if mask
+    ]
     rows.sort(key=lambda r: (-r.exact_count, len(r.strategies), tuple(order(s) for s in r.strategies)))
     return PatternTable(tuple(rows))
 
@@ -248,22 +300,14 @@ def cooccurrence(cc: ClassifiedCorpus) -> CooccurrenceGraph:
     Node weight is the strategy's mapped-incident count; zero-weight edges
     are omitted. Emission order follows the strategy enumeration.
     """
-    mapped = _mapped_profiles(cc)
-    counts = _strategy_counts(cc)
-    ids = cc.catalog.ids()
-
-    joint: Counter[tuple[str, str]] = Counter()
-    for profile in mapped:
-        present = cc.catalog.sort_ids(profile.strategies)
-        for a, b in combinations(present, 2):
-            joint[(a, b)] += 1
-
+    table = _superset_sums(cc)
+    joint = _joint_counts(cc, table)
     edges = tuple(
         CooccurrenceEdge(a, b, joint[(a, b)])
-        for a, b in combinations(ids, 2)
+        for a, b in combinations(cc.catalog.ids(), 2)
         if joint[(a, b)] > 0
     )
-    return CooccurrenceGraph(_nodes(cc, counts), edges)
+    return CooccurrenceGraph(_nodes(cc, _strategy_counts(cc, table)), edges)
 
 
 def conditional_probabilities(cc: ClassifiedCorpus, min_support: int = 1) -> ConditionalGraph:
@@ -275,18 +319,11 @@ def conditional_probabilities(cc: ClassifiedCorpus, min_support: int = 1) -> Con
     """
     if min_support < 0:
         raise NegativeSupport(f"min_support must be >= 0, got {min_support}")
-    mapped = _mapped_profiles(cc)
-    counts = _strategy_counts(cc)
+    table = _superset_sums(cc)
+    counts = _strategy_counts(cc, table)
+    joint = _joint_counts(cc, table)
     ids = cc.catalog.ids()
     threshold = max(min_support, 1)
-
-    joint: Counter[tuple[str, str]] = Counter()
-    for profile in mapped:
-        present = cc.catalog.sort_ids(profile.strategies)
-        for a, b in combinations(present, 2):
-            joint[(a, b)] += 1
-            joint[(b, a)] += 1
-
     edges = tuple(
         ConditionalEdge(source, target, joint[(source, target)], counts[source])
         for source in ids
@@ -307,6 +344,6 @@ def possible_combination_count(n_strategies: int, min_size: int) -> int:
 
 def mapping_coverage(cc: ClassifiedCorpus) -> MappingCoverage:
     """Mapped over total incidents as an exact rational with both integers."""
-    if not cc.profiles:
+    if not cc.total_count:
         raise EmptyCorpus("empty corpus has no coverage")
     return MappingCoverage(cc.mapped_count, cc.total_count)

@@ -10,13 +10,32 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from xml.sax.saxutils import escape, quoteattr
 
 from .analytics import ConditionalGraph, CooccurrenceGraph
 from .errors import UnknownFormat
 from .render import decimal_string, fraction_payload
 
 GRAPH_FORMATS = ("dot", "graphml", "json")
+
+
+def _xml_escape(text: str) -> str:
+    """Escape &, < and > for XML character data."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _xml_quoteattr(text: str) -> str:
+    """Escape text for an XML attribute value and wrap it in quotes.
+
+    Newline, carriage return and tab become character references. Double
+    quotes are used unless the value contains one and no single quote;
+    with both kinds present, double quotes are escaped as &quot;.
+    """
+    text = _xml_escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"{}"'.format(text.replace('"', "&quot;"))
 
 
 def _dot_quote(text: str) -> str:
@@ -65,8 +84,8 @@ def _graphml_header(keys: list[tuple[str, str, str, str]]) -> list[str]:
 
 def _graphml_node(node, key_name: str, key_count: str) -> str:
     return (
-        f"    <node id={quoteattr(node.strategy_id)}>"
-        f'<data key="{key_name}">{escape(node.name)}</data>'
+        f"    <node id={_xml_quoteattr(node.strategy_id)}>"
+        f'<data key="{key_name}">{_xml_escape(node.name)}</data>'
         f'<data key="{key_count}">{node.count}</data>'
         "</node>"
     )
@@ -82,7 +101,7 @@ def cooccurrence_to_graphml(graph: CooccurrenceGraph) -> str:
         lines.append(_graphml_node(node, "name", "count"))
     for edge in graph.edges:
         lines.append(
-            f"    <edge source={quoteattr(edge.a)} target={quoteattr(edge.b)}>"
+            f"    <edge source={_xml_quoteattr(edge.a)} target={_xml_quoteattr(edge.b)}>"
             f'<data key="weight">{edge.weight}</data></edge>'
         )
     lines.extend(["  </graph>", "</graphml>"])
@@ -101,7 +120,7 @@ def conditional_to_graphml(graph: ConditionalGraph) -> str:
         lines.append(_graphml_node(node, "name", "count"))
     for edge in graph.edges:
         lines.append(
-            f"    <edge source={quoteattr(edge.source)} target={quoteattr(edge.target)}>"
+            f"    <edge source={_xml_quoteattr(edge.source)} target={_xml_quoteattr(edge.target)}>"
             f'<data key="probability">{decimal_string(edge.probability, 6)}</data>'
             f'<data key="joint_count">{edge.joint_count}</data>'
             f'<data key="source_count">{edge.source_count}</data></edge>'

@@ -7,12 +7,19 @@ when it carries that strategy's execution technique; preparation techniques
 found in the incident are recorded as supporting evidence only. An optional
 strict mode additionally requires at least one preparation technique, which
 can only ever shrink a profile.
+
+A classified corpus reduces to a histogram over strategy masks, where bit i
+stands for ``catalog.strategies[i]``: with seven strategies there are at most
+128 bins, and every corpus statistic is a function of them. Per-incident
+profiles with their evidence are computed only when asked for.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import Corpus, Incident
@@ -52,11 +59,12 @@ class StrategyCatalog:
         if len(set(ids)) != len(ids):
             raise SchemaError(f"duplicate strategy ids in catalog: {ids}")
 
+    @cached_property
+    def _by_id(self) -> dict[str, StrategyDefinition]:
+        return {s.id: s for s in self.strategies}
+
     def by_id(self, strategy_id: str) -> StrategyDefinition:
-        for strategy in self.strategies:
-            if strategy.id == strategy_id:
-                return strategy
-        raise KeyError(strategy_id)
+        return self._by_id[strategy_id]
 
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.strategies)
@@ -67,6 +75,10 @@ class StrategyCatalog:
     def sort_ids(self, strategy_ids) -> tuple[str, ...]:
         """Order a set of strategy ids by the canonical enumeration."""
         return tuple(sorted(strategy_ids, key=STRATEGY_ORDER.index))
+
+    def ids_of_mask(self, mask: int) -> tuple[str, ...]:
+        """Canonically ordered ids of the strategies whose bits are set in mask."""
+        return self.sort_ids(s.id for i, s in enumerate(self.strategies) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -86,8 +98,36 @@ class StrategyProfile:
 class ClassifiedCorpus:
     corpus: Corpus
     catalog: StrategyCatalog
-    profiles: tuple[StrategyProfile, ...]
     strict_prep: bool = False
+
+    @cached_property
+    def histogram(self) -> dict[int, int]:
+        """Incident count per strategy mask; mask 0 counts the unmapped incidents.
+
+        Bit i of a mask is ``catalog.strategies[i]``. Only non-empty bins are
+        present. Computed on first use, without building any profile.
+        """
+        bits = _technique_bits(self.catalog, self.strict_prep)
+        # In strict mode preparation bits sit n places above execution bits,
+        # so m & m >> n keeps the strategies that have both; otherwise the
+        # shift is 0 and the mask is m itself.
+        shift = len(self.catalog.strategies) if self.strict_prep else 0
+        get = bits.get
+        masks = []
+        for incident in self.corpus.incidents:
+            m = 0
+            for technique_id in incident.techniques:
+                m |= get(technique_id, 0)
+            masks.append(m & m >> shift)
+        return Counter(masks)
+
+    @cached_property
+    def profiles(self) -> tuple[StrategyProfile, ...]:
+        """Per-incident strategies and evidence, in corpus order."""
+        return tuple(
+            classify_incident(incident, self.catalog, self.strict_prep)
+            for incident in self.corpus.incidents
+        )
 
     @property
     def mapped_profiles(self) -> tuple[StrategyProfile, ...]:
@@ -99,11 +139,29 @@ class ClassifiedCorpus:
 
     @property
     def mapped_count(self) -> int:
-        return sum(1 for p in self.profiles if p.mapped)
+        return self.total_count - self.histogram.get(0, 0)
 
     @property
     def total_count(self) -> int:
-        return len(self.profiles)
+        return len(self.corpus)
+
+
+def _technique_bits(catalog: StrategyCatalog, strict_prep: bool) -> dict[str, int]:
+    """Technique id -> the bits it contributes to an incident's raw mask.
+
+    An execution technique sets bit i of each strategy i it executes. In
+    strict mode a preparation technique sets bit i + n, n being the number
+    of strategies.
+    """
+    n = len(catalog.strategies)
+    bits: dict[str, int] = {}
+    for i, strategy in enumerate(catalog.strategies):
+        owned = [(strategy.execution_technique, 1 << i)]
+        if strict_prep:
+            owned.extend((p, 1 << (i + n)) for p in strategy.preparation_techniques)
+        for technique_id, bit in owned:
+            bits[technique_id] = bits.get(technique_id, 0) | bit
+    return bits
 
 
 def check_disjointness(catalog: StrategyCatalog) -> ValidationReport:
@@ -239,10 +297,8 @@ def classify_corpus(
     """Classify every incident, preserving corpus order.
 
     Incidents with at least one strategy are "mapped", the rest "unmapped".
+    The mask histogram and the profiles are computed lazily, on first use.
     """
     if not corpus.incidents:
         raise EmptyCorpus("cannot classify an empty corpus")
-    profiles = tuple(
-        classify_incident(incident, catalog, strict_prep) for incident in corpus.incidents
-    )
-    return ClassifiedCorpus(corpus, catalog, profiles, strict_prep)
+    return ClassifiedCorpus(corpus, catalog, strict_prep)

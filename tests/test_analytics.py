@@ -363,3 +363,40 @@ def test_oracle_equivalence_random_seven_strategy(catalog):
     for _ in range(300):
         cc = random_cc(catalog, rng, ids=SEVEN, max_incidents=12)
         assert_matches_oracle(cc, SEVEN)
+
+
+# --- accessors on unknown ids --------------------------------------------------------------
+
+
+def test_accessors_on_unknown_ids(hand_cc):
+    with pytest.raises(KeyError):
+        prevalence(hand_cc).count("XX")
+    with pytest.raises(KeyError):
+        pattern_frequencies(hand_cc).row({"NS"})
+    with pytest.raises(KeyError):
+        pattern_frequencies(hand_cc).row({"XX"})
+    graph = cooccurrence(hand_cc)
+    with pytest.raises(KeyError):
+        graph.node_weight("XX")
+    assert graph.edge_weight("NR", "XX") == graph.edge_weight("XX", "NR") == 0
+    cond = conditional_probabilities(hand_cc)
+    with pytest.raises(KeyError):
+        cond.probability("XX", "NR")
+    with pytest.raises(KeyError):
+        cond.probability("NR", "XX")
+
+
+def test_accessor_lookups_on_known_ids(hand_cc):
+    table = pattern_frequencies(hand_cc)
+    assert table.row(["IP", "NR"]).strategies == ("NR", "IP")
+    assert table.exact_count({"NS"}) == 0
+    assert table.containment_count({"NR", "NM"}) == 1
+    graph = cooccurrence(hand_cc)
+    assert graph.edge_weight("NS", "NR") == 0  # both nodes, no edge
+    assert graph.edge_weight("IP", "NR") == graph.edge_weight("NR", "IP") == 2
+    cond = conditional_probabilities(hand_cc, min_support=3)
+    assert cond.probability("NR", "IP") == Fraction(2, 3)
+    with pytest.raises(KeyError):
+        cond.probability("IP", "NR")  # count(IP) = 2 < min_support
+    with pytest.raises(ZeroDivisionError):
+        cond.probability("NS", "NR")  # a node that occurs in no incident

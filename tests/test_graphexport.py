@@ -3,13 +3,15 @@ import json
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from influenceops import (
     UnknownFormat,
     conditional_probabilities,
     cooccurrence,
 )
-from influenceops.graphexport import export_graph
+from influenceops.graphexport import _xml_escape, _xml_quoteattr, export_graph
 
 from helpers import classified_from_profiles
 
@@ -83,3 +85,27 @@ def test_exports_are_deterministic(fixture_cc):
 def test_unknown_format_rejected(hand_cc):
     with pytest.raises(UnknownFormat):
         export_graph(cooccurrence(hand_cc), "svg")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab&<>\"'\n\r\t ;#é\x00")) | st.text())
+def test_xml_helpers_match_saxutils(text):
+    from xml.sax.saxutils import escape, quoteattr
+
+    assert _xml_escape(text) == escape(text)
+    assert _xml_quoteattr(text) == quoteattr(text)
+
+
+def test_package_does_not_import_xml():
+    """xml.sax.saxutils drags in urllib.request, http.client and email."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import influenceops
+
+    code = "import sys, influenceops.cli; print(any(m.startswith('xml') for m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

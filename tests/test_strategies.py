@@ -210,3 +210,9 @@ def test_profile_size_bounded_by_seven(catalog, technique_sets):
     cc = classify_corpus(corpus_of(technique_sets), catalog)
     for profile in cc.profiles:
         assert len(profile.strategies) <= 7
+
+
+def test_by_id_unknown_strategy_raises_key_error(catalog):
+    assert catalog.by_id("TD").execution_technique == "T0048"
+    with pytest.raises(KeyError):
+        catalog.by_id("XX")
