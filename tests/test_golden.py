@@ -1,9 +1,12 @@
 """Byte-for-byte regression of CLI outputs against committed golden files.
 
-`fixture_corpus.csv` is the bundled fixture spec's generated corpus;
-`prep_corpus.csv` is the same corpus with some preparation techniques added,
-so that `--strict-prep` drops some assignments and `--min-support 3` drops a
-source. Each golden file is the output of the argv listed beside it.
+`fixture_corpus.csv` is the bundled fixture spec's generated corpus and
+`fixture_corpus.json` the same corpus as JSON; `prep_corpus.csv` is the same
+corpus with some preparation techniques added, so that `--strict-prep` drops
+some assignments and `--min-support 3` drops a source. `lenient_corpus.csv`
+and `lenient_corpus.json` hold the same seven incidents with unknown technique
+ids, one of them repeated in an incident. Each golden file is the output of
+the argv listed beside it.
 """
 
 from pathlib import Path
@@ -15,7 +18,9 @@ from influenceops.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 # Relative to the tests directory: the stats report records the corpus path.
 FIXTURE = "golden/fixture_corpus.csv"
+FIXTURE_JSON = "golden/fixture_corpus.json"
 PREP = "golden/prep_corpus.csv"
+LENIENT = "golden/lenient_corpus"
 
 CASES = {
     "stats.json": ["stats", "--corpus", FIXTURE],
@@ -44,6 +49,20 @@ CASES = {
         ]
         for fmt in ("dot", "graphml", "json")
     },
+    "stats_json_corpus.json": ["stats", "--corpus", FIXTURE_JSON],
+    "stats_json_corpus_pretty.txt": ["stats", "--corpus", FIXTURE_JSON, "--pretty"],
+    **{
+        f"{kind}_json_corpus.{fmt}": ["graph", "--corpus", FIXTURE_JSON, "--kind", kind, "--format", fmt]
+        for kind in ("cooccurrence", "conditional")
+        for fmt in ("dot", "graphml", "json")
+    },
+    "stats_lenient_json_corpus.json": ["stats", "--lenient", "--corpus", f"{LENIENT}.json"],
+}
+
+# Commands that print to stdout rather than through --out.
+STDOUT_CASES = {
+    f"validate_lenient_{fmt}.txt": ["validate", "--lenient", "--corpus", f"{LENIENT}.{fmt}"]
+    for fmt in ("csv", "json")
 }
 
 
@@ -53,6 +72,13 @@ def test_output_matches_golden_bytes(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert main([*CASES[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_matches_golden_bytes(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parent)
+    assert main(STDOUT_CASES[name]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 def test_strict_prep_on_fixture_has_no_mapped_incident(capsys, monkeypatch):
