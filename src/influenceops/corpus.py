@@ -11,6 +11,16 @@ Technique ids are resolved against a taxonomy at ingestion. In strict mode
 any unknown id aborts the whole ingest; in lenient mode unknown ids are
 dropped per incident and reported, because hand-tagged datasets contain
 typos. A resulting Corpus is immutable and shareable across workers.
+
+Ingestion has two consumers of one pipeline. A row parser per format
+(``_csv_rows``, ``_json_rows``) does every parse and shape check and yields
+rows; ``RowChecker`` does the domain checks (duplicate ids, unknown
+technique ids) and ORs each row's strategy bits. ``ingest_corpus`` keeps
+the rows as ``Incident`` objects; ``strategies.ingest_histogram`` keeps only
+the masks. Any parse error wins over the first domain error, which is held
+until the whole document has parsed, so both raise the same error on every
+input. A file that is not UTF-8, an over-long CSV field or JSON nested too
+deeply is a ParseError.
 """
 
 from __future__ import annotations
@@ -19,10 +29,17 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateIncidentId, EmptyCorpus, ParseError, UnknownTechnique
+from .errors import (
+    DuplicateIncidentId,
+    EmptyCorpus,
+    InfluenceOpsError,
+    ParseError,
+    UnknownTechnique,
+)
 from .taxonomy import Taxonomy
 
 CSV_HEADER = ("incident_id", "title", "year", "targets", "techniques")
@@ -72,91 +89,60 @@ class CorpusSummary:
     technique_counts: tuple[tuple[str, int], ...]
 
 
-def _split_multi(value: str) -> list[str]:
-    return [part for part in value.split("|") if part]
+# incident_id, title, year, targets, technique ids
+Row = tuple[str, str, int, list[str], list[str]]
 
 
-def _build_corpus(
-    rows: list[tuple[str, str, int, list[str], list[str]]],
-    taxonomy: Taxonomy,
-    mode: str,
-    source: str,
-) -> tuple[Corpus, IngestionReport]:
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
-    if not rows:
-        raise EmptyCorpus(f"{source}: corpus document contains no incidents")
-
-    seen_ids: set[str] = set()
-    dropped: list[DroppedTechnique] = []
-    incidents: list[Incident] = []
-    for n, (incident_id, title, year, targets, technique_ids) in enumerate(rows, start=1):
-        if incident_id in seen_ids:
-            raise DuplicateIncidentId(f"{source}: duplicate incident_id {incident_id!r}")
-        seen_ids.add(incident_id)
-
-        kept: list[str] = []
-        for technique_id in technique_ids:
-            if taxonomy.has_technique(technique_id):
-                kept.append(technique_id)
-            elif mode == "strict":
-                raise UnknownTechnique(
-                    f"{source}: incident {n} ({incident_id!r}) references "
-                    f"unknown technique {technique_id!r}"
-                )
-            else:
-                dropped.append(DroppedTechnique(incident_id, technique_id))
-
-        incidents.append(
-            Incident(incident_id, title, year, tuple(targets), frozenset(kept))
-        )
-
-    return Corpus(tuple(incidents), source), IngestionReport(mode, tuple(dropped))
-
-
-def loads_corpus_csv(
-    text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<csv>"
-) -> tuple[Corpus, IngestionReport]:
-    reader = csv.reader(io.StringIO(text))
+def _csv_rows(lines: Iterable[str], source: str) -> Iterator[Row]:
+    """Checked rows of a CSV document read line by line; blank lines are skipped."""
+    reader = csv.reader(lines)
+    n = -1  # the header is row 0
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyCorpus(f"{source}: empty CSV document") from None
-    if tuple(header) != CSV_HEADER:
-        raise ParseError(
-            f"{source}: bad CSV header {header!r}, expected {','.join(CSV_HEADER)}"
-        )
+        header = next(reader, None)
+        n = 0
+        if header is None:
+            raise EmptyCorpus(f"{source}: empty CSV document")
+        if tuple(header) != CSV_HEADER:
+            raise ParseError(
+                f"{source}: bad CSV header {header!r}, expected {','.join(CSV_HEADER)}"
+            )
+        width = len(CSV_HEADER)
+        for n, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(f"{source}: row {n}: expected {width} fields, got {len(row)}")
+            incident_id, title, year_text, targets_text, techniques_text = row
+            if not incident_id:
+                raise ParseError(f"{source}: row {n}: empty incident_id")
+            try:
+                year = int(year_text)
+            except ValueError:
+                raise ParseError(f"{source}: row {n}: year {year_text!r} is not an integer") from None
+            # "|"-separated lists; empty items are dropped.
+            targets = targets_text.split("|")
+            if "" in targets:
+                targets = [t for t in targets if t]
+            techniques = techniques_text.split("|")
+            if "" in techniques:
+                techniques = [t for t in techniques if t]
+            yield incident_id, title, year, targets, techniques
+    except csv.Error as exc:
+        # Raised for the row after the last one read, e.g. a field over csv.field_size_limit().
+        raise ParseError(f"{source}: row {n + 1}: {exc}") from None
 
-    rows = []
-    for n, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ParseError(f"{source}: row {n}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-        incident_id, title, year_text, targets_text, techniques_text = row
-        if not incident_id:
-            raise ParseError(f"{source}: row {n}: empty incident_id")
-        try:
-            year = int(year_text)
-        except ValueError:
-            raise ParseError(f"{source}: row {n}: year {year_text!r} is not an integer") from None
-        rows.append(
-            (incident_id, title, year, _split_multi(targets_text), _split_multi(techniques_text))
-        )
-    return _build_corpus(rows, taxonomy, mode, source)
 
-
-def loads_corpus_json(
-    text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<json>"
-) -> tuple[Corpus, IngestionReport]:
+def _json_rows(text: str, source: str) -> Iterator[Row]:
+    """Checked rows of a JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"{source}: corpus document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{source}: corpus document is nested too deeply") from None
     if not isinstance(doc, list):
         raise ParseError(f"{source}: corpus JSON must be an array of incident objects")
 
-    rows = []
     for n, entry in enumerate(doc, start=1):
         if not isinstance(entry, dict):
             raise ParseError(f"{source}: incident {n}: must be an object")
@@ -174,19 +160,121 @@ def loads_corpus_json(
         for key, value in (("targets", targets), ("techniques", techniques)):
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise ParseError(f"{source}: incident {n}: {key!r} must be an array of strings")
-        rows.append((incident_id, title, year, list(targets), list(techniques)))
-    return _build_corpus(rows, taxonomy, mode, source)
+        yield incident_id, title, year, targets, techniques
+
+
+def _file_rows(path: Path, source: str) -> Iterator[Row]:
+    # A CSV file is parsed as it is read; JSON has to be read whole.
+    try:
+        with path.open(encoding="utf-8") as lines:
+            if path.suffix.lower() == ".json":
+                yield from _json_rows(lines.read(), source)
+            else:
+                yield from _csv_rows(lines, source)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: corpus file is not valid UTF-8: {exc.reason}") from None
+
+
+def read_corpus_rows(path: str | Path) -> tuple[Iterator[Row], str]:
+    """Checked rows of a .csv or .json corpus file, detected by extension, and
+    the source name that error messages and reports use."""
+    path = Path(path)
+    return _file_rows(path, str(path)), str(path)
+
+
+def technique_table(taxonomy: Taxonomy) -> dict[str, int]:
+    """Every taxonomy technique id, mapped to no strategy bit."""
+    return dict.fromkeys((t.id for t in taxonomy.techniques), 0)
+
+
+class RowChecker:
+    """The domain checks of ingestion: duplicate ids and unknown technique ids.
+
+    ``bits`` maps every known technique id to the strategy bits it sets (see
+    ``strategies._technique_bits``); a missing key is an unknown id. The first
+    domain error is held rather than raised, and ``finish`` raises it, so that
+    a parse error anywhere in the document wins over it.
+    """
+
+    def __init__(self, bits: Mapping[str, int], mode: str, source: str) -> None:
+        if mode not in ("strict", "lenient"):
+            raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
+        self.bits = bits
+        self.mode = mode
+        self.source = source
+        self.count = 0
+        self.seen: set[str] = set()
+        self.dropped: list[DroppedTechnique] = []
+        self.error: InfluenceOpsError | None = None
+
+    def mask(self, incident_id: str, technique_ids: list[str]) -> int | None:
+        """OR of the bits of the row's known techniques; None once an error is held.
+
+        Lenient mode drops and records unknown ids; strict mode holds an error.
+        """
+        self.count += 1
+        if self.error is not None:
+            return None
+        if incident_id in self.seen:
+            self.error = DuplicateIncidentId(f"{self.source}: duplicate incident_id {incident_id!r}")
+            return None
+        self.seen.add(incident_id)
+        bits = self.bits
+        m = 0
+        for technique_id in technique_ids:
+            try:
+                m |= bits[technique_id]
+            except KeyError:
+                if self.mode == "strict":
+                    self.error = UnknownTechnique(
+                        f"{self.source}: incident {self.count} ({incident_id!r}) references "
+                        f"unknown technique {technique_id!r}"
+                    )
+                    return None
+                self.dropped.append(DroppedTechnique(incident_id, technique_id))
+        return m
+
+    def finish(self) -> IngestionReport:
+        """Raise EmptyCorpus or the held error; otherwise report what was dropped."""
+        if not self.count:
+            raise EmptyCorpus(f"{self.source}: corpus document contains no incidents")
+        if self.error is not None:
+            raise self.error
+        return IngestionReport(self.mode, tuple(self.dropped))
+
+
+def _build_corpus(
+    rows: Iterable[Row], taxonomy: Taxonomy, mode: str, source: str
+) -> tuple[Corpus, IngestionReport]:
+    known = technique_table(taxonomy)
+    checker = RowChecker(known, mode, source)
+    incidents: list[Incident] = []
+    for incident_id, title, year, targets, technique_ids in rows:
+        if checker.mask(incident_id, technique_ids) is not None:
+            kept = frozenset(t for t in technique_ids if t in known)
+            incidents.append(Incident(incident_id, title, year, tuple(targets), kept))
+    report = checker.finish()
+    return Corpus(tuple(incidents), source), report
+
+
+def loads_corpus_csv(
+    text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<csv>"
+) -> tuple[Corpus, IngestionReport]:
+    return _build_corpus(_csv_rows(io.StringIO(text), source), taxonomy, mode, source)
+
+
+def loads_corpus_json(
+    text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<json>"
+) -> tuple[Corpus, IngestionReport]:
+    return _build_corpus(_json_rows(text, source), taxonomy, mode, source)
 
 
 def ingest_corpus(
     path: str | Path, taxonomy: Taxonomy, mode: str = "strict"
 ) -> tuple[Corpus, IngestionReport]:
     """Load a corpus from a .csv or .json file, detected by extension."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".json":
-        return loads_corpus_json(text, taxonomy, mode, source=str(path))
-    return loads_corpus_csv(text, taxonomy, mode, source=str(path))
+    rows, source = read_corpus_rows(path)
+    return _build_corpus(rows, taxonomy, mode, source)
 
 
 def corpus_to_csv(corpus: Corpus) -> str:

@@ -38,7 +38,7 @@ def build_report(
         "taxonomy_version": cc.catalog.taxonomy_version,
         "catalog_strategies": list(cc.catalog.ids()),
         "config": {
-            "corpus_source": cc.corpus.source,
+            "corpus_source": cc.source,
             "ingest_mode": ingest_mode,
             "strict_prep": cc.strict_prep,
             "min_support": min_support,

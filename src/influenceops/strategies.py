@@ -12,6 +12,12 @@ A classified corpus reduces to a histogram over strategy masks, where bit i
 stands for ``catalog.strategies[i]``: with seven strategies there are at most
 128 bins, and every corpus statistic is a function of them. Per-incident
 profiles with their evidence are computed only when asked for.
+
+``_technique_bits`` is the one table from technique id to strategy bits. The
+histogram of a materialised corpus and ``ingest_histogram``, which folds a
+corpus file's rows straight into the histogram without building incidents,
+both read it. A ClassifiedCorpus built from a histogram has every statistic
+but no profiles.
 """
 
 from __future__ import annotations
@@ -22,7 +28,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .corpus import Corpus, Incident
+from .corpus import (
+    Corpus,
+    Incident,
+    IngestionReport,
+    RowChecker,
+    read_corpus_rows,
+    technique_table,
+)
 from .errors import (
     DisjointnessViolation,
     EmptyCorpus,
@@ -96,9 +109,33 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class ClassifiedCorpus:
-    corpus: Corpus
+    """A corpus classified against a catalog.
+
+    Built by ``classify_corpus`` over a materialised corpus, or by
+    ``ingest_histogram`` from a histogram alone, with ``corpus`` None: that
+    one has every statistic but no per-incident profiles.
+    """
+
+    corpus: Corpus | None
     catalog: StrategyCatalog
     strict_prep: bool = False
+
+    @classmethod
+    def from_histogram(
+        cls,
+        histogram: dict[int, int],
+        total_count: int,
+        source: str,
+        catalog: StrategyCatalog,
+        strict_prep: bool = False,
+    ) -> ClassifiedCorpus:
+        cc = cls(None, catalog, strict_prep)
+        # Fill the cached properties that would otherwise read the incidents.
+        vars(cc).update(histogram=histogram, total_count=total_count, source=source)
+        return cc
+
+    def __len__(self) -> int:
+        return self.total_count
 
     @cached_property
     def histogram(self) -> dict[int, int]:
@@ -107,23 +144,20 @@ class ClassifiedCorpus:
         Bit i of a mask is ``catalog.strategies[i]``. Only non-empty bins are
         present. Computed on first use, without building any profile.
         """
-        bits = _technique_bits(self.catalog, self.strict_prep)
-        # In strict mode preparation bits sit n places above execution bits,
-        # so m & m >> n keeps the strategies that have both; otherwise the
-        # shift is 0 and the mask is m itself.
-        shift = len(self.catalog.strategies) if self.strict_prep else 0
-        get = bits.get
-        masks = []
+        get = _technique_bits(self.catalog, self.strict_prep).get
+        raw: Counter[int] = Counter()
         for incident in self.corpus.incidents:
             m = 0
             for technique_id in incident.techniques:
                 m |= get(technique_id, 0)
-            masks.append(m & m >> shift)
-        return Counter(masks)
+            raw[m] += 1
+        return _fold_masks(raw, self.catalog, self.strict_prep)
 
     @cached_property
     def profiles(self) -> tuple[StrategyProfile, ...]:
         """Per-incident strategies and evidence, in corpus order."""
+        if self.corpus is None:
+            raise ValueError("a corpus classified from a histogram has no profiles")
         return tuple(
             classify_incident(incident, self.catalog, self.strict_prep)
             for incident in self.corpus.incidents
@@ -141,20 +175,27 @@ class ClassifiedCorpus:
     def mapped_count(self) -> int:
         return self.total_count - self.histogram.get(0, 0)
 
-    @property
+    @cached_property
     def total_count(self) -> int:
         return len(self.corpus)
 
+    @cached_property
+    def source(self) -> str:
+        return self.corpus.source
 
-def _technique_bits(catalog: StrategyCatalog, strict_prep: bool) -> dict[str, int]:
+
+def _technique_bits(
+    catalog: StrategyCatalog, strict_prep: bool = False, taxonomy: Taxonomy | None = None
+) -> dict[str, int]:
     """Technique id -> the bits it contributes to an incident's raw mask.
 
     An execution technique sets bit i of each strategy i it executes. In
     strict mode a preparation technique sets bit i + n, n being the number
-    of strategies.
+    of strategies. Given a taxonomy, every one of its techniques is a key,
+    with 0 for those of no strategy, so that a missing key is an unknown id.
     """
     n = len(catalog.strategies)
-    bits: dict[str, int] = {}
+    bits = technique_table(taxonomy) if taxonomy is not None else {}
     for i, strategy in enumerate(catalog.strategies):
         owned = [(strategy.execution_technique, 1 << i)]
         if strict_prep:
@@ -162,6 +203,41 @@ def _technique_bits(catalog: StrategyCatalog, strict_prep: bool) -> dict[str, in
         for technique_id, bit in owned:
             bits[technique_id] = bits.get(technique_id, 0) | bit
     return bits
+
+
+def _fold_masks(raw: Counter[int], catalog: StrategyCatalog, strict_prep: bool) -> Counter[int]:
+    """Histogram of strategy masks from the counts of raw masks, which are
+    ORs of ``_technique_bits`` values."""
+    # In strict mode preparation bits sit n places above execution bits,
+    # so m & m >> n keeps the strategies that have both; otherwise the
+    # shift is 0 and the mask is m itself.
+    shift = len(catalog.strategies) if strict_prep else 0
+    histogram: Counter[int] = Counter()
+    for m, count in raw.items():
+        histogram[m & m >> shift] += count
+    return histogram
+
+
+def ingest_histogram(
+    path: str | Path,
+    taxonomy: Taxonomy,
+    catalog: StrategyCatalog,
+    mode: str = "strict",
+    strict_prep: bool = False,
+) -> tuple[ClassifiedCorpus, IngestionReport]:
+    """Ingest and classify a corpus file straight into its mask histogram.
+
+    Same checks, errors and ingestion report as ``ingest_corpus`` followed by
+    ``classify_corpus``, but no incident is built: for a CSV file, memory is
+    the incident-id set plus the histogram. The result has no profiles.
+    """
+    rows, source = read_corpus_rows(path)
+    checker = RowChecker(_technique_bits(catalog, strict_prep, taxonomy), mode, source)
+    mask = checker.mask
+    raw = Counter(mask(row[0], row[4]) for row in rows)
+    report = checker.finish()
+    histogram = _fold_masks(raw, catalog, strict_prep)
+    return ClassifiedCorpus.from_histogram(histogram, checker.count, source, catalog, strict_prep), report
 
 
 def check_disjointness(catalog: StrategyCatalog) -> ValidationReport:
