@@ -5,8 +5,9 @@
 corpus with some preparation techniques added, so that `--strict-prep` drops
 some assignments and `--min-support 3` drops a source. `lenient_corpus.csv`
 and `lenient_corpus.json` hold the same seven incidents with unknown technique
-ids, one of them repeated in an incident. Each golden file is the output of
-the argv listed beside it.
+ids, one of them repeated in an incident. `escaped_ids.json` has incident ids
+with non-ASCII text, quotes, backslashes and control characters. Each golden
+file is the output of the argv listed beside it.
 """
 
 from pathlib import Path
@@ -21,6 +22,7 @@ FIXTURE = "golden/fixture_corpus.csv"
 FIXTURE_JSON = "golden/fixture_corpus.json"
 PREP = "golden/prep_corpus.csv"
 LENIENT = "golden/lenient_corpus"
+ESCAPED = "golden/escaped_ids.json"
 
 CASES = {
     "stats.json": ["stats", "--corpus", FIXTURE],
@@ -57,6 +59,14 @@ CASES = {
         for fmt in ("dot", "graphml", "json")
     },
     "stats_lenient_json_corpus.json": ["stats", "--lenient", "--corpus", f"{LENIENT}.json"],
+    "classify_json_corpus.json": ["classify", "--corpus", FIXTURE_JSON],
+    "classify_pretty.txt": ["classify", "--corpus", FIXTURE, "--pretty"],
+    **{
+        f"classify_lenient_{fmt}{suffix}": ["classify", "--lenient", "--corpus", f"{LENIENT}.{fmt}", *flags]
+        for fmt in ("csv", "json")
+        for suffix, flags in ((".json", []), ("_pretty.txt", ["--pretty"]))
+    },
+    "classify_escaped_ids.json": ["classify", "--corpus", ESCAPED],
 }
 
 # Commands that print to stdout rather than through --out.
