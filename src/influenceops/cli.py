@@ -10,20 +10,19 @@ INFLUENCEOPS_CATALOG environment variables.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .analytics import conditional_probabilities, cooccurrence
 from .corpus import corpus_to_csv, corpus_to_json
-from .corpus import ingest_corpus as ingest_incidents
 from .errors import InfluenceOpsError, UnknownFormat
+from .evidence import classification_json, classification_text, ingest_technique_masks
 from .generate import generate_corpus, load_generator_spec
 from .graphexport import GRAPH_FORMATS, export_graph
 from .report import build_report, report_to_json, report_to_text
 from .resources import bundled_data_path
-from .strategies import check_disjointness, classify_corpus, load_strategy_catalog
+from .strategies import check_disjointness, load_strategy_catalog
 # validate, stats and graph need no incident, so they ingest straight into the
 # mask histogram; perfbench times the ingest layer by wrapping this name.
 from .strategies import ingest_histogram as ingest_corpus
@@ -156,24 +155,9 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     taxonomy, catalog = _load_inputs(args)
-    corpus, _ = ingest_incidents(_require_corpus(args), taxonomy, args.ingest_mode)
-    cc = classify_corpus(corpus, catalog, args.strict_prep)
-    if args.pretty:
-        lines = [
-            f"{p.incident_id}: {'+'.join(catalog.sort_ids(p.strategies)) or '(unmapped)'}"
-            for p in cc.profiles
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    doc = [
-        {
-            "incident_id": p.incident_id,
-            "strategies": list(catalog.sort_ids(p.strategies)),
-            "evidence": {sid: list(p.evidence[sid]) for sid in catalog.sort_ids(p.strategies)},
-        }
-        for p in cc.profiles
-    ]
-    _emit(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", args.out)
+    pairs, _ = ingest_technique_masks(_require_corpus(args), taxonomy, catalog, args.ingest_mode)
+    render = classification_text if args.pretty else classification_json
+    _emit(render(pairs, catalog, args.strict_prep), args.out)
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
+from .documents import parse_json
 from .errors import (
     DuplicateIncidentId,
     EmptyCorpus,
@@ -132,14 +133,12 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[Row]:
         raise ParseError(f"{source}: row {n + 1}: {exc}") from None
 
 
+_is_str = str.__instancecheck__  # isinstance(v, str), without a Python frame per item
+
+
 def _json_rows(text: str, source: str) -> Iterator[Row]:
     """Checked rows of a JSON document."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise ParseError(f"{source}: corpus document is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ParseError(f"{source}: corpus document is nested too deeply") from None
+    doc = parse_json(text, f"{source}: corpus document")
     if not isinstance(doc, list):
         raise ParseError(f"{source}: corpus JSON must be an array of incident objects")
 
@@ -149,6 +148,14 @@ def _json_rows(text: str, source: str) -> Iterator[Row]:
         incident_id = entry.get("incident_id")
         if not isinstance(incident_id, str) or not incident_id:
             raise ParseError(f"{source}: incident {n}: missing or empty 'incident_id'")
+        if not incident_id.isascii():
+            # A \ud800 escape decodes to a lone surrogate, which no output can encode.
+            try:
+                incident_id.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(
+                    f"{source}: incident {n}: 'incident_id' cannot be encoded as UTF-8"
+                ) from None
         title = entry.get("title", "")
         if not isinstance(title, str):
             raise ParseError(f"{source}: incident {n}: 'title' must be a string")
@@ -158,7 +165,7 @@ def _json_rows(text: str, source: str) -> Iterator[Row]:
         targets = entry.get("targets", [])
         techniques = entry.get("techniques", [])
         for key, value in (("targets", targets), ("techniques", techniques)):
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            if not isinstance(value, list) or not all(map(_is_str, value)):
                 raise ParseError(f"{source}: incident {n}: {key!r} must be an array of strings")
         yield incident_id, title, year, targets, techniques
 

@@ -19,14 +19,14 @@ metadata (ordering, years).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
 from .corpus import Corpus, Incident
-from .errors import InfeasibleSpec, ParseError, SchemaError, ZeroIncidents
+from .documents import parse_json, read_text
+from .errors import InfeasibleSpec, SchemaError, ZeroIncidents
 from .strategies import StrategyCatalog
 
 EXACT_MODE = "exact-patterns"
@@ -77,10 +77,7 @@ def _non_negative_int(value: object, where: str) -> int:
 
 
 def loads_generator_spec(text: str) -> GeneratorSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"generator spec is not valid JSON: {exc}") from exc
+    doc = parse_json(text, "generator spec")
     if not isinstance(doc, dict):
         raise SchemaError("generator spec must be a JSON object")
 
@@ -121,7 +118,7 @@ def loads_generator_spec(text: str) -> GeneratorSpec:
 
 
 def load_generator_spec(path: str | Path) -> GeneratorSpec:
-    return loads_generator_spec(Path(path).read_text(encoding="utf-8"))
+    return loads_generator_spec(read_text(path, "generator spec file"))
 
 
 def _canonical_pattern_key(catalog: StrategyCatalog):

@@ -22,7 +22,6 @@ but no profiles.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,10 +35,10 @@ from .corpus import (
     read_corpus_rows,
     technique_table,
 )
+from .documents import parse_json, read_text
 from .errors import (
     DisjointnessViolation,
     EmptyCorpus,
-    ParseError,
     PhaseViolation,
     SchemaError,
     UnknownTechnique,
@@ -270,10 +269,7 @@ def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
     technique outside the Prepare phase, and DisjointnessViolation when a
     technique appears in two pipelines.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"catalog document is not valid JSON: {exc}") from exc
+    doc = parse_json(text, "catalog document")
     if not isinstance(doc, dict) or not isinstance(doc.get("strategies"), list):
         raise SchemaError("catalog document must be an object with a 'strategies' array")
     taxonomy_version = doc.get("taxonomy_version")
@@ -341,7 +337,7 @@ def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
 
 
 def load_strategy_catalog(path: str | Path, taxonomy: Taxonomy) -> StrategyCatalog:
-    return loads_strategy_catalog(Path(path).read_text(encoding="utf-8"), taxonomy)
+    return loads_strategy_catalog(read_text(path, "catalog file"), taxonomy)
 
 
 def classify_incident(

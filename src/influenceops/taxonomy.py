@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import AmbiguousName, NotFound, ParseError, SchemaError
+from .documents import parse_json, read_text
+from .errors import AmbiguousName, NotFound, SchemaError
 
 PHASE_NAMES = ("Plan", "Prepare", "Execute", "Assess")
 
@@ -219,10 +220,7 @@ def _str_field(entry: dict, key: str, where: str) -> str:
 
 def loads_taxonomy(text: str) -> Taxonomy:
     """Parse a taxonomy JSON document and return a validated Taxonomy."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"taxonomy document is not valid JSON: {exc}") from exc
+    doc = parse_json(text, "taxonomy document")
     if not isinstance(doc, dict):
         raise SchemaError("taxonomy document must be a JSON object")
 
@@ -286,7 +284,7 @@ def loads_taxonomy(text: str) -> Taxonomy:
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    return loads_taxonomy(Path(path).read_text(encoding="utf-8"))
+    return loads_taxonomy(read_text(path, "taxonomy file"))
 
 
 def serialize_taxonomy(taxonomy: Taxonomy) -> str:

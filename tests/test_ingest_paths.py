@@ -1,9 +1,11 @@
-"""The streaming ingest path against the materialised one, and the corpus loaders
+"""The streaming ingest paths against the materialised one, and the loaders
 against malformed and arbitrary input.
 
 `ingest_histogram` folds rows straight into the mask histogram; it must agree
 with `classify_corpus(ingest_corpus(...))` on every document: the same
 histogram, counts and ingestion report, or the same exception and message.
+`classify` renders per-technique masks; its output must be the bytes of the
+library's profiles rendered as it did before it streamed, or the same error.
 """
 
 import contextlib
@@ -27,14 +29,18 @@ from influenceops import (
 )
 from influenceops.cli import main
 from influenceops.corpus import CSV_HEADER
-from influenceops.strategies import ClassifiedCorpus, ingest_histogram
+from influenceops.resources import bundled_data_path
+from influenceops.strategies import ClassifiedCorpus, ingest_histogram, loads_strategy_catalog
 
 MODES = [(mode, strict_prep) for mode in ("strict", "lenient") for strict_prep in (False, True)]
 
 # Execution and preparation ids of several strategies, a taxonomy id of no
 # strategy (T0117), and ids outside the taxonomy.
 TECHNIQUES = ["T0115", "T0118", "T0114", "T0049", "X0001", "T0003", "T0022", "T0117", "T9999", "t0115"]
-IDS = ["I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "I-7", "I-8"]  # unique in valid documents
+# Unique in valid documents; some need escaping in JSON output.
+IDS = ["I-1", "I-2", "I-3", "I-4", "I-5", "É-6 «été» 😀", 'Q-"7"', "B-\\8", "C-\x07\t9\x7f\u2028"]
+# A lone surrogate, which a JSON document can hold as a \ud800 escape but no output can encode.
+SURROGATE_ID = "S-\ud800"
 TEXT = st.text(alphabet="ab ,|\"\n\r\t'é", max_size=6)
 
 
@@ -95,8 +101,11 @@ def csv_rows(draw, valid):
 
 @st.composite
 def json_entries(draw, valid):
+    incident_id = draw(st.sampled_from(IDS))
+    if not valid and rarely(draw):
+        incident_id = draw(st.sampled_from(["", SURROGATE_ID]))
     entry = {
-        "incident_id": "" if not valid and rarely(draw) else draw(st.sampled_from(IDS)),
+        "incident_id": incident_id,
         "title": draw(TEXT),
         "year": draw(st.integers(1990, 2030)),
         "targets": draw(st.lists(TEXT, max_size=2)),
@@ -121,7 +130,16 @@ def json_documents(valid):
     doc = st.lists(json_entries(valid), max_size=8, unique_by=unique)
     if not valid:
         doc = st.one_of(doc, st.sampled_from([{}, "corpus", 1]))
-    return doc.map(lambda d: json.dumps(d, ensure_ascii=False))
+    return doc.map(json_text)
+
+
+def json_text(doc):
+    text = json.dumps(doc, ensure_ascii=False)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: write it as an escape
+        return json.dumps(doc)
+    return text
 
 
 DOCUMENTS = st.one_of(
@@ -201,35 +219,161 @@ def test_histogram_built_corpus_has_statistics_but_no_profiles(catalog):
         cc.profiles
 
 
-def test_stats_graph_and_validate_build_no_incident(monkeypatch, tmp_path):
+def reference_classify(path, taxonomy, catalog, mode, strict_prep, pretty):
+    """The `classify` output rendered from the library's profiles, as the command
+    did before it streamed."""
+    corpus, _ = ingest_corpus(path, taxonomy, mode)
+    cc = classify_corpus(corpus, catalog, strict_prep)
+    if pretty:
+        lines = [
+            f"{p.incident_id}: {'+'.join(catalog.sort_ids(p.strategies)) or '(unmapped)'}"
+            for p in cc.profiles
+        ]
+        return "\n".join(lines) + "\n"
+    doc = [
+        {
+            "incident_id": p.incident_id,
+            "strategies": list(catalog.sort_ids(p.strategies)),
+            "evidence": {sid: list(p.evidence[sid]) for sid in catalog.sort_ids(p.strategies)},
+        }
+        for p in cc.profiles
+    ]
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.fixture(scope="module")
+def catalog_files(taxonomy, scratch):
+    """Catalog name -> (catalog file, catalog): the bundled seven strategies, and
+    four of them listed out of canonical order."""
+    bundled = bundled_data_path("catalog.json")
+    doc = json.loads(bundled.read_text(encoding="utf-8"))
+    doc["strategies"] = doc["strategies"][3::-1]
+    four = scratch / "four_strategies.json"
+    four.write_text(json.dumps(doc), encoding="utf-8")
+    return {
+        name: (str(path), loads_strategy_catalog(path.read_text(encoding="utf-8"), taxonomy))
+        for name, path in (("seven", bundled), ("four", four))
+    }
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=DOCUMENTS, which=st.sampled_from(["seven", "four"]), mode=st.sampled_from(MODES),
+       pretty=st.booleans())
+def test_classify_output_matches_library_rendering(taxonomy, catalog_files, scratch, doc, which, mode, pretty):
+    suffix, text = doc
+    path = scratch / f"classify{suffix}"
+    path.write_text(text, encoding="utf-8")
+    catalog_path, catalog = catalog_files[which]
+    ingest_mode, strict_prep = mode
+    try:
+        expected = reference_classify(path, taxonomy, catalog, ingest_mode, strict_prep, pretty)
+    except InfluenceOpsError as exc:
+        expected = None
+        error = f"{type(exc).__name__}: {exc}\n"
+    out = scratch / "classify.out"
+    out.unlink(missing_ok=True)
+    argv = ["classify", f"--{ingest_mode}", "--catalog", catalog_path, "--corpus", str(path), "--out", str(out)]
+    argv += ["--strict-prep"] * strict_prep + ["--pretty"] * pretty
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main(argv)
+    if expected is None:
+        assert (rc, stderr.getvalue()) == (1, error)
+        assert not out.exists()
+    else:
+        assert rc == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_lone_surrogate_id_is_a_parse_error(taxonomy, catalog, tmp_path, capsys):
+    path = tmp_path / "surrogate.json"
+    path.write_text('[{"incident_id": "I-1", "year": 2020},\n'
+                    ' {"incident_id": "I-\\ud800", "year": 2020, "techniques": ["T0115"]}]',
+                    encoding="utf-8")
+    for ingest in (ingest_histogram, materialised):
+        with pytest.raises(ParseError, match=r"surrogate.json: incident 2: 'incident_id' cannot be encoded"):
+            ingest(path, taxonomy, catalog, "strict", False)
+    out = tmp_path / "out.json"
+    assert main(["classify", "--corpus", str(path), "--out", str(out)]) == 1
+    assert "ParseError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_streaming_commands_build_no_incident(monkeypatch, tmp_path, taxonomy):
     import influenceops.corpus as corpus_module
+    import influenceops.strategies as strategies_module
 
     path = tmp_path / "c.csv"
-    path.write_text(",".join(CSV_HEADER) + "\nI-1,a,2020,,T0115\n", encoding="utf-8")
+    path.write_text(",".join(CSV_HEADER) + "\nI-1,a,2020,,T0115|T0085\n", encoding="utf-8")
 
-    def no_incident(*args, **kwargs):
-        raise AssertionError("an Incident was built")
+    def no_object(*args, **kwargs):
+        raise AssertionError("an Incident or a StrategyProfile was built")
 
-    monkeypatch.setattr(corpus_module, "Incident", no_incident)
-    for argv in (["stats"], ["graph", "--kind", "cooccurrence"], ["validate"]):
+    monkeypatch.setattr(corpus_module, "Incident", no_object)
+    monkeypatch.setattr(strategies_module, "StrategyProfile", no_object)
+    for argv in (["stats"], ["graph", "--kind", "cooccurrence"], ["validate"],
+                 ["classify"], ["classify", "--strict-prep", "--pretty"]):
         assert main([*argv, "--corpus", str(path), "--out", str(tmp_path / "o")]) == 0
     with pytest.raises(AssertionError):
-        main(["classify", "--corpus", str(path), "--out", str(tmp_path / "o")])
+        ingest_corpus(path, taxonomy)
 
 
 @st.composite
 def corpus_bytes(draw):
     header = ",".join(CSV_HEADER).encode()
-    prefix = draw(st.sampled_from([b"", header + b"\n", b"[", b'[{"incident_id": "I-1", ']))
+    prefix = draw(st.sampled_from([b"", header + b"\n", b"[", b'[{"incident_id": "I-1", ',
+                                   b'[{"year": 1, "incident_id": "I-\\ud800']))
     return prefix + draw(st.binary(max_size=200))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=corpus_bytes(), suffix=st.sampled_from([".csv", ".json"]),
-       command=st.sampled_from(["stats", "validate"]))
+       command=st.sampled_from(["stats", "validate", "classify"]))
 def test_loader_fuzz_exits_with_a_code(scratch, data, suffix, command):
     path = scratch / f"fuzz{suffix}"
     path.write_bytes(data)
+    # --out encodes the output as UTF-8, as a UTF-8 stdout would.
+    out = str(scratch / "fuzz.out")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main([command, "--lenient", "--corpus", str(path)]) in (0, 1, 2)
-        assert main([command, "--corpus", str(path)]) in (0, 1, 2)
+        assert main([command, "--lenient", "--corpus", str(path), "--out", out]) in (0, 1, 2)
+        assert main([command, "--corpus", str(path), "--out", out]) in (0, 1, 2)
+
+
+def document_argv(flag, path, out):
+    if flag == "--spec":
+        return ["generate", "--spec", path, "--out", out]
+    return ["validate", flag, path]
+
+
+@st.composite
+def document_bytes(draw):
+    prefix = draw(st.sampled_from([
+        b"", b"{", b"[", b'{"version": "1", "phases": [', b'{"taxonomy_version": "2026.08", "strategies": [',
+        b'{"mode": "exact-patterns", "patterns": [', b'{"mode": "marginal-solver", "marginals": {"NR": ',
+    ]))
+    return prefix + draw(st.binary(max_size=200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=document_bytes(), flag=st.sampled_from(["--taxonomy", "--catalog", "--spec"]))
+def test_document_loader_fuzz_exits_with_a_code(scratch, data, flag):
+    path = scratch / "document.json"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(document_argv(flag, str(path), str(scratch / "document.out"))) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("flag, what", [("--taxonomy", "taxonomy"), ("--catalog", "catalog"),
+                                        ("--spec", "generator spec")])
+@pytest.mark.parametrize("data, where", [
+    pytest.param(b'{"version": "\xff\xfe"}', "file is not valid UTF-8", id="not-utf8"),
+    pytest.param(b"[" * 100_000, "is nested too deeply", id="nested"),
+    pytest.param(b'{"version": ' + b"9" * 5000 + b"}", "is not valid JSON", id="digits",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
+])
+def test_unreadable_documents_exit_with_parse_error(tmp_path, capsys, flag, what, data, where):
+    path = tmp_path / "document.json"
+    path.write_bytes(data)
+    assert main(document_argv(flag, str(path), str(tmp_path / "out"))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ParseError: ") and what in err and where in err
