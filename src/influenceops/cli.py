@@ -23,8 +23,8 @@ from .graphexport import GRAPH_FORMATS, export_graph
 from .report import build_report, report_to_json, report_to_text
 from .resources import bundled_data_path
 from .strategies import check_disjointness, load_strategy_catalog
-# validate, stats and graph need no incident, so they ingest straight into the
-# mask histogram; perfbench times the ingest layer by wrapping this name.
+# validate, stats and graph ingest straight into the mask histogram; perfbench
+# times the ingest layer by wrapping this name.
 from .strategies import ingest_histogram as ingest_corpus
 from .taxonomy import load_taxonomy, validate_taxonomy
 

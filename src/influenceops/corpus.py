@@ -12,15 +12,19 @@ any unknown id aborts the whole ingest; in lenient mode unknown ids are
 dropped per incident and reported, because hand-tagged datasets contain
 typos. A resulting Corpus is immutable and shareable across workers.
 
-Ingestion has two consumers of one pipeline. A row parser per format
+Ingestion has three consumers of one pipeline. A row parser per format
 (``_csv_rows``, ``_json_rows``) does every parse and shape check and yields
 rows; ``RowChecker`` does the domain checks (duplicate ids, unknown
-technique ids) and ORs each row's strategy bits. ``ingest_corpus`` keeps
-the rows as ``Incident`` objects; ``strategies.ingest_histogram`` keeps only
-the masks. Any parse error wins over the first domain error, which is held
-until the whole document has parsed, so both raise the same error on every
-input. A file that is not UTF-8, an over-long CSV field or JSON nested too
-deeply is a ParseError.
+technique ids) and ORs the bits that a table gives each row's technique ids.
+``ingest_corpus`` keeps the rows as ``Incident`` objects and is the library
+API; ``strategies.ingest_histogram`` (``validate``, ``stats``, ``graph``)
+keeps only strategy masks; ``evidence.ingest_technique_masks``
+(``classify``) keeps (incident id, technique mask) pairs. Any parse error
+wins over the first domain error, which is held until the whole document
+has parsed, so all three raise the same error on every input. A file that
+is not UTF-8, an over-long CSV field, JSON nested too deeply and an
+``incident_id`` that cannot be encoded as UTF-8 (a lone surrogate escape
+such as ``\\ud800``) are each a ParseError.
 """
 
 from __future__ import annotations
@@ -133,9 +137,6 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[Row]:
         raise ParseError(f"{source}: row {n + 1}: {exc}") from None
 
 
-_is_str = str.__instancecheck__  # isinstance(v, str), without a Python frame per item
-
-
 def _json_rows(text: str, source: str) -> Iterator[Row]:
     """Checked rows of a JSON document."""
     doc = parse_json(text, f"{source}: corpus document")
@@ -165,7 +166,7 @@ def _json_rows(text: str, source: str) -> Iterator[Row]:
         targets = entry.get("targets", [])
         techniques = entry.get("techniques", [])
         for key, value in (("targets", targets), ("techniques", techniques)):
-            if not isinstance(value, list) or not all(map(_is_str, value)):
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise ParseError(f"{source}: incident {n}: {key!r} must be an array of strings")
         yield incident_id, title, year, targets, techniques
 
@@ -197,8 +198,9 @@ def technique_table(taxonomy: Taxonomy) -> dict[str, int]:
 class RowChecker:
     """The domain checks of ingestion: duplicate ids and unknown technique ids.
 
-    ``bits`` maps every known technique id to the strategy bits it sets (see
-    ``strategies._technique_bits``); a missing key is an unknown id. The first
+    ``bits`` maps every known technique id to the bits it sets (strategy bits
+    from ``strategies._technique_bits``, or one bit per catalog technique for
+    ``classify``); a missing key is an unknown id. The first
     domain error is held rather than raised, and ``finish`` raises it, so that
     a parse error anywhere in the document wins over it.
     """

@@ -1,9 +1,11 @@
 """Reading input documents without tracebacks.
 
-Every loader of the package (taxonomy, catalog, generator spec, corpus) reads
-its file and parses its JSON through these two functions, so that a file
-that is not UTF-8, text that is not JSON, JSON nested too deeply for the
-parser and an integer over Python's digit limit are each a ParseError.
+The taxonomy, catalog and generator-spec loaders read their files with
+``read_text``, and they and the JSON corpus parser parse with
+``parse_json``, so that a file that is not UTF-8, text that is not JSON,
+JSON nested too deeply for the parser and an integer over Python's digit
+limit are each a ParseError. (Corpus files are read by ``corpus.py``, which
+parses CSV as it reads.)
 """
 
 from __future__ import annotations

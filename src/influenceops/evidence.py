@@ -55,6 +55,8 @@ def ingest_technique_masks(
 
 
 class _Memo(dict):
+    """A dict that computes a missing key's value once, with ``compute(key)``."""
+
     def __init__(self, compute):
         super().__init__()
         self.compute = compute
@@ -107,13 +109,12 @@ def classification_json(
         return "[\n      " + ",\n      ".join(map(_encode, ids)) + "\n    ]" if ids else "[]"
 
     lists = _Memo(strategy_list)
-    rows = [
-        f'  {{\n    "incident_id": {_encode(incident_id)},\n    "strategies": {lists[sm]},\n'
-        + ('    "evidence": {\n      ' + ",\n      ".join(blocks) + "\n    }\n  }" if blocks
-           else '    "evidence": {}\n  }')
-        for incident_id, sm, blocks in _matches(pairs, catalog, strict_prep)
-    ]
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    rows = []
+    for incident_id, sm, blocks in _matches(pairs, catalog, strict_prep):
+        evidence = "{\n      " + ",\n      ".join(blocks) + "\n    }" if blocks else "{}"
+        rows.append(f'  {{\n    "incident_id": {_encode(incident_id)},\n    "strategies": {lists[sm]},\n'
+                    f'    "evidence": {evidence}\n  }}')
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def classification_text(

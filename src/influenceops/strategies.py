@@ -18,6 +18,11 @@ histogram of a materialised corpus and ``ingest_histogram``, which folds a
 corpus file's rows straight into the histogram without building incidents,
 both read it. A ClassifiedCorpus built from a histogram has every statistic
 but no profiles.
+
+The ``classify`` command does not use this module's profiles either: it
+streams rows into per-technique masks and renders them (``evidence.py``).
+``classify_corpus``, ``classify_incident`` and ``ClassifiedCorpus.profiles``
+remain the library API and the reference that its output is tested against.
 """
 
 from __future__ import annotations

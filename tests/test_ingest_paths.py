@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,14 +30,21 @@ from influenceops import (
 )
 from influenceops.cli import main
 from influenceops.corpus import CSV_HEADER
+from influenceops.evidence import classification_json, classification_text, ingest_technique_masks
 from influenceops.resources import bundled_data_path
-from influenceops.strategies import ClassifiedCorpus, ingest_histogram, loads_strategy_catalog
+from influenceops.strategies import (
+    ClassifiedCorpus,
+    StrategyCatalog,
+    ingest_histogram,
+    loads_strategy_catalog,
+)
 
 MODES = [(mode, strict_prep) for mode in ("strict", "lenient") for strict_prep in (False, True)]
 
-# Execution and preparation ids of several strategies, a taxonomy id of no
-# strategy (T0117), and ids outside the taxonomy.
-TECHNIQUES = ["T0115", "T0118", "T0114", "T0049", "X0001", "T0003", "T0022", "T0117", "T9999", "t0115"]
+# Execution and preparation ids of several strategies (two preparation ids of
+# NR and of NM), a taxonomy id of no strategy (T0117), and ids outside the taxonomy.
+TECHNIQUES = ["T0115", "T0118", "T0114", "T0049", "X0001", "T0085", "T0003", "T0022", "T0007", "T0117",
+              "T9999", "t0115"]
 # Unique in valid documents; some need escaping in JSON output.
 IDS = ["I-1", "I-2", "I-3", "I-4", "I-5", "É-6 «été» 😀", 'Q-"7"', "B-\\8", "C-\x07\t9\x7f\u2028"]
 # A lone surrogate, which a JSON document can hold as a \ud800 escape but no output can encode.
@@ -285,6 +293,21 @@ def test_classify_output_matches_library_rendering(taxonomy, catalog_files, scra
         assert out.read_bytes() == expected.encode("utf-8")
 
 
+def test_classify_rendering_does_not_depend_on_catalog_order(taxonomy, catalog):
+    reordered = StrategyCatalog(catalog.strategies[::-1], catalog.taxonomy_version)
+    path = Path(__file__).parent / "golden" / "prep_corpus.csv"
+    pairs, _ = ingest_technique_masks(path, taxonomy, reordered)
+    for strict_prep in (False, True):
+        for pretty, render in ((False, classification_json), (True, classification_text)):
+            expected = reference_classify(path, taxonomy, reordered, "strict", strict_prep, pretty)
+            assert render(pairs, reordered, strict_prep) == expected
+
+
+def test_classify_rendering_of_no_incident(catalog):
+    assert classification_json([], catalog) == json.dumps([], indent=2) + "\n"
+    assert classification_text([], catalog) == "\n"
+
+
 def test_lone_surrogate_id_is_a_parse_error(taxonomy, catalog, tmp_path, capsys):
     path = tmp_path / "surrogate.json"
     path.write_text('[{"incident_id": "I-1", "year": 2020},\n'
@@ -323,7 +346,7 @@ def corpus_bytes(draw):
     header = ",".join(CSV_HEADER).encode()
     prefix = draw(st.sampled_from([b"", header + b"\n", b"[", b'[{"incident_id": "I-1", ',
                                    b'[{"year": 1, "incident_id": "I-\\ud800']))
-    return prefix + draw(st.binary(max_size=200))
+    return prefix + draw(st.binary(max_size=200)) + draw(st.sampled_from([b"", b'"}]']))
 
 
 @settings(max_examples=300, deadline=None)
