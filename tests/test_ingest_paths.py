@@ -399,4 +399,4 @@ def test_unreadable_documents_exit_with_parse_error(tmp_path, capsys, flag, what
     path.write_bytes(data)
     assert main(document_argv(flag, str(path), str(tmp_path / "out"))) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"ParseError: ") and what in err and where in err
+    assert err.startswith("ParseError: ") and what in err and where in err
