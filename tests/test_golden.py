@@ -7,7 +7,9 @@ some assignments and `--min-support 3` drops a source. `lenient_corpus.csv`
 and `lenient_corpus.json` hold the same seven incidents with unknown technique
 ids, one of them repeated in an incident. `escaped_ids.json` has incident ids
 with non-ASCII text, quotes, backslashes and control characters. Each golden
-file is the output of the argv listed beside it.
+file is the output of the argv listed beside it. `generate_exact_prep.*` is
+generated from `exact_prep_spec.json`, an exact-patterns spec with
+`include_preparation`; the bundled fixture spec generates `fixture_corpus.*`.
 """
 
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from influenceops.cli import main
+from influenceops.resources import bundled_data_path
 
 GOLDEN = Path(__file__).parent / "golden"
 # Relative to the tests directory: the stats report records the corpus path.
@@ -23,6 +26,8 @@ FIXTURE_JSON = "golden/fixture_corpus.json"
 PREP = "golden/prep_corpus.csv"
 LENIENT = "golden/lenient_corpus"
 ESCAPED = "golden/escaped_ids.json"
+FIXTURE_SPEC = str(bundled_data_path("fixture_spec.json"))
+EXACT_PREP_SPEC = "golden/exact_prep_spec.json"
 
 CASES = {
     "stats.json": ["stats", "--corpus", FIXTURE],
@@ -67,6 +72,14 @@ CASES = {
         for suffix, flags in ((".json", []), ("_pretty.txt", ["--pretty"]))
     },
     "classify_escaped_ids.json": ["classify", "--corpus", ESCAPED],
+    **{
+        f"fixture_corpus.{fmt}": ["generate", "--spec", FIXTURE_SPEC, "--corpus-format", fmt]
+        for fmt in ("csv", "json")
+    },
+    **{
+        f"generate_exact_prep.{fmt}": ["generate", "--spec", EXACT_PREP_SPEC, "--corpus-format", fmt]
+        for fmt in ("csv", "json")
+    },
 }
 
 # Commands that print to stdout rather than through --out.
