@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .documents import parse_json
@@ -288,34 +288,71 @@ def ingest_corpus(
 
 def corpus_to_csv(corpus: Corpus) -> str:
     """Serialize with sorted technique ids and LF line endings (byte-stable)."""
+    joined: dict[frozenset[str], str] = {}
+
+    def techniques_field(techniques: frozenset[str]) -> str:
+        field = joined.get(techniques)
+        if field is None:
+            field = joined[techniques] = "|".join(sorted(techniques))
+        return field
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for incident in corpus.incidents:
-        writer.writerow(
-            [
-                incident.incident_id,
-                incident.title,
-                incident.year,
-                "|".join(incident.targets),
-                "|".join(sorted(incident.techniques)),
-            ]
+    writer.writerows(
+        (
+            incident.incident_id,
+            incident.title,
+            incident.year,
+            "|".join(incident.targets),
+            techniques_field(incident.techniques),
         )
+        for incident in corpus.incidents
+    )
     return out.getvalue()
 
 
+# One incident of json.dumps(doc, indent=2, ensure_ascii=False) for a list of incident objects.
+_JSON_INCIDENT = (
+    '  {\n    "incident_id": %s,\n    "title": %s,\n    "year": %s,\n'
+    '    "targets": %s,\n    "techniques": %s\n  }'
+)
+
+
+def _json_string_list(items: Iterable[str]) -> str:
+    """A list of strings as json.dumps writes it three levels deep at indent=2."""
+    encoded = [encode_basestring(item) for item in items]
+    if not encoded:
+        return "[]"
+    return "[\n      " + ",\n      ".join(encoded) + "\n    ]"
+
+
 def corpus_to_json(corpus: Corpus) -> str:
-    doc = [
-        {
-            "incident_id": incident.incident_id,
-            "title": incident.title,
-            "year": incident.year,
-            "targets": list(incident.targets),
-            "techniques": sorted(incident.techniques),
-        }
+    """The incidents as a JSON array, byte for byte as
+    ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` writes it,
+    with sorted technique ids."""
+    if not corpus.incidents:
+        return "[]\n"
+    blocks: dict[frozenset[str], str] = {}
+
+    def techniques_block(techniques: frozenset[str]) -> str:
+        block = blocks.get(techniques)
+        if block is None:
+            block = blocks[techniques] = _json_string_list(sorted(techniques))
+        return block
+
+    body = ",\n".join(
+        _JSON_INCIDENT
+        % (
+            encode_basestring(incident.incident_id),
+            encode_basestring(incident.title),
+            int.__repr__(incident.year),
+            _json_string_list(incident.targets),
+            techniques_block(incident.techniques),
+        )
         for incident in corpus.incidents
-    ]
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    )
+    return "[\n" + body + "\n]\n"
 
 
 def corpus_summary(corpus: Corpus) -> CorpusSummary:

@@ -25,10 +25,13 @@ def read_text(path: str | Path, what: str) -> str:
         raise ParseError(f"{path}: {what} is not valid UTF-8: {exc.reason}") from None
 
 
-def parse_json(text: str, what: str) -> object:
-    """The parsed JSON document; ``what`` names it in the error."""
+def parse_json(text: str, what: str, object_pairs_hook=None) -> object:
+    """The parsed JSON document; ``what`` names it in the error.
+
+    ``object_pairs_hook`` is passed to ``json.loads``.
+    """
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:

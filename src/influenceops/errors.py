@@ -46,7 +46,7 @@ class EmptyCorpus(InfluenceOpsError):
 
 
 class InfeasibleSpec(InfluenceOpsError):
-    """Generator spec admits no corpus (violated identity or exhausted search)."""
+    """Generator spec admits no corpus; the message names the violated identity or inequality."""
 
 
 class ZeroIncidents(InfluenceOpsError):

@@ -6,22 +6,25 @@ Two modes:
   incident counts; generation is direct construction.
 * ``marginal-solver``: the spec gives per-strategy incident counts
   (marginals), a profile-size distribution, and optional pinned patterns
-  with minimum counts. A deterministic backtracking search finds a pattern
-  multiset satisfying all constraint families exactly.
+  with minimum counts. Once the pinned minimums are taken out, the rest is
+  the bipartite degree-sequence problem. The Gale-Ryser test decides it, and
+  when it holds Ryser's greedy builds a pattern -> count table meeting every
+  target exactly, with no search; when it fails, ``InfeasibleSpec`` names
+  the violated inequality.
 
 Synthetic incidents carry only the execution techniques of their pattern's
 strategies (minimal witnesses), so classifying the output recovers the
 requested patterns; ``include_preparation`` adds each strategy's full
 pipeline. Identical spec + seed produces a byte-identical corpus: the seed
-drives only tie-breaking among equally attractive branches and the synthetic
-metadata (ordering, years).
+drives only the greedy's tie-breaking and the synthetic metadata (ordering,
+years). Work is per distinct pattern except for the layout: one shuffle of
+the incidents and one year drawn per incident.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
 from .corpus import Corpus, Incident
@@ -33,7 +36,9 @@ EXACT_MODE = "exact-patterns"
 SOLVER_MODE = "marginal-solver"
 
 _YEAR_RANGE = (2014, 2024)
-_NODE_BUDGET = 500_000
+# 12,500 times the reference corpus; a larger count is refused rather than
+# left to exhaust memory.
+MAX_INCIDENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,19 @@ def _non_negative_int(value: object, where: str) -> int:
     return value
 
 
+def _object_without_repeated_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"generator spec: key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def loads_generator_spec(text: str) -> GeneratorSpec:
-    doc = parse_json(text, "generator spec")
+    doc = parse_json(text, "generator spec", object_pairs_hook=_object_without_repeated_keys)
     if not isinstance(doc, dict):
         raise SchemaError("generator spec must be a JSON object")
 
@@ -97,13 +113,20 @@ def loads_generator_spec(text: str) -> GeneratorSpec:
         if not isinstance(doc["size_distribution"], dict):
             raise SchemaError("generator spec: 'size_distribution' must be an object")
         for key, value in doc["size_distribution"].items():
+            # Canonical decimal only, so that no two keys name one size.
+            if not (key.isascii() and key.isdigit()) or (key[0] == "0" and key != "0"):
+                raise SchemaError(f"size_distribution: key {key!r} is not a size in canonical decimal")
             try:
                 size = int(key)
-            except ValueError:
-                raise SchemaError(f"size_distribution: key {key!r} is not an integer") from None
+            except ValueError:  # more digits than int() converts
+                raise SchemaError(f"size_distribution: key {key!r} is too large") from None
             if size < 1:
                 raise SchemaError(f"size_distribution: size {size} must be >= 1")
             size_distribution[size] = _non_negative_int(value, f"size_distribution[{key!r}]")
+
+    include_preparation = doc.get("include_preparation", False)
+    if not isinstance(include_preparation, bool):
+        raise SchemaError("generator spec: 'include_preparation' must be true or false")
 
     return GeneratorSpec(
         mode=mode,
@@ -113,7 +136,7 @@ def loads_generator_spec(text: str) -> GeneratorSpec:
         pinned_patterns=_parse_pattern_entries(doc.get("pinned_patterns", []), "min_count", "pinned_patterns"),
         unmapped_count=_non_negative_int(doc.get("unmapped_count", 0), "unmapped_count"),
         seed=_non_negative_int(doc.get("seed", 0), "seed"),
-        include_preparation=bool(doc.get("include_preparation", False)),
+        include_preparation=include_preparation,
     )
 
 
@@ -138,25 +161,104 @@ def _check_strategy_ids(spec: GeneratorSpec, catalog: StrategyCatalog) -> None:
         raise SchemaError(f"generator spec references unknown strategy ids: {', '.join(unknown)}")
 
 
-def _solve_pattern_multiset(
-    spec: GeneratorSpec, catalog: StrategyCatalog, rng: random.Random
-) -> list[frozenset[str]]:
-    """Backtracking search for a pattern multiset meeting every target exactly.
+def _gale_ryser(residual: list[int], slots: dict[int, int]) -> None:
+    """Raise InfeasibleSpec unless some 0-1 incidents x strategies matrix has
+    ``slots[k]`` rows of sum k and column sums ``residual``.
 
-    Incidents are assigned largest size first; at each step candidate
-    strategy subsets are ordered by total remaining marginal (most loaded
-    first, the Gale-Ryser greedy), with seed-driven tie-breaking. Strategies
-    whose remaining marginal equals the number of remaining incidents are
-    forced into every candidate.
+    The sums agree (the handshake identity), so by Gale (1957) and Ryser (1957)
+    such a matrix exists iff for every t the t largest residual marginals sum to
+    at most sum over sizes of min(k, t) * count.
+    """
+    top = 0
+    for t, r in enumerate(sorted(residual, reverse=True), start=1):
+        top += r
+        capacity = sum(min(k, t) * c for k, c in slots.items())
+        if top > capacity:
+            raise InfeasibleSpec(
+                f"Gale-Ryser condition fails at t={t}: the {t} largest residual "
+                f"marginals sum to {top} > {capacity} = sum over sizes of "
+                f"min(k, {t})*count"
+            )
+
+
+def _class_takes(residual: list[int], k: int, c: int, order: list[int]) -> list[int]:
+    """How many of c incidents of size k each strategy joins under Ryser's greedy.
+
+    Giving each incident in turn the k strategies with the largest residual
+    marginals lowers the largest marginals towards a common level: strategy j
+    joins min(max(r_j - level, 0), c) incidents, for the largest level at
+    which that totals at least k*c. The surplus is taken back one each from
+    the strategies at the level, in ``order`` (the seeded tie-break). What
+    is left is majorized by what any other filling of the class leaves, so
+    the Gale-Ryser inequalities, which bound sums of the largest marginals,
+    keep holding for the remaining classes.
+    """
+    def taken(level: int) -> int:
+        return sum(min(max(r - level, 0), c) for r in residual)
+
+    need = k * c
+    low, high = min(residual) - c, max(residual)  # taken(low) = n*c >= need > 0 = taken(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if taken(mid) >= need:
+            low = mid
+        else:
+            high = mid
+    takes = [min(max(r - low - 1, 0), c) for r in residual]
+    extra = need - sum(takes)
+    for j in order:
+        if extra and residual[j] - c <= low < residual[j]:
+            takes[j] += 1
+            extra -= 1
+    return takes
+
+
+def _class_patterns(takes: list[int], c: int, order: list[int]) -> list[tuple[list[int], int]]:
+    """c incidents in which strategy j occurs takes[j] <= c times, as (members, count) runs.
+
+    McNaughton's wrap-around rule: lay the strategies end to end, in
+    ``order``, over the incidents taken cyclically. No strategy wraps onto an
+    incident twice, every incident gets sum(takes) / c of them, and
+    incidents between two arc ends are identical, so there are at most
+    len(takes) runs.
+    """
+    arcs = []
+    cuts = {0}
+    start = 0
+    for j in order:
+        if takes[j]:
+            arcs.append((j, start, takes[j]))
+            start = (start + takes[j]) % c
+            cuts.add(start)
+    bounds = sorted(cuts)
+    return [
+        (sorted(j for j, first, length in arcs if (a - first) % c < length), b - a)
+        for a, b in zip(bounds, bounds[1:] + [c])
+    ]
+
+
+def _solve_pattern_counts(
+    spec: GeneratorSpec, catalog: StrategyCatalog, rng: random.Random
+) -> dict[frozenset[str], int]:
+    """A pattern -> count table meeting every target of a marginal-solver spec exactly.
+
+    After the pinned minimums are taken out, what is left is the bipartite
+    degree-sequence problem: incidents of given sizes against strategies of
+    given residual marginals. The Gale-Ryser test decides it without search.
+    When it holds, Ryser's greedy (each incident takes its most-loaded
+    strategies) never fails; it runs over the size classes, largest first,
+    a whole class at a time, with a seeded shuffle of the strategies per
+    class for tie-breaking. The rng is not drawn from when every slot is
+    pinned.
     """
     ids = catalog.ids()
     index = {s: i for i, s in enumerate(ids)}
     n = len(ids)
 
-    marginals = [spec.marginals.get(s, 0) for s in ids]
+    residual = [spec.marginals.get(s, 0) for s in ids]
     slots: dict[int, int] = dict(spec.size_distribution)
 
-    total_marginal = sum(marginals)
+    total_marginal = sum(residual)
     total_weighted = sum(k * c for k, c in slots.items())
     if total_marginal != total_weighted:
         raise InfeasibleSpec(
@@ -167,9 +269,8 @@ def _solve_pattern_multiset(
         if k > n:
             raise InfeasibleSpec(f"size_distribution requests profiles of size {k} > {n} strategies")
 
-    # Pre-allocate pinned patterns (minimum counts), consuming their targets.
-    residual = list(marginals)
-    chosen: list[frozenset[str]] = []
+    # Pinned patterns take their minimum counts out of the targets.
+    counts: dict[frozenset[str], int] = {}
     for pattern in sorted(spec.pinned_patterns, key=_canonical_pattern_key(catalog)):
         count = spec.pinned_patterns[pattern]
         size = len(pattern)
@@ -185,84 +286,31 @@ def _solve_pattern_multiset(
                 raise InfeasibleSpec(
                     f"pinned patterns consume more of strategy {s!r} than its marginal allows"
                 )
-        chosen.extend([pattern] * count)
+        if count:
+            counts[pattern] = count
 
-    sizes_desc = sorted(
-        (k for k, c in slots.items() for _ in range(c)), reverse=True
-    )
-    incidents_left = len(sizes_desc)
+    incidents_left = sum(slots.values())
     for i, r in enumerate(residual):
         if r > incidents_left:
             raise InfeasibleSpec(
                 f"marginal for strategy {ids[i]!r} exceeds the remaining "
                 f"incident count ({r} > {incidents_left})"
             )
+    _gale_ryser(residual, slots)
 
-    assignment: list[tuple[int, ...]] = []
-    budget = [_NODE_BUDGET]
-
-    def feasible(depth: int) -> bool:
-        remaining = len(sizes_desc) - depth
-        if remaining == 0:
-            return all(r == 0 for r in residual)
-        active = sum(1 for r in residual if r > 0)
-        forced = sum(1 for r in residual if r == remaining)
-        # Largest remaining slot needs that many distinct active strategies;
-        # forced strategies must fit into the smallest remaining slot.
-        if active < sizes_desc[depth]:
-            return False
-        if forced > sizes_desc[-1]:
-            return False
-        return all(r <= remaining for r in residual)
-
-    def search(depth: int) -> bool:
-        if depth == len(sizes_desc):
-            return all(r == 0 for r in residual)
-        if budget[0] <= 0:
-            return False
-        budget[0] -= 1
-
-        k = sizes_desc[depth]
-        remaining = len(sizes_desc) - depth
-        forced = tuple(i for i in range(n) if residual[i] == remaining)
-        if len(forced) > k:
-            return False
-        free = [i for i in range(n) if residual[i] > 0 and residual[i] < remaining]
-        need = k - len(forced)
-        if need > len(free):
-            return False
-
-        candidates = []
-        for extra in combinations(free, need):
-            members = forced + extra
-            score = sum(residual[i] for i in members)
-            candidates.append((-score, rng.random(), members))
-        candidates.sort()
-
-        for _, _, members in candidates:
-            for i in members:
-                residual[i] -= 1
-            assignment.append(members)
-            if feasible(depth + 1) and search(depth + 1):
-                return True
-            assignment.pop()
-            for i in members:
-                residual[i] += 1
-        return False
-
-    if not search(0):
-        if budget[0] <= 0:
-            raise InfeasibleSpec(
-                f"search exhausted ({_NODE_BUDGET} nodes) without satisfying "
-                "marginals, size distribution, and pinned patterns"
-            )
-        raise InfeasibleSpec(
-            "no pattern multiset satisfies the marginals, size distribution, "
-            "and pinned patterns simultaneously"
-        )
-
-    chosen.extend(frozenset(ids[i] for i in members) for members in assignment)
-    return chosen
+    for k in sorted(slots, reverse=True):
+        c = slots[k]
+        if not c:
+            continue
+        order = list(range(n))
+        rng.shuffle(order)
+        takes = _class_takes(residual, k, c, order)
+        for j, taken in enumerate(takes):
+            residual[j] -= taken
+        for members, count in _class_patterns(takes, c, order):
+            pattern = frozenset(ids[j] for j in members)
+            counts[pattern] = counts.get(pattern, 0) + count
+    return counts
 
 
 def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None) -> Corpus:
@@ -279,39 +327,36 @@ def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None)
 
     rng = random.Random(spec.seed)
     if spec.mode == EXACT_MODE:
-        patterns = [
-            pattern
-            for pattern in sorted(spec.pattern_counts, key=_canonical_pattern_key(catalog))
-            for _ in range(spec.pattern_counts[pattern])
-        ]
+        counts = spec.pattern_counts
     else:
-        patterns = _solve_pattern_multiset(spec, catalog, rng)
-        patterns.sort(key=_canonical_pattern_key(catalog))
+        counts = _solve_pattern_counts(spec, catalog, rng)
 
-    total = len(patterns) + spec.unmapped_count
+    total = sum(counts.values()) + spec.unmapped_count
     if total == 0:
         raise ZeroIncidents("generator spec describes zero incidents")
+    if total > MAX_INCIDENTS:
+        raise SchemaError(
+            f"generator spec describes {total} incidents; at most {MAX_INCIDENTS} can be generated"
+        )
 
+    # Incidents start in canonical pattern order; one technique set per pattern.
     technique_sets: list[frozenset[str]] = []
-    for pattern in patterns:
+    for pattern in sorted(counts, key=_canonical_pattern_key(catalog)):
         techniques: set[str] = set()
         for strategy_id in pattern:
             strategy = catalog.by_id(strategy_id)
             techniques.add(strategy.execution_technique)
             if spec.include_preparation:
                 techniques |= strategy.preparation_techniques
-        technique_sets.append(frozenset(techniques))
-    technique_sets.extend([frozenset()] * spec.unmapped_count)
+        technique_sets += [frozenset(techniques)] * counts[pattern]
+    technique_sets += [frozenset()] * spec.unmapped_count
 
     rng.shuffle(technique_sets)
-    incidents = tuple(
-        Incident(
-            incident_id=f"SYN-{i:04d}",
-            title=f"Synthetic incident {i:04d}",
-            year=rng.randrange(_YEAR_RANGE[0], _YEAR_RANGE[1] + 1),
-            targets=(),
-            techniques=techniques,
-        )
-        for i, techniques in enumerate(technique_sets, start=1)
-    )
-    return Corpus(incidents, source=f"generated(seed={spec.seed})")
+    randrange = rng.randrange
+    first_year, last_year = _YEAR_RANGE
+    incidents = []
+    for i, techniques in enumerate(technique_sets, start=1):
+        number = f"{i:04d}"
+        year = randrange(first_year, last_year + 1)
+        incidents.append(Incident("SYN-" + number, "Synthetic incident " + number, year, (), techniques))
+    return Corpus(tuple(incidents), source=f"generated(seed={spec.seed})")

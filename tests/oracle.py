@@ -6,6 +6,7 @@ so these can confirm or refute the production implementations.
 """
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 
 def strategy_count(profiles, strategy_id):
@@ -39,3 +40,26 @@ def conditional(profiles, a, b):
 
 def distinct_patterns(profiles):
     return {frozenset(p) for p in profiles}
+
+
+def realisation(marginals, sizes, pinned=()):
+    """Some list of strategy sets with sizes[k] sets of size k, each strategy
+    in exactly marginals[s] of them and each pinned pattern at least its
+    minimum number of times; None if there is none.
+
+    Exhaustive over multisets of sets drawn from the strategies with a
+    positive marginal, so only for small specs.
+    """
+    pinned = dict(pinned)
+    active = sorted(s for s, m in marginals.items() if m > 0)
+    per_size = [
+        combinations_with_replacement([frozenset(p) for p in combinations(active, k)], c)
+        for k, c in sorted(sizes.items())
+    ]
+    for choice in product(*per_size):
+        sets = [p for group in choice for p in group]
+        if all(strategy_count(sets, s) == m for s, m in marginals.items()) and all(
+            exact_count(sets, p) >= m for p, m in pinned.items()
+        ):
+            return sets
+    return None

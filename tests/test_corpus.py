@@ -1,4 +1,10 @@
+import csv
+import io
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from influenceops import (
     Corpus,
@@ -145,3 +151,59 @@ def test_summary_counts_and_year_range():
 def test_summary_of_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         corpus_summary(Corpus((), "test"))
+
+
+# --- serialisers against the standard library ------------------------------------
+
+# Non-ASCII and astral text, quotes, backslashes, control characters, CSV
+# delimiters and the "|" list separator.
+_text = st.text(alphabet=st.sampled_from('aZ09 é€😀"\\,|\n\r\t\x00\x1f\x7f\u2028')) | st.text()
+_incidents = st.builds(
+    Incident,
+    incident_id=_text,
+    title=_text,
+    year=st.integers(-(10**6), 10**6),
+    targets=st.lists(_text, max_size=3).map(tuple),
+    techniques=st.frozensets(_text, max_size=4),
+)
+_corpora = st.lists(_incidents, max_size=6).map(lambda incidents: Corpus(tuple(incidents)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=_corpora)
+def test_corpus_to_json_matches_json_dumps(corpus):
+    doc = [
+        {
+            "incident_id": incident.incident_id,
+            "title": incident.title,
+            "year": incident.year,
+            "targets": list(incident.targets),
+            "techniques": sorted(incident.techniques),
+        }
+        for incident in corpus.incidents
+    ]
+    assert corpus_to_json(corpus) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=_corpora)
+def test_corpus_to_csv_matches_csv_writer(corpus):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["incident_id", "title", "year", "targets", "techniques"])
+    for incident in corpus.incidents:
+        writer.writerow(
+            [
+                incident.incident_id,
+                incident.title,
+                incident.year,
+                "|".join(incident.targets),
+                "|".join(sorted(incident.techniques)),
+            ]
+        )
+    assert corpus_to_csv(corpus) == out.getvalue()
+
+
+def test_serialisers_on_an_empty_corpus():
+    assert corpus_to_json(Corpus(())) == "[]\n"
+    assert corpus_to_csv(Corpus(())) == "incident_id,title,year,targets,techniques\n"

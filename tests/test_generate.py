@@ -4,6 +4,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from influenceops import (
     GeneratorSpec,
@@ -14,12 +16,15 @@ from influenceops import (
     classify_corpus,
     corpus_to_csv,
     generate_corpus,
+    load_fixture_spec,
     loads_generator_spec,
     prevalence,
     size_distribution,
 )
 
 import oracle
+from influenceops.cli import main
+from influenceops.generate import MAX_INCIDENTS
 
 SOLVER_TARGETS_DOC = """
 {
@@ -130,15 +135,109 @@ def test_pinned_pattern_exceeding_marginal_is_infeasible(catalog):
 
 def test_solver_detects_structurally_impossible_spec(catalog):
     # handshake holds (3+2 = 3+1+1) but a size-3 profile needs three
-    # distinct strategies and only two have any budget
+    # distinct strategies and only two have any budget: NR and NS need 5
+    # places, and the incidents hold min(3,2) + 2*min(1,2) = 4 of two strategies
     spec = GeneratorSpec(
         mode="marginal-solver",
         marginals={"NR": 3, "NS": 2},
         size_distribution={3: 1, 1: 2},
         seed=1,
     )
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(InfeasibleSpec) as err:
         generate_corpus(spec, catalog)
+    assert str(err.value) == (
+        "Gale-Ryser condition fails at t=2: the 2 largest residual marginals sum to "
+        "5 > 4 = sum over sizes of min(k, 2)*count"
+    )
+
+
+@st.composite
+def small_solver_specs(draw):
+    """Marginal-solver specs of at most six incidents over at most four strategies.
+
+    The targets come from a drawn pattern list, so most are feasible; moving
+    one unit of marginal between strategies keeps the handshake identity but
+    often breaks feasibility, and pinned minimums may or may not be met.
+    """
+    strategies = draw(st.lists(st.sampled_from(STRATEGY_IDS), min_size=1, max_size=4, unique=True))
+    pattern = st.lists(st.sampled_from(strategies), min_size=1, unique=True).map(frozenset)
+    patterns = draw(st.lists(pattern, min_size=1, max_size=6))
+    marginals = Counter(s for p in patterns for s in p)
+    if draw(st.booleans()):
+        source, target = draw(st.sampled_from(sorted(marginals))), draw(st.sampled_from(strategies))
+        marginals[source] -= 1
+        marginals[target] += 1
+    pinned = draw(st.dictionaries(pattern, st.integers(0, 2), max_size=2))
+    return GeneratorSpec(
+        mode="marginal-solver",
+        marginals=dict(marginals),
+        size_distribution=dict(Counter(len(p) for p in patterns)),
+        pinned_patterns=pinned,
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+STRATEGY_IDS = ("NR", "NS", "NA", "CNR", "NM", "TD", "IP")
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=small_solver_specs())
+def test_solver_succeeds_iff_a_realisation_exists(catalog, spec):
+    realisation = oracle.realisation(spec.marginals, spec.size_distribution, spec.pinned_patterns)
+    try:
+        corpus = generate_corpus(spec, catalog)
+    except InfeasibleSpec:
+        assert realisation is None
+        return
+    assert realisation is not None
+    profiles = mapped_profiles(corpus, catalog)
+    assert oracle.size_counts(profiles) == spec.size_distribution
+    for strategy_id in catalog.ids():
+        assert oracle.strategy_count(profiles, strategy_id) == spec.marginals.get(strategy_id, 0)
+    for pattern, minimum in spec.pinned_patterns.items():
+        assert oracle.exact_count(profiles, pattern) >= minimum
+
+
+def scaled_fixture_spec(scale):
+    """The fixture's targets times scale, nothing pinned."""
+    fixture = load_fixture_spec()
+    return {
+        "mode": "marginal-solver",
+        "seed": 5,
+        "unmapped_count": fixture.unmapped_count * scale,
+        "marginals": {s: m * scale for s, m in fixture.marginals.items()},
+        "size_distribution": {str(k): c * scale for k, c in fixture.size_distribution.items()},
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_generate_fixture_marginals_times_fifty(catalog, taxonomy, tmp_path, fmt):
+    """4,050 unpinned incidents; the solver once recursed per incident here."""
+    from influenceops import ingest_corpus
+
+    doc = scaled_fixture_spec(50)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / f"corpus.{fmt}"
+    assert main(["generate", "--spec", str(spec_path), "--corpus-format", fmt, "--out", str(out)]) == 0
+    corpus, _ = ingest_corpus(out, taxonomy)
+    assert len(corpus) == 4050
+    cc = classify_corpus(corpus, catalog)
+    assert cc.total_count - cc.mapped_count == doc["unmapped_count"]
+    profiles = [set(p.strategies) for p in cc.profiles if p.mapped]
+    assert oracle.size_counts(profiles) == {int(k): c for k, c in doc["size_distribution"].items()}
+    for strategy_id, wanted in doc["marginals"].items():
+        assert oracle.strategy_count(profiles, strategy_id) == wanted
+
+
+def test_spec_over_the_incident_limit_is_refused(catalog, tmp_path, capsys):
+    spec = exact_spec({("NR",): MAX_INCIDENTS}, unmapped=1)
+    with pytest.raises(SchemaError):
+        generate_corpus(spec, catalog)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"mode": "exact-patterns", "unmapped_count": 10**30}), encoding="utf-8")
+    assert main(["generate", "--spec", str(spec_path)]) == 1
+    assert "SchemaError" in capsys.readouterr().err
 
 
 def test_solver_randomized_feasible_specs(catalog):
@@ -215,6 +314,30 @@ def test_spec_parse_errors():
             '{"mode": "exact-patterns",'
             ' "pattern_counts": [{"strategies": ["NR", "NR"], "count": 1}]}'
         )
+
+
+@pytest.mark.parametrize("value", ['"no"', "0", "1", "null", "[]"])
+def test_spec_include_preparation_must_be_boolean(value):
+    with pytest.raises(SchemaError, match="include_preparation"):
+        loads_generator_spec('{"mode": "exact-patterns", "include_preparation": %s}' % value)
+    assert loads_generator_spec('{"mode": "exact-patterns", "include_preparation": true}').include_preparation
+
+
+@pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1", "1.0", "\u0661", "one", ""])
+def test_spec_size_key_must_be_canonical_decimal(key):
+    doc = {"mode": "marginal-solver", "size_distribution": {key: 1}}
+    with pytest.raises(SchemaError, match="canonical decimal"):
+        loads_generator_spec(json.dumps(doc))
+
+
+def test_spec_keys_naming_one_size_twice_are_rejected():
+    with pytest.raises(SchemaError):
+        loads_generator_spec('{"mode": "marginal-solver", "size_distribution": {"1": 1, "01": 2}}')
+    with pytest.raises(SchemaError, match="twice"):
+        loads_generator_spec('{"mode": "marginal-solver", "size_distribution": {"1": 1, "1": 2}}')
+    assert loads_generator_spec(
+        '{"mode": "marginal-solver", "size_distribution": {"1": 1, "10": 2}}'
+    ).size_distribution == {1: 1, 10: 2}
 
 
 def test_spec_with_unknown_strategy_id_rejected(catalog):
