@@ -34,6 +34,7 @@ import io
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -288,14 +289,7 @@ def ingest_corpus(
 
 def corpus_to_csv(corpus: Corpus) -> str:
     """Serialize with sorted technique ids and LF line endings (byte-stable)."""
-    joined: dict[frozenset[str], str] = {}
-
-    def techniques_field(techniques: frozenset[str]) -> str:
-        field = joined.get(techniques)
-        if field is None:
-            field = joined[techniques] = "|".join(sorted(techniques))
-        return field
-
+    techniques_field = cache(lambda techniques: "|".join(sorted(techniques)))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -333,14 +327,7 @@ def corpus_to_json(corpus: Corpus) -> str:
     with sorted technique ids."""
     if not corpus.incidents:
         return "[]\n"
-    blocks: dict[frozenset[str], str] = {}
-
-    def techniques_block(techniques: frozenset[str]) -> str:
-        block = blocks.get(techniques)
-        if block is None:
-            block = blocks[techniques] = _json_string_list(sorted(techniques))
-        return block
-
+    techniques_block = cache(lambda techniques: _json_string_list(sorted(techniques)))
     body = ",\n".join(
         _JSON_INCIDENT
         % (

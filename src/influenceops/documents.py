@@ -26,10 +26,7 @@ def read_text(path: str | Path, what: str) -> str:
 
 
 def parse_json(text: str, what: str, object_pairs_hook=None) -> object:
-    """The parsed JSON document; ``what`` names it in the error.
-
-    ``object_pairs_hook`` is passed to ``json.loads``.
-    """
+    """The parsed JSON document; ``what`` names it in the error."""
     try:
         return json.loads(text, object_pairs_hook=object_pairs_hook)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
