@@ -11,7 +11,8 @@ and stable across runs.
 Strategy, pair and pattern containment counts all come from one table: the
 superset-sum (zeta) transform of the histogram over the subset lattice
 (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), which
-takes n * 2**(n-1) additions.
+takes n * 2**(n-1) additions. It is ``ClassifiedCorpus.superset_sums``,
+computed once per classified corpus.
 """
 
 from __future__ import annotations
@@ -202,35 +203,11 @@ class MappingCoverage:
         return Fraction(self.mapped, self.total)
 
 
-def _superset_sums(cc: ClassifiedCorpus) -> list[int]:
-    """table[m] = number of mapped incidents whose strategy mask contains m.
-
-    table[0] is the mapped total, table[1 << i] the count of strategy i and
-    table[1 << i | 1 << j] the joint count of strategies i and j. Raises
-    EmptyCorpus when no incident is mapped.
-    """
-    n = len(cc.catalog.strategies)
-    table = [0] * (1 << n)
-    for mask, count in cc.histogram.items():
-        if mask:
-            table[mask] = count
-    # In-place zeta transform: after step i, table[m] sums the bins that
-    # agree with m outside bits 0..i and contain m within them.
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if not m & bit:
-                table[m] += table[m | bit]
-    if not table[0]:
-        raise EmptyCorpus("no mapped incidents: statistics are undefined")
-    return table
-
-
-def _strategy_counts(cc: ClassifiedCorpus, table: list[int]) -> dict[str, int]:
+def _strategy_counts(cc: ClassifiedCorpus, table: tuple[int, ...]) -> dict[str, int]:
     return {s.id: table[1 << i] for i, s in enumerate(cc.catalog.strategies)}
 
 
-def _joint_counts(cc: ClassifiedCorpus, table: list[int]) -> dict[tuple[str, str], int]:
+def _joint_counts(cc: ClassifiedCorpus, table: tuple[int, ...]) -> dict[tuple[str, str], int]:
     """Joint incident count of every ordered pair of distinct strategies."""
     strategies = cc.catalog.strategies
     return {
@@ -246,7 +223,7 @@ def prevalence(cc: ClassifiedCorpus) -> PrevalenceReport:
 
     Entries are sorted by count descending, ties by enumeration order.
     """
-    table = _superset_sums(cc)
+    table = cc.superset_sums
     counts = _strategy_counts(cc, table)
     denominator = table[0]
     entries = tuple(
@@ -277,7 +254,7 @@ def pattern_frequencies(cc: ClassifiedCorpus) -> PatternTable:
     Rows are sorted by exact count descending, then pattern size ascending,
     then enumeration order of the member ids.
     """
-    table = _superset_sums(cc)
+    table = cc.superset_sums
     order = cc.catalog.order_index
     rows = [
         PatternRow(cc.catalog.ids_of_mask(mask), count, table[mask])
@@ -300,7 +277,7 @@ def cooccurrence(cc: ClassifiedCorpus) -> CooccurrenceGraph:
     Node weight is the strategy's mapped-incident count; zero-weight edges
     are omitted. Emission order follows the strategy enumeration.
     """
-    table = _superset_sums(cc)
+    table = cc.superset_sums
     joint = _joint_counts(cc, table)
     edges = tuple(
         CooccurrenceEdge(a, b, joint[(a, b)])
@@ -319,7 +296,7 @@ def conditional_probabilities(cc: ClassifiedCorpus, min_support: int = 1) -> Con
     """
     if min_support < 0:
         raise NegativeSupport(f"min_support must be >= 0, got {min_support}")
-    table = _superset_sums(cc)
+    table = cc.superset_sums
     counts = _strategy_counts(cc, table)
     joint = _joint_counts(cc, table)
     ids = cc.catalog.ids()

@@ -10,6 +10,7 @@ INFLUENCEOPS_CATALOG environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -40,7 +41,9 @@ def _default_path(env_var: str, bundled_name: str) -> str:
     return os.environ.get(env_var) or str(bundled_data_path(bundled_name))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; no default reads the environment."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--taxonomy",

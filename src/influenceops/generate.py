@@ -265,8 +265,8 @@ def _solve_pattern_counts(
             "handshake identity violated: sum of marginals "
             f"({total_marginal}) != sum over sizes of k*count ({total_weighted})"
         )
-    for k in slots:
-        if k > n:
+    for k, c in slots.items():
+        if k > n and c:
             raise InfeasibleSpec(f"size_distribution requests profiles of size {k} > {n} strategies")
 
     # Pinned patterns take their minimum counts out of the targets.
@@ -325,7 +325,9 @@ def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None)
         catalog = load_bundled_catalog()
     _check_strategy_ids(spec, catalog)
 
-    rng = random.Random(spec.seed)
+    # The spec file's rule, also for a seed set by the CLI or the library:
+    # random.Random would seed -3 like 3.
+    rng = random.Random(_non_negative_int(spec.seed, "seed"))
     if spec.mode == EXACT_MODE:
         counts = spec.pattern_counts
     else:

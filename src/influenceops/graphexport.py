@@ -2,20 +2,17 @@
 
 Writers are hand-rolled so output is byte-identical across platforms and
 library versions: nodes are emitted in strategy enumeration order and edges
-in (source, target) enumeration order. No plotting here; these documents
-feed external renderers.
+in (source, target) enumeration order. There is one writer per format, for
+both graph kinds. The JSON view is ``graph_document``, the node/edge document
+whose parts the report's ``graphs`` block also embeds. No plotting here;
+these documents feed external renderers.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-
 from .analytics import ConditionalGraph, CooccurrenceGraph
 from .errors import UnknownFormat
-from .render import decimal_string, fraction_payload
-
-GRAPH_FORMATS = ("dot", "graphml", "json")
+from .render import decimal_string, fraction_payload, json_text
 
 
 def _xml_escape(text: str) -> str:
@@ -43,133 +40,85 @@ def _dot_quote(text: str) -> str:
     return f'"{escaped}"'
 
 
-def _dot_nodes(nodes) -> list[str]:
-    lines = ["  node [shape=box];"]
-    for node in nodes:
+def graph_document(graph: CooccurrenceGraph | ConditionalGraph) -> dict:
+    """The graph as a JSON-ready document of its kind, nodes and edges.
+
+    A conditional graph also records its ``min_support``, and its edges carry
+    the exact probability as a ``fraction_payload``.
+    """
+    nodes = [{"id": n.strategy_id, "name": n.name, "count": n.count} for n in graph.nodes]
+    if isinstance(graph, CooccurrenceGraph):
+        edges = [{"source": e.a, "target": e.b, "weight": e.weight} for e in graph.edges]
+        return {"kind": "cooccurrence", "nodes": nodes, "edges": edges}
+    edges = [
+        {
+            "source": e.source,
+            "target": e.target,
+            "joint_count": e.joint_count,
+            "source_count": e.source_count,
+            "probability": fraction_payload(e.probability),
+        }
+        for e in graph.edges
+    ]
+    return {"kind": "conditional", "min_support": graph.min_support, "nodes": nodes, "edges": edges}
+
+
+def _dot(graph: CooccurrenceGraph | ConditionalGraph) -> str:
+    directed = isinstance(graph, ConditionalGraph)
+    lines = ["digraph conditional {" if directed else "graph cooccurrence {", "  node [shape=box];"]
+    for node in graph.nodes:
         label = f"{node.name}\n{node.count}"
         lines.append(f"  {node.strategy_id} [label={_dot_quote(label)}];")
-    return lines
-
-
-def cooccurrence_to_dot(graph: CooccurrenceGraph) -> str:
-    lines = ["graph cooccurrence {"]
-    lines.extend(_dot_nodes(graph.nodes))
     for edge in graph.edges:
-        lines.append(f"  {edge.a} -- {edge.b} [label={_dot_quote(str(edge.weight))}, weight={edge.weight}];")
+        if directed:
+            label = f"{edge.joint_count}/{edge.source_count} = {decimal_string(edge.probability, 4)}"
+            lines.append(f"  {edge.source} -> {edge.target} [label={_dot_quote(label)}];")
+        else:
+            lines.append(f"  {edge.a} -- {edge.b} [label={_dot_quote(str(edge.weight))}, weight={edge.weight}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def conditional_to_dot(graph: ConditionalGraph) -> str:
-    lines = ["digraph conditional {"]
-    lines.extend(_dot_nodes(graph.nodes))
-    for edge in graph.edges:
-        label = f"{edge.joint_count}/{edge.source_count} = {decimal_string(edge.probability, 4)}"
-        lines.append(f"  {edge.source} -> {edge.target} [label={_dot_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _graphml_header(keys: list[tuple[str, str, str, str]]) -> list[str]:
+def _graphml(graph: CooccurrenceGraph | ConditionalGraph) -> str:
+    directed = isinstance(graph, ConditionalGraph)
+    if directed:
+        kind, edge_keys = "conditional", [("probability", "double"), ("joint_count", "int"), ("source_count", "int")]
+    else:
+        kind, edge_keys = "cooccurrence", [("weight", "int")]
+    keys = [("name", "node", "string"), ("count", "node", "int")]
+    keys += [(name, "edge", attr_type) for name, attr_type in edge_keys]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        *(f'  <key id="{name}" for="{domain}" attr.name="{name}" attr.type="{attr_type}"/>'
+          for name, domain, attr_type in keys),
+        f'  <graph id="{kind}" edgedefault="{"directed" if directed else "undirected"}">',
     ]
-    for key_id, domain, name, attr_type in keys:
-        lines.append(
-            f'  <key id="{key_id}" for="{domain}" attr.name="{name}" attr.type="{attr_type}"/>'
-        )
-    return lines
-
-
-def _graphml_node(node, key_name: str, key_count: str) -> str:
-    return (
-        f"    <node id={_xml_quoteattr(node.strategy_id)}>"
-        f'<data key="{key_name}">{_xml_escape(node.name)}</data>'
-        f'<data key="{key_count}">{node.count}</data>'
-        "</node>"
-    )
-
-
-def cooccurrence_to_graphml(graph: CooccurrenceGraph) -> str:
-    lines = _graphml_header(
-        [("name", "node", "name", "string"), ("count", "node", "count", "int"),
-         ("weight", "edge", "weight", "int")]
-    )
-    lines.append('  <graph id="cooccurrence" edgedefault="undirected">')
     for node in graph.nodes:
-        lines.append(_graphml_node(node, "name", "count"))
-    for edge in graph.edges:
         lines.append(
-            f"    <edge source={_xml_quoteattr(edge.a)} target={_xml_quoteattr(edge.b)}>"
-            f'<data key="weight">{edge.weight}</data></edge>'
+            f"    <node id={_xml_quoteattr(node.strategy_id)}>"
+            f'<data key="name">{_xml_escape(node.name)}</data>'
+            f'<data key="count">{node.count}</data>'
+            "</node>"
         )
+    for edge in graph.edges:
+        if directed:
+            source, target = edge.source, edge.target
+            values = (decimal_string(edge.probability, 6), edge.joint_count, edge.source_count)
+        else:
+            source, target, values = edge.a, edge.b, (edge.weight,)
+        data = "".join(f'<data key="{key}">{value}</data>' for (key, _), value in zip(edge_keys, values))
+        lines.append(f"    <edge source={_xml_quoteattr(source)} target={_xml_quoteattr(target)}>{data}</edge>")
     lines.extend(["  </graph>", "</graphml>"])
     return "\n".join(lines) + "\n"
 
 
-def conditional_to_graphml(graph: ConditionalGraph) -> str:
-    lines = _graphml_header(
-        [("name", "node", "name", "string"), ("count", "node", "count", "int"),
-         ("probability", "edge", "probability", "double"),
-         ("joint_count", "edge", "joint_count", "int"),
-         ("source_count", "edge", "source_count", "int")]
-    )
-    lines.append('  <graph id="conditional" edgedefault="directed">')
-    for node in graph.nodes:
-        lines.append(_graphml_node(node, "name", "count"))
-    for edge in graph.edges:
-        lines.append(
-            f"    <edge source={_xml_quoteattr(edge.source)} target={_xml_quoteattr(edge.target)}>"
-            f'<data key="probability">{decimal_string(edge.probability, 6)}</data>'
-            f'<data key="joint_count">{edge.joint_count}</data>'
-            f'<data key="source_count">{edge.source_count}</data></edge>'
-        )
-    lines.extend(["  </graph>", "</graphml>"])
-    return "\n".join(lines) + "\n"
-
-
-def cooccurrence_to_json(graph: CooccurrenceGraph) -> str:
-    doc = {
-        "kind": "cooccurrence",
-        "nodes": [
-            {"id": n.strategy_id, "name": n.name, "count": n.count} for n in graph.nodes
-        ],
-        "edges": [
-            {"source": e.a, "target": e.b, "weight": e.weight} for e in graph.edges
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def conditional_to_json(graph: ConditionalGraph) -> str:
-    doc = {
-        "kind": "conditional",
-        "min_support": graph.min_support,
-        "nodes": [
-            {"id": n.strategy_id, "name": n.name, "count": n.count} for n in graph.nodes
-        ],
-        "edges": [
-            {
-                "source": e.source,
-                "target": e.target,
-                "joint_count": e.joint_count,
-                "source_count": e.source_count,
-                "probability": fraction_payload(Fraction(e.joint_count, e.source_count)),
-            }
-            for e in graph.edges
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+_WRITERS = {"dot": _dot, "graphml": _graphml, "json": lambda graph: json_text(graph_document(graph))}
+GRAPH_FORMATS = tuple(_WRITERS)
 
 
 def export_graph(graph: CooccurrenceGraph | ConditionalGraph, fmt: str) -> str:
     """Render a graph in one of GRAPH_FORMATS; raises UnknownFormat otherwise."""
-    if fmt not in GRAPH_FORMATS:
+    if fmt not in _WRITERS:
         raise UnknownFormat(f"unknown graph format {fmt!r}; expected one of {', '.join(GRAPH_FORMATS)}")
-    directed = isinstance(graph, ConditionalGraph)
-    if fmt == "dot":
-        return conditional_to_dot(graph) if directed else cooccurrence_to_dot(graph)
-    if fmt == "graphml":
-        return conditional_to_graphml(graph) if directed else cooccurrence_to_graphml(graph)
-    return conditional_to_json(graph) if directed else cooccurrence_to_json(graph)
+    return _WRITERS[fmt](graph)

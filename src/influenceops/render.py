@@ -1,34 +1,43 @@
-"""Exact-to-text rendering of rational values.
+"""Exact-to-text rendering of rational values, and the indent-2 JSON writer.
 
 Statistics are held as `fractions.Fraction`; turning them into decimal text
-is a report-layer concern. Rounding is round-half-even, computed on the
-rational itself so no float ever enters the pipeline.
+is a report-layer concern. Rounding is round-half-even, computed in integers
+on the numerator and denominator, so no float ever enters the pipeline.
+
+``json_text`` writes the report and the graph JSON views. It gives the bytes
+of ``json.dumps(value, indent=2, ensure_ascii=False)`` plus a newline for
+documents of str, int, bool, None, list and dict with str keys, without the
+pure-Python encoder that ``json.dumps`` falls back to when indenting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 
-def decimal_string(value: Fraction, places: int) -> str:
-    """Fixed-point decimal text of an exact rational, round-half-even."""
+def _decimal(numerator: int, denominator: int, places: int) -> str:
     if places < 0:
         raise ValueError("places must be >= 0")
-    sign = "-" if value < 0 else ""
-    scaled = abs(value) * Fraction(10) ** places
-    whole, remainder = divmod(scaled.numerator, scaled.denominator)
+    whole, remainder = divmod(abs(numerator) * 10**places, denominator)
     doubled = 2 * remainder
-    if doubled > scaled.denominator or (doubled == scaled.denominator and whole % 2 == 1):
+    if doubled > denominator or (doubled == denominator and whole & 1):
         whole += 1
+    sign = "-" if numerator < 0 else ""
     digits = str(whole).rjust(places + 1, "0")
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+def decimal_string(value: Fraction, places: int) -> str:
+    """Fixed-point decimal text of an exact rational, round-half-even."""
+    return _decimal(value.numerator, value.denominator, places)
+
+
 def percent_string(value: Fraction, places: int = 1) -> str:
     """Percentage text (no % sign) of an exact rational, round-half-even."""
-    return decimal_string(value * 100, places)
+    return _decimal(value.numerator * 100, value.denominator, places)
 
 
 def fraction_payload(value: Fraction, percent: bool = False) -> dict:
@@ -39,3 +48,49 @@ def fraction_payload(value: Fraction, percent: bool = False) -> dict:
     else:
         payload["value"] = decimal_string(value, 4)
     return payload
+
+
+def json_text(value: object) -> str:
+    """Indent-2 JSON text of a document, ending in a newline.
+
+    Raises TypeError on a value that is not str, int, bool, None, list or
+    dict, and on a dict key that is not str.
+    """
+    parts: list[str] = []
+    _write_json(value, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value: object, newline: str, write) -> None:
+    if isinstance(value, str):
+        write(encode_basestring(value))
+    elif value is None or value is True or value is False:
+        write("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            # encode_basestring raises TypeError on a key that is not str.
+            write(separator + encode_basestring(key) + ": ")
+            separator = "," + inner
+            _write_json(item, inner, write)
+        write(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            write(separator)
+            separator = "," + inner
+            _write_json(item, inner, write)
+        write(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -2,13 +2,13 @@
 
 The JSON document is self-describing: it embeds the denominators, the tool,
 taxonomy and catalog versions, and the configuration used, so downstream
-renderings never have to guess what a share was computed against.
+renderings never have to guess what a share was computed against. Its
+``graphs`` block embeds parts of ``graphexport.graph_document``, the same
+node/edge document as the graph JSON view, and ``report_to_json`` writes it
+with ``render.json_text``.
 """
 
 from __future__ import annotations
-
-import json
-from fractions import Fraction
 
 from . import __version__
 from .analytics import (
@@ -19,7 +19,8 @@ from .analytics import (
     prevalence,
     size_distribution,
 )
-from .render import fraction_payload, percent_string
+from .graphexport import graph_document
+from .render import fraction_payload, json_text, percent_string
 from .strategies import ClassifiedCorpus
 
 
@@ -30,8 +31,8 @@ def build_report(
     prev = prevalence(cc)
     sizes = size_distribution(cc)
     patterns = pattern_frequencies(cc)
-    cograph = cooccurrence(cc)
-    condgraph = conditional_probabilities(cc, min_support)
+    codoc = graph_document(cooccurrence(cc))
+    conddoc = graph_document(conditional_probabilities(cc, min_support))
 
     return {
         "tool": {"name": "influenceops", "version": __version__},
@@ -87,35 +88,14 @@ def build_report(
             ],
         },
         "graphs": {
-            "cooccurrence": {
-                "nodes": [
-                    {"id": n.strategy_id, "name": n.name, "count": n.count}
-                    for n in cograph.nodes
-                ],
-                "edges": [
-                    {"source": e.a, "target": e.b, "weight": e.weight}
-                    for e in cograph.edges
-                ],
-            },
-            "conditional": {
-                "min_support": condgraph.min_support,
-                "edges": [
-                    {
-                        "source": e.source,
-                        "target": e.target,
-                        "joint_count": e.joint_count,
-                        "source_count": e.source_count,
-                        "probability": fraction_payload(e.probability),
-                    }
-                    for e in condgraph.edges
-                ],
-            },
+            "cooccurrence": {"nodes": codoc["nodes"], "edges": codoc["edges"]},
+            "conditional": {"min_support": conddoc["min_support"], "edges": conddoc["edges"]},
         },
     }
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    return json_text(report)
 
 
 def report_to_text(report: dict) -> str:

@@ -1,8 +1,11 @@
-"""Access to the data files bundled with the package."""
+"""Access to the data files bundled with the package.
+
+They live in the package's ``data`` directory (shipped as ``data/*.json``),
+whose path is computed once at import; the package is not zipped.
+"""
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .generate import GeneratorSpec, loads_generator_spec
@@ -10,13 +13,16 @@ from .strategies import StrategyCatalog, loads_strategy_catalog
 from .taxonomy import Taxonomy, loads_taxonomy
 
 
+_DATA = Path(__file__).parent / "data"
+
+
 def _read(name: str) -> str:
-    return resources.files("influenceops.data").joinpath(name).read_text(encoding="utf-8")
+    return (_DATA / name).read_text(encoding="utf-8")
 
 
 def bundled_data_path(name: str) -> Path:
-    """Filesystem path of a bundled data file (the package is not zipped)."""
-    return Path(str(resources.files("influenceops.data").joinpath(name)))
+    """Filesystem path of a bundled data file."""
+    return _DATA / name
 
 
 def load_bundled_taxonomy() -> Taxonomy:

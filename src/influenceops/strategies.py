@@ -175,6 +175,30 @@ class ClassifiedCorpus:
     def unmapped_profiles(self) -> tuple[StrategyProfile, ...]:
         return tuple(p for p in self.profiles if not p.mapped)
 
+    @cached_property
+    def superset_sums(self) -> tuple[int, ...]:
+        """table[m] = number of mapped incidents whose strategy mask contains m.
+
+        table[0] is the mapped total, table[1 << i] the count of strategy i and
+        table[1 << i | 1 << j] the joint count of strategies i and j. Raises
+        EmptyCorpus, on every access, when no incident is mapped.
+        """
+        n = len(self.catalog.strategies)
+        table = [0] * (1 << n)
+        for mask, count in self.histogram.items():
+            if mask:
+                table[mask] = count
+        # In-place zeta transform: after step i, table[m] sums the bins that
+        # agree with m outside bits 0..i and contain m within them.
+        for i in range(n):
+            bit = 1 << i
+            for m in range(1 << n):
+                if not m & bit:
+                    table[m] += table[m | bit]
+        if not table[0]:
+            raise EmptyCorpus("no mapped incidents: statistics are undefined")
+        return tuple(table)
+
     @property
     def mapped_count(self) -> int:
         return self.total_count - self.histogram.get(0, 0)

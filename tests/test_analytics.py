@@ -78,6 +78,19 @@ def test_prevalence_requires_a_mapped_incident(catalog):
         prevalence(cc)
 
 
+def test_every_statistic_of_an_unmapped_corpus_raises_each_time(catalog):
+    cc = classified_from_profiles(catalog, [(), ()])
+    for statistic in (prevalence, pattern_frequencies, cooccurrence, conditional_probabilities) * 2:
+        with pytest.raises(EmptyCorpus):
+            statistic(cc)
+    assert "superset_sums" not in vars(cc)
+
+
+def test_superset_sums_are_computed_once_per_corpus(hand_cc):
+    assert hand_cc.superset_sums is hand_cc.superset_sums
+    assert hand_cc.superset_sums[0] == 4
+
+
 # --- size distribution -------------------------------------------------------------
 
 

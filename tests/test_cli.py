@@ -256,3 +256,41 @@ def test_explicit_flag_beats_env_var(monkeypatch):
     monkeypatch.setenv("INFLUENCEOPS_TAXONOMY", "/nonexistent.json")
     taxonomy_path = str(bundled_data_path("taxonomy.json"))
     assert main(["validate", "--taxonomy", taxonomy_path]) == 0
+
+
+def test_generate_rejects_a_negative_seed_like_the_spec(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    assert main(["generate", "--spec", FIXTURE_SPEC, "--seed", "-3", "--out", str(out)]) == 1
+    assert "SchemaError: seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+    spec = tmp_path / "neg_spec.json"
+    doc = json.loads(bundled_data_path("fixture_spec.json").read_text(encoding="utf-8"))
+    spec.write_text(json.dumps({**doc, "seed": -3}), encoding="utf-8")
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "SchemaError: seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_accepts_seed_zero(tmp_path):
+    zero, default = tmp_path / "zero.csv", tmp_path / "default.csv"
+    spec = tmp_path / "no_seed.json"
+    doc = json.loads(bundled_data_path("fixture_spec.json").read_text(encoding="utf-8"))
+    doc.pop("seed", None)
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["generate", "--spec", FIXTURE_SPEC, "--seed", "0", "--out", str(zero)]) == 0
+    assert main(["generate", "--spec", str(spec), "--out", str(default)]) == 0
+    assert zero.read_bytes() == default.read_bytes()
+
+
+def test_parser_is_not_built_at_import():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import influenceops
+
+    code = "import influenceops.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"

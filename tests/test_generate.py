@@ -353,3 +353,27 @@ def test_fixture_spec_document_round_trips(fixture_spec):
     assert sum(k * v for k, v in fixture_spec.size_distribution.items()) == 305
     assert len(fixture_spec.pinned_patterns) == 30
     assert sum(fixture_spec.pinned_patterns.values()) == 80
+
+
+def test_zero_count_size_above_strategy_count_is_ignored(catalog):
+    spec = loads_generator_spec(
+        '{"mode": "marginal-solver", "marginals": {"NR": 5}, "size_distribution": {"1": 5, "9": 0}}'
+    )
+    corpus = generate_corpus(spec, catalog)
+    assert len(corpus) == 5
+    assert size_distribution(classify_corpus(corpus, catalog)).counts == {1: 5}
+
+
+def test_positive_count_size_above_strategy_count_is_refused(catalog):
+    spec = loads_generator_spec(
+        '{"mode": "marginal-solver", "marginals": {"NR": 5, "NS": 9}, "size_distribution": {"1": 5, "9": 1}}'
+    )
+    with pytest.raises(InfeasibleSpec, match=r"size_distribution requests profiles of size 9 > 7 strategies"):
+        generate_corpus(spec, catalog)
+
+
+def test_negative_seed_is_refused_however_the_spec_was_made(catalog):
+    spec = exact_spec({frozenset({"NR"}): 2})
+    with pytest.raises(SchemaError, match="seed: must be a non-negative integer"):
+        generate_corpus(replace(spec, seed=-3), catalog)
+    assert len(generate_corpus(replace(spec, seed=0), catalog)) == 2

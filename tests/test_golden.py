@@ -108,3 +108,38 @@ def test_strict_prep_on_fixture_has_no_mapped_incident(capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN.parent)
     assert main(["stats", "--corpus", FIXTURE, "--strict-prep"]) == 1
     assert "EmptyCorpus" in capsys.readouterr().err
+
+
+def test_commands_in_one_process_match_their_goldens(tmp_path, monkeypatch, capsys):
+    """main() shares one parser across calls, and no flag or environment
+    variable of one call leaks into the next."""
+    from influenceops.cli import build_parser
+
+    monkeypatch.chdir(GOLDEN.parent)
+    monkeypatch.delenv("INFLUENCEOPS_TAXONOMY", raising=False)
+    sequence = [
+        "stats_strict_prep.json",
+        "stats_pretty.txt",
+        "classify_strict_prep_pretty.txt",
+        "stats_lenient_json_corpus.json",
+        "classify_lenient_json.json",
+        "stats.json",
+        "conditional_min3.json",
+        "classify.json",
+    ]
+    for i, name in enumerate(sequence):
+        out = tmp_path / f"{i}-{name}"
+        assert main([*CASES[name], "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert build_parser() is build_parser()
+
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json", encoding="utf-8")
+    monkeypatch.setenv("INFLUENCEOPS_TAXONOMY", str(broken))
+    capsys.readouterr()
+    assert main(["validate"]) == 1
+    assert "ParseError" in capsys.readouterr().err
+    monkeypatch.delenv("INFLUENCEOPS_TAXONOMY")
+    out = tmp_path / "again-stats.json"
+    assert main([*CASES["stats.json"], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "stats.json").read_bytes()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influenceops import StrategyCatalog, classify_corpus, classify_incident
-from influenceops.analytics import _superset_sums
 from influenceops.report import build_report
 
 import oracle
@@ -42,7 +41,7 @@ def check_histogram(catalog, technique_sets, strict_prep):
     profiles = [set(p.strategies) for p in cc.profiles if p.mapped]
     if not profiles:
         return
-    table = _superset_sums(cc)
+    table = cc.superset_sums
     assert len(table) == 2 ** len(catalog.strategies)
     for mask, count in enumerate(table):
         assert count == oracle.containment_count(profiles, catalog.ids_of_mask(mask))

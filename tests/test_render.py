@@ -1,0 +1,69 @@
+import json
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from influenceops.render import decimal_string, json_text, percent_string
+
+# Text that json.dumps escapes, and text it must leave alone with ensure_ascii=False.
+TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\b\f\n\r\t  é\U0001f600\ud800 ')) | st.text()
+INTS = st.integers() | st.integers(-(2**200), 2**200) | st.sampled_from([0, 1, -1])
+LEAVES = st.none() | st.booleans() | INTS | TEXT
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(DOCUMENTS)
+def test_json_text_matches_json_dumps(document):
+    assert json_text(document) == json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_json_text_keeps_bools_apart_from_ints():
+    document = {"a": [True, 1, False, 0, None, [], {}], "": {"b": [[], [{}]]}}
+    assert json_text(document) == json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "a"}, {"a": [set()]}, b"x"])
+def test_json_text_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        json_text(bad)
+
+
+def reference_decimal(value: Fraction, places: int) -> str:
+    """Round-half-even through the decimal module. Quotients of the sizes
+    drawn below are exact to far more digits than a rounding tie needs."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        exact = Decimal(value.numerator) / Decimal(value.denominator)
+        return format(exact.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN), "f")
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)) | st.builds(
+    Fraction, st.integers(-400, 400), st.sampled_from([1, 2, 3, 8, 16, 20, 125, 400, 2000, 10**8])
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(FRACTIONS, st.integers(0, 8))
+def test_decimal_string_matches_decimal_module(value, places):
+    assert decimal_string(value, places) == reference_decimal(value, places)
+    assert percent_string(value, places) == reference_decimal(value * 100, places)
+
+
+def test_decimal_string_rounds_ties_to_even():
+    assert [decimal_string(Fraction(k, 2), 0) for k in (1, 3, 5, -1, -3)] == ["0", "2", "2", "-0", "-2"]
+    assert decimal_string(Fraction(1, 8), 2) == "0.12"
+    assert decimal_string(Fraction(3, 8), 2) == "0.38"
+    assert percent_string(Fraction(1, 8)) == "12.5"
+
+
+def test_decimal_string_rejects_negative_places():
+    with pytest.raises(ValueError):
+        decimal_string(Fraction(1, 3), -1)
