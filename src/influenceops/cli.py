@@ -24,8 +24,8 @@ from .graphexport import GRAPH_FORMATS, export_graph
 from .report import build_report, report_to_json, report_to_text
 from .resources import bundled_data_path
 from .strategies import check_disjointness, load_strategy_catalog
-# validate, stats and graph ingest straight into the mask histogram; perfbench
-# times the ingest layer by wrapping this name.
+# validate, stats and graph scan the corpus file straight into the mask
+# histogram. The alias keeps the name that perfbench wraps to time ingest.
 from .strategies import ingest_histogram as ingest_corpus
 from .taxonomy import load_taxonomy, validate_taxonomy
 

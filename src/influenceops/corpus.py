@@ -12,33 +12,44 @@ any unknown id aborts the whole ingest; in lenient mode unknown ids are
 dropped per incident and reported, because hand-tagged datasets contain
 typos. A resulting Corpus is immutable and shareable across workers.
 
-Ingestion has three consumers of one pipeline. A row parser per format
-(``_csv_rows``, ``_json_rows``) does every parse and shape check and yields
-rows; ``RowChecker`` does the domain checks (duplicate ids, unknown
-technique ids) and ORs the bits that a table gives each row's technique ids.
-``ingest_corpus`` keeps the rows as ``Incident`` objects and is the library
-API; ``strategies.ingest_histogram`` (``validate``, ``stats``, ``graph``)
-keeps only strategy masks; ``evidence.ingest_technique_masks``
-(``classify``) keeps (incident id, technique mask) pairs. Any parse error
-wins over the first domain error, which is held until the whole document
-has parsed, so all three raise the same error on every input. A file that
-is not UTF-8, an over-long CSV field, JSON nested too deeply and an
-``incident_id`` that cannot be encoded as UTF-8 (a lone surrogate escape
-such as ``\\ud800``) are each a ParseError.
+Each format has one scan (``_scan_csv``, ``_scan_json``, both behind
+``scan_corpus``): a single loop that does every parse, shape and domain
+check (duplicate ids, unknown technique ids), ORs the bits that a table
+gives each row's technique ids, and returns ``{incident_id: mask}`` in file
+order with the ingestion report. Its three consumers differ only in the
+table and in what they keep: ``strategies.ingest_histogram`` (``validate``,
+``stats``, ``graph``) counts strategy masks, ``evidence.ingest_technique_masks``
+(``classify``) keeps per-technique masks, and the library ``ingest_corpus``
+also passes a list that the scan collects full rows into, which it keeps as
+``Incident`` objects. So all three raise the same error on every input.
+
+A CSV file is parsed as it is read. A JSON document is decoded one array
+element at a time, so no document-sized list of incidents is built. Where
+the text stops being a well-formed array, or an element fails a shape
+check, the whole text goes through ``documents.parse_json`` first, so that
+a syntax error anywhere is raised first, with ``json.loads``' own message.
+Parse errors win over the first domain error, which is held until the
+whole document has been read. A file that is not UTF-8, an over-long CSV
+field, JSON nested too deeply and an ``incident_id`` that cannot be encoded
+as UTF-8 (a lone surrogate escape such as ``\\ud800``) are each a
+ParseError.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import re
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cache
+from json.decoder import WHITESPACE
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .documents import parse_json
+from . import documents
 from .errors import (
     DuplicateIncidentId,
     EmptyCorpus,
@@ -99,8 +110,86 @@ class CorpusSummary:
 Row = tuple[str, str, int, list[str], list[str]]
 
 
-def _csv_rows(lines: Iterable[str], source: str) -> Iterator[Row]:
-    """Checked rows of a CSV document read line by line; blank lines are skipped."""
+def technique_table(taxonomy: Taxonomy) -> dict[str, int]:
+    """Every taxonomy technique id, mapped to no strategy bit."""
+    return dict.fromkeys((t.id for t in taxonomy.techniques), 0)
+
+
+def scan_corpus(
+    path: str | Path, bits: Mapping[str, int], mode: str = "strict", rows: list[Row] | None = None
+) -> tuple[dict[str, int], IngestionReport]:
+    """{incident id: mask} of a .csv or .json corpus file, detected by
+    extension, in file order, and the ingestion report.
+
+    ``bits`` maps every known technique id to the bits it sets (strategy bits
+    from ``strategies._technique_bits``, or one bit per catalog technique for
+    ``classify``); a missing key is an unknown id, which lenient mode drops
+    and records and strict mode rejects. A row's mask is the OR of the bits
+    of its known ids. Given ``rows``, the scan also appends each row to it, as
+    (incident_id, title, year, targets, technique ids).
+    """
+    path = Path(path)
+    source = str(path)
+    try:
+        with path.open(encoding="utf-8") as lines:
+            if path.suffix.lower() == ".json":
+                return _scan_json(lines.read(), source, bits, mode, rows)
+            return _scan_csv(lines, source, bits, mode, rows)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: corpus file is not valid UTF-8: {exc.reason}") from None
+
+
+def _is_strict(mode: str) -> bool:
+    if mode not in ("strict", "lenient"):
+        raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
+    return mode == "strict"
+
+
+def _duplicate(source: str, incident_id: str) -> DuplicateIncidentId:
+    return DuplicateIncidentId(f"{source}: duplicate incident_id {incident_id!r}")
+
+
+def _unknown(source: str, number: int, incident_id: str, technique_id: str) -> UnknownTechnique:
+    return UnknownTechnique(
+        f"{source}: incident {number} ({incident_id!r}) references unknown technique {technique_id!r}"
+    )
+
+
+def _drop_unknown(
+    incident_id: str, technique_ids: list[str], bits: Mapping[str, int], dropped: list[DroppedTechnique]
+) -> int:
+    """OR of the bits of the known ids; each unknown id is recorded as dropped."""
+    m = 0
+    for technique_id in technique_ids:
+        b = bits.get(technique_id)
+        if b is None:
+            dropped.append(DroppedTechnique(incident_id, technique_id))
+        else:
+            m |= b
+    return m
+
+
+def _scanned(
+    masks: dict[str, int], dropped: list[DroppedTechnique], error: InfluenceOpsError | None,
+    mode: str, source: str,
+) -> tuple[dict[str, int], IngestionReport]:
+    """Raise the held domain error or EmptyCorpus; otherwise the scan's result."""
+    if error is not None:
+        raise error
+    if not masks:
+        raise EmptyCorpus(f"{source}: corpus document contains no incidents")
+    return masks, IngestionReport(mode, tuple(dropped))
+
+
+def _scan_csv(
+    lines: Iterable[str], source: str, bits: Mapping[str, int], mode: str, rows: list[Row] | None
+) -> tuple[dict[str, int], IngestionReport]:
+    """The scan of a CSV document read line by line; blank lines are skipped
+    but counted in row numbers."""
+    strict = _is_strict(mode)
+    masks: dict[str, int] = {}
+    dropped: list[DroppedTechnique] = []
+    error: InfluenceOpsError | None = None
     reader = csv.reader(lines)
     n = -1  # the header is row 0
     try:
@@ -126,165 +215,184 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[Row]:
             except ValueError:
                 raise ParseError(f"{source}: row {n}: year {year_text!r} is not an integer") from None
             # "|"-separated lists; empty items are dropped.
-            targets = targets_text.split("|")
-            if "" in targets:
-                targets = [t for t in targets if t]
             techniques = techniques_text.split("|")
             if "" in techniques:
                 techniques = [t for t in techniques if t]
-            yield incident_id, title, year, targets, techniques
+            if rows is not None:
+                targets = targets_text.split("|")
+                if "" in targets:
+                    targets = [t for t in targets if t]
+                rows.append((incident_id, title, year, targets, techniques))
+            # After the first domain error only parse errors are looked for.
+            if error is not None:
+                continue
+            if incident_id in masks:
+                error = _duplicate(source, incident_id)
+                continue
+            m = 0
+            try:
+                for technique_id in techniques:
+                    m |= bits[technique_id]
+            except KeyError:
+                if strict:
+                    error = _unknown(source, len(masks) + 1, incident_id, technique_id)
+                    continue
+                m = _drop_unknown(incident_id, techniques, bits, dropped)
+            masks[incident_id] = m
     except csv.Error as exc:
         # Raised for the row after the last one read, e.g. a field over csv.field_size_limit().
         raise ParseError(f"{source}: row {n + 1}: {exc}") from None
+    return _scanned(masks, dropped, error, mode, source)
 
 
-def _json_rows(text: str, source: str) -> Iterator[Row]:
-    """Checked rows of a JSON document."""
-    doc = parse_json(text, f"{source}: corpus document")
-    if not isinstance(doc, list):
-        raise ParseError(f"{source}: corpus JSON must be an array of incident objects")
+_decode = json.JSONDecoder().raw_decode
+_skip_whitespace = WHITESPACE.match
+_comma = re.compile(f"{WHITESPACE.pattern},{WHITESPACE.pattern}").match
 
-    for n, entry in enumerate(doc, start=1):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{source}: incident {n}: must be an object")
+
+def _strings(value: object) -> bool:
+    """Whether a decoded JSON value is an array of strings."""
+    if type(value) is not list:
+        return False
+    try:
+        "".join(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _document_error(text: str, source: str, message: str) -> ParseError:
+    """The shape error ``message``, unless the whole text has a syntax error:
+    then ``documents.parse_json`` raises that, with json.loads' own message."""
+    documents.parse_json(text, f"{source}: corpus document")
+    return ParseError(f"{source}: {message}")
+
+
+def _scan_json(
+    text: str, source: str, bits: Mapping[str, int], mode: str, rows: list[Row] | None
+) -> tuple[dict[str, int], IngestionReport]:
+    """The scan of a JSON document, decoded one array element at a time.
+
+    What the loop cannot read as an array of elements (a top level that is
+    not an array, an element that does not decode, a bad delimiter, data
+    after the closing bracket) is raised by ``_document_error``: json.loads
+    fails on such a text too, so its error is raised, and only a valid
+    document that is not an array gets the shape error.
+    """
+    strict = _is_strict(mode)
+    masks: dict[str, int] = {}
+    dropped: list[DroppedTechnique] = []
+    error: InfluenceOpsError | None = None
+    not_an_array = "corpus JSON must be an array of incident objects"
+    i = _skip_whitespace(text).end()
+    if not text.startswith("[", i):
+        raise _document_error(text, source, not_an_array)
+    i = _skip_whitespace(text, i + 1).end()
+    more = not text.startswith("]", i)
+    n = 0
+    while more:  # i is at the next element
+        try:
+            entry, i = _decode(text, i)
+        except ValueError:  # JSONDecodeError, or an integer too long to convert
+            raise _document_error(text, source, not_an_array) from None
+        except RecursionError:
+            raise ParseError(f"{source}: corpus document is nested too deeply") from None
+        comma = _comma(text, i)
+        if comma is not None:
+            i = comma.end()
+        else:
+            i = _skip_whitespace(text, i).end()
+            if not text.startswith("]", i):
+                raise _document_error(text, source, not_an_array)
+            more = False
+        n += 1
+        # JSON decodes to exact dict, list, str and int, and bool is not int.
+        if type(entry) is not dict:
+            raise _document_error(text, source, f"incident {n}: must be an object")
         incident_id = entry.get("incident_id")
-        if not isinstance(incident_id, str) or not incident_id:
-            raise ParseError(f"{source}: incident {n}: missing or empty 'incident_id'")
+        if type(incident_id) is not str or not incident_id:
+            raise _document_error(text, source, f"incident {n}: missing or empty 'incident_id'")
         if not incident_id.isascii():
             # A \ud800 escape decodes to a lone surrogate, which no output can encode.
             try:
                 incident_id.encode("utf-8")
             except UnicodeEncodeError:
-                raise ParseError(
-                    f"{source}: incident {n}: 'incident_id' cannot be encoded as UTF-8"
+                raise _document_error(
+                    text, source, f"incident {n}: 'incident_id' cannot be encoded as UTF-8"
                 ) from None
         title = entry.get("title", "")
-        if not isinstance(title, str):
-            raise ParseError(f"{source}: incident {n}: 'title' must be a string")
+        if type(title) is not str:
+            raise _document_error(text, source, f"incident {n}: 'title' must be a string")
         year = entry.get("year")
-        if not isinstance(year, int) or isinstance(year, bool):
-            raise ParseError(f"{source}: incident {n}: 'year' must be an integer")
+        if type(year) is not int:
+            raise _document_error(text, source, f"incident {n}: 'year' must be an integer")
         targets = entry.get("targets", [])
         techniques = entry.get("techniques", [])
-        for key, value in (("targets", targets), ("techniques", techniques)):
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ParseError(f"{source}: incident {n}: {key!r} must be an array of strings")
-        yield incident_id, title, year, targets, techniques
-
-
-def _file_rows(path: Path, source: str) -> Iterator[Row]:
-    # A CSV file is parsed as it is read; JSON has to be read whole.
-    try:
-        with path.open(encoding="utf-8") as lines:
-            if path.suffix.lower() == ".json":
-                yield from _json_rows(lines.read(), source)
-            else:
-                yield from _csv_rows(lines, source)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{source}: corpus file is not valid UTF-8: {exc.reason}") from None
-
-
-def read_corpus_rows(path: str | Path) -> tuple[Iterator[Row], str]:
-    """Checked rows of a .csv or .json corpus file, detected by extension, and
-    the source name that error messages and reports use."""
-    path = Path(path)
-    return _file_rows(path, str(path)), str(path)
-
-
-def technique_table(taxonomy: Taxonomy) -> dict[str, int]:
-    """Every taxonomy technique id, mapped to no strategy bit."""
-    return dict.fromkeys((t.id for t in taxonomy.techniques), 0)
-
-
-class RowChecker:
-    """The domain checks of ingestion: duplicate ids and unknown technique ids.
-
-    ``bits`` maps every known technique id to the bits it sets (strategy bits
-    from ``strategies._technique_bits``, or one bit per catalog technique for
-    ``classify``); a missing key is an unknown id. The first
-    domain error is held rather than raised, and ``finish`` raises it, so that
-    a parse error anywhere in the document wins over it.
-    """
-
-    def __init__(self, bits: Mapping[str, int], mode: str, source: str) -> None:
-        if mode not in ("strict", "lenient"):
-            raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
-        self.bits = bits
-        self.mode = mode
-        self.source = source
-        self.count = 0
-        self.seen: set[str] = set()
-        self.dropped: list[DroppedTechnique] = []
-        self.error: InfluenceOpsError | None = None
-
-    def mask(self, incident_id: str, technique_ids: list[str]) -> int | None:
-        """OR of the bits of the row's known techniques; None once an error is held.
-
-        Lenient mode drops and records unknown ids; strict mode holds an error.
-        """
-        self.count += 1
-        if self.error is not None:
-            return None
-        if incident_id in self.seen:
-            self.error = DuplicateIncidentId(f"{self.source}: duplicate incident_id {incident_id!r}")
-            return None
-        self.seen.add(incident_id)
-        bits = self.bits
+        if not _strings(targets):
+            raise _document_error(text, source, f"incident {n}: 'targets' must be an array of strings")
+        if not _strings(techniques):
+            raise _document_error(text, source, f"incident {n}: 'techniques' must be an array of strings")
+        if rows is not None:
+            rows.append((incident_id, title, year, targets, techniques))
+        # After the first domain error only syntax and shape errors are looked for.
+        if error is not None:
+            continue
+        if incident_id in masks:
+            error = _duplicate(source, incident_id)
+            continue
         m = 0
-        for technique_id in technique_ids:
-            try:
+        try:
+            for technique_id in techniques:
                 m |= bits[technique_id]
-            except KeyError:
-                if self.mode == "strict":
-                    self.error = UnknownTechnique(
-                        f"{self.source}: incident {self.count} ({incident_id!r}) references "
-                        f"unknown technique {technique_id!r}"
-                    )
-                    return None
-                self.dropped.append(DroppedTechnique(incident_id, technique_id))
-        return m
-
-    def finish(self) -> IngestionReport:
-        """Raise EmptyCorpus or the held error; otherwise report what was dropped."""
-        if not self.count:
-            raise EmptyCorpus(f"{self.source}: corpus document contains no incidents")
-        if self.error is not None:
-            raise self.error
-        return IngestionReport(self.mode, tuple(self.dropped))
+        except KeyError:
+            if strict:
+                error = _unknown(source, n, incident_id, technique_id)
+                continue
+            m = _drop_unknown(incident_id, techniques, bits, dropped)
+        masks[incident_id] = m
+    # i is at the closing bracket.
+    if _skip_whitespace(text, i + 1).end() != len(text):
+        raise _document_error(text, source, not_an_array)
+    return _scanned(masks, dropped, error, mode, source)
 
 
-def _build_corpus(
-    rows: Iterable[Row], taxonomy: Taxonomy, mode: str, source: str
-) -> tuple[Corpus, IngestionReport]:
-    known = technique_table(taxonomy)
-    checker = RowChecker(known, mode, source)
-    incidents: list[Incident] = []
-    for incident_id, title, year, targets, technique_ids in rows:
-        if checker.mask(incident_id, technique_ids) is not None:
-            kept = frozenset(t for t in technique_ids if t in known)
-            incidents.append(Incident(incident_id, title, year, tuple(targets), kept))
-    report = checker.finish()
-    return Corpus(tuple(incidents), source), report
+def _corpus(rows: list[Row], known: Mapping[str, int], source: str) -> Corpus:
+    """The scanned rows as incidents, each with its known technique ids."""
+    return Corpus(
+        tuple(
+            Incident(incident_id, title, year, tuple(targets), frozenset(t for t in technique_ids if t in known))
+            for incident_id, title, year, targets, technique_ids in rows
+        ),
+        source,
+    )
 
 
 def loads_corpus_csv(
     text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<csv>"
 ) -> tuple[Corpus, IngestionReport]:
-    return _build_corpus(_csv_rows(io.StringIO(text), source), taxonomy, mode, source)
+    known = technique_table(taxonomy)
+    rows: list[Row] = []
+    _, report = _scan_csv(io.StringIO(text), source, known, mode, rows)
+    return _corpus(rows, known, source), report
 
 
 def loads_corpus_json(
     text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<json>"
 ) -> tuple[Corpus, IngestionReport]:
-    return _build_corpus(_json_rows(text, source), taxonomy, mode, source)
+    known = technique_table(taxonomy)
+    rows: list[Row] = []
+    _, report = _scan_json(text, source, known, mode, rows)
+    return _corpus(rows, known, source), report
 
 
 def ingest_corpus(
     path: str | Path, taxonomy: Taxonomy, mode: str = "strict"
 ) -> tuple[Corpus, IngestionReport]:
     """Load a corpus from a .csv or .json file, detected by extension."""
-    rows, source = read_corpus_rows(path)
-    return _build_corpus(rows, taxonomy, mode, source)
+    known = technique_table(taxonomy)
+    rows: list[Row] = []
+    _, report = scan_corpus(path, known, mode, rows)
+    return _corpus(rows, known, str(Path(path))), report
 
 
 def corpus_to_csv(corpus: Corpus) -> str:

@@ -9,8 +9,9 @@ evidence block per strategy and subset of its preparation techniques (42
 for the bundled catalog) and one strategy list per strategy mask (at most
 128).
 
-Rows go through the same row parsers and ``RowChecker`` as
-``ingest_corpus``, so every input fails with the same error. The output is
+The masks come from the same scan of the corpus file as ``ingest_corpus``
+(``corpus.scan_corpus``, with a per-technique table), so every input fails
+with the same error. The output is
 the same text as ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the
 per-incident documents built from ``classify_corpus(...).profiles``, or the
 same ``id: NR+NS`` lines with ``--pretty``.
@@ -19,9 +20,10 @@ same ``id: NR+NS`` lines with ``--pretty``.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
-from .corpus import IngestionReport, RowChecker, read_corpus_rows, technique_table
+from .corpus import IngestionReport, scan_corpus, technique_table
 from .strategies import STRATEGY_ORDER, StrategyCatalog
 from .taxonomy import Taxonomy
 
@@ -36,7 +38,7 @@ def _catalog_techniques(catalog: StrategyCatalog) -> tuple[str, ...]:
 
 def ingest_technique_masks(
     path: str | Path, taxonomy: Taxonomy, catalog: StrategyCatalog, mode: str = "strict"
-) -> tuple[list[tuple[str, int]], IngestionReport]:
+) -> tuple[Iterable[tuple[str, int]], IngestionReport]:
     """(incident id, technique mask) per incident of a corpus file, in file order.
 
     Bit k of a mask is set when the incident carries the k-th catalog
@@ -47,11 +49,8 @@ def ingest_technique_masks(
         # An id outside the taxonomy stays unknown, so its bit is never set.
         if technique_id in table:
             table[technique_id] = 1 << k
-    rows, source = read_corpus_rows(path)
-    checker = RowChecker(table, mode, source)
-    mask = checker.mask
-    pairs = [(row[0], mask(row[0], row[4])) for row in rows]
-    return pairs, checker.finish()
+    masks, report = scan_corpus(path, table, mode)
+    return masks.items(), report
 
 
 class _Memo(dict):
@@ -100,7 +99,7 @@ def _matches(pairs, catalog: StrategyCatalog, strict_prep: bool):
 
 
 def classification_json(
-    pairs: list[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
+    pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
 ) -> str:
     """The ``classify`` JSON document of ``ingest_technique_masks`` pairs."""
 
@@ -118,7 +117,7 @@ def classification_json(
 
 
 def classification_text(
-    pairs: list[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
+    pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
 ) -> str:
     """The ``classify --pretty`` lines of ``ingest_technique_masks`` pairs."""
     names = _Memo(lambda sm: "+".join(catalog.ids_of_mask(sm)) or "(unmapped)")

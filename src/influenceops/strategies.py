@@ -14,13 +14,14 @@ stands for ``catalog.strategies[i]``: with seven strategies there are at most
 profiles with their evidence are computed only when asked for.
 
 ``_technique_bits`` is the one table from technique id to strategy bits. The
-histogram of a materialised corpus and ``ingest_histogram``, which folds a
-corpus file's rows straight into the histogram without building incidents,
-both read it. A ClassifiedCorpus built from a histogram has every statistic
-but no profiles.
+histogram of a materialised corpus and ``ingest_histogram`` both read it;
+``ingest_histogram`` hands it to the corpus file's scan
+(``corpus.scan_corpus``), which yields one raw mask per incident without
+building incidents, and counts those masks. A ClassifiedCorpus built from a
+histogram has every statistic but no profiles.
 
 The ``classify`` command does not use this module's profiles either: it
-streams rows into per-technique masks and renders them (``evidence.py``).
+scans the file into per-technique masks and renders them (``evidence.py``).
 ``classify_corpus``, ``classify_incident`` and ``ClassifiedCorpus.profiles``
 remain the library API and the reference that its output is tested against.
 """
@@ -32,14 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .corpus import (
-    Corpus,
-    Incident,
-    IngestionReport,
-    RowChecker,
-    read_corpus_rows,
-    technique_table,
-)
+from .corpus import Corpus, Incident, IngestionReport, scan_corpus, technique_table
 from .documents import parse_json, read_text
 from .errors import (
     DisjointnessViolation,
@@ -256,16 +250,14 @@ def ingest_histogram(
     """Ingest and classify a corpus file straight into its mask histogram.
 
     Same checks, errors and ingestion report as ``ingest_corpus`` followed by
-    ``classify_corpus``, but no incident is built: for a CSV file, memory is
-    the incident-id set plus the histogram. The result has no profiles.
+    ``classify_corpus``, but no incident is built: memory is the incident-id
+    to mask table and the histogram, and for JSON the file's text. The
+    result has no profiles.
     """
-    rows, source = read_corpus_rows(path)
-    checker = RowChecker(_technique_bits(catalog, strict_prep, taxonomy), mode, source)
-    mask = checker.mask
-    raw = Counter(mask(row[0], row[4]) for row in rows)
-    report = checker.finish()
-    histogram = _fold_masks(raw, catalog, strict_prep)
-    return ClassifiedCorpus.from_histogram(histogram, checker.count, source, catalog, strict_prep), report
+    path = Path(path)
+    masks, report = scan_corpus(path, _technique_bits(catalog, strict_prep, taxonomy), mode)
+    histogram = _fold_masks(Counter(masks.values()), catalog, strict_prep)
+    return ClassifiedCorpus.from_histogram(histogram, len(masks), str(path), catalog, strict_prep), report
 
 
 def check_disjointness(catalog: StrategyCatalog) -> ValidationReport:

@@ -1,11 +1,16 @@
-"""The streaming ingest paths against the materialised one, and the loaders
+"""The ingest paths against an independent reference, and the loaders
 against malformed and arbitrary input.
 
-`ingest_histogram` folds rows straight into the mask histogram; it must agree
-with `classify_corpus(ingest_corpus(...))` on every document: the same
+`reference_ingest` is the row-parser pipeline that the package's scans
+replaced; it parses a JSON document whole before it reads a row. On every
+document, `ingest_histogram`, which scans straight into the mask histogram,
+must agree with `classify_corpus` of the reference's corpus: the same
 histogram, counts and ingestion report, or the same exception and message.
-`classify` renders per-technique masks; its output must be the bytes of the
-library's profiles rendered as it did before it streamed, or the same error.
+The library `ingest_corpus`, `loads_corpus_csv` and `loads_corpus_json` must
+build the reference's incidents and report, or raise its error. `classify`
+renders per-technique masks; its output must be the bytes of the
+reference's profiles rendered as the command did before it streamed, or the
+same error.
 """
 
 import contextlib
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_ingest
 from influenceops import (
     DuplicateIncidentId,
     InfluenceOpsError,
@@ -27,6 +33,8 @@ from influenceops import (
     UnknownTechnique,
     classify_corpus,
     ingest_corpus,
+    loads_corpus_csv,
+    loads_corpus_json,
 )
 from influenceops.cli import main
 from influenceops.corpus import CSV_HEADER
@@ -53,6 +61,13 @@ TEXT = st.text(alphabet="ab ,|\"\n\r\t'é", max_size=6)
 
 
 def materialised(path, taxonomy, catalog, mode, strict_prep):
+    """The reference's corpus, classified incident by incident."""
+    corpus, report = reference_ingest.ingest_corpus(path, taxonomy, mode)
+    return classify_corpus(corpus, catalog, strict_prep), report
+
+
+def library(path, taxonomy, catalog, mode, strict_prep):
+    """The library's corpus, classified incident by incident."""
     corpus, report = ingest_corpus(path, taxonomy, mode)
     return classify_corpus(corpus, catalog, strict_prep), report
 
@@ -65,7 +80,17 @@ def outcome(ingest, path, taxonomy, catalog, mode, strict_prep):
     return dict(cc.histogram), cc.total_count, cc.mapped_count, cc.source, report
 
 
-def check_paths_agree(path, taxonomy, catalog):
+def corpus_outcome(load, document, taxonomy, mode):
+    try:
+        corpus, report = load(document, taxonomy, mode)
+    except InfluenceOpsError as exc:
+        return type(exc), str(exc)
+    return corpus.incidents, corpus.source, report
+
+
+def check_paths_agree(path, taxonomy, catalog, text=None):
+    """Every ingest path against the reference on one corpus file; given the
+    file's text, the library's text loaders too."""
     for mode, strict_prep in MODES:
         expected = outcome(materialised, path, taxonomy, catalog, mode, strict_prep)
         assert outcome(ingest_histogram, path, taxonomy, catalog, mode, strict_prep) == expected
@@ -75,13 +100,25 @@ def check_paths_agree(path, taxonomy, catalog):
             ids = catalog.ids()
             masks = Counter(sum(1 << ids.index(s) for s in p.strategies) for p in cc.profiles)
             assert expected[0] == dict(masks)
+    json_file = path.suffix == ".json"
+    loads, reference_loads = ((loads_corpus_json, reference_ingest.loads_corpus_json) if json_file
+                              else (loads_corpus_csv, reference_ingest.loads_corpus_csv))
+    for mode in ("strict", "lenient"):
+        expected = corpus_outcome(reference_ingest.ingest_corpus, path, taxonomy, mode)
+        assert corpus_outcome(ingest_corpus, path, taxonomy, mode) == expected
+        if text is not None:
+            assert corpus_outcome(loads, text, taxonomy, mode) == corpus_outcome(reference_loads, text, taxonomy, mode)
 
 
-def csv_text(header, rows):
+def csv_text(header, rows, newline="\n", blank_before=()):
+    """The CSV document, with a blank line before each row numbered in blank_before."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=newline)
     writer.writerow(header)
-    writer.writerows(rows)
+    for n, row in enumerate(rows):
+        if n in blank_before:
+            out.write(newline)
+        writer.writerow(row)
     return out.getvalue()
 
 
@@ -100,8 +137,9 @@ def csv_rows(draw, valid):
     year = draw(st.integers(1990, 2030))
     if not valid and rarely(draw):
         year = draw(st.sampled_from(["x", "", "20.5", "2_020", " 2021"]))
+    # A trailing "|" leaves an empty item, which is skipped.
     row = [incident_id, draw(TEXT), year, "|".join(draw(st.lists(TEXT, max_size=2))),
-           "|".join(draw(techniques))]
+           "|".join(draw(techniques)) + draw(st.sampled_from(["", "", "|"]))]
     if not valid and rarely(draw):
         row = row[: draw(st.integers(0, 4))] + draw(st.lists(TEXT, max_size=2))
     return row
@@ -128,17 +166,55 @@ def json_entries(draw, valid):
 
 
 def csv_documents(valid):
+    # Blank lines count in the row numbers of errors; CRLF is read as LF.
     header = st.just(CSV_HEADER) if valid else st.sampled_from([CSV_HEADER] * 9 + [("id", "name")])
     unique = (lambda row: row[0]) if valid else None
-    return st.builds(csv_text, header, st.lists(csv_rows(valid), max_size=8, unique_by=unique))
+    return st.builds(csv_text, header, st.lists(csv_rows(valid), max_size=8, unique_by=unique),
+                     st.sampled_from(["\n", "\r\n"]), st.sets(st.integers(0, 8), max_size=3))
 
 
-def json_documents(valid):
+# Whitespace runs around brackets and delimiters.
+SPACE = st.sampled_from(["", "", " ", "\n  ", "\r\n\t \n"])
+# Syntax damage to a document that is otherwise an array of elements.
+DAMAGE = ["trailing comma", "missing comma", "} for ]", "data after ]", "truncated", "BOM",
+          "not an array"]
+
+
+@st.composite
+def json_documents(draw, valid):
     unique = (lambda entry: entry["incident_id"]) if valid else None
-    doc = st.lists(json_entries(valid), max_size=8, unique_by=unique)
-    if not valid:
-        doc = st.one_of(doc, st.sampled_from([{}, "corpus", 1]))
-    return doc.map(json_text)
+    items = [json_text(entry) for entry in draw(st.lists(json_entries(valid), max_size=8, unique_by=unique))]
+    if not valid and draw(st.booleans()):
+        # Shape, domain and syntax errors mixed, in any order.
+        damage = draw(st.sampled_from(DAMAGE))
+        if damage == "trailing comma":
+            items.append("")
+        elif damage == "missing comma" and len(items) > 1:
+            k = draw(st.integers(1, len(items) - 1))
+            items[k - 1:k + 1] = [items[k - 1] + draw(SPACE) + items[k]]
+        text = make_array(draw, items)
+        if damage == "} for ]":
+            text = text.rstrip()[:-1] + "}"
+        elif damage == "data after ]":
+            text += draw(st.sampled_from(["x", " []", ",", "\n{}", " 1"]))
+        elif damage == "truncated":
+            text = text[:draw(st.integers(0, len(text) - 1))]
+        elif damage == "BOM":
+            text = "\ufeff" + text
+        elif damage == "not an array":
+            text = draw(st.sampled_from(["{}", '"corpus"', "1", '{"incident_id": "I-1"}']))
+            text += draw(st.sampled_from(["", " x", " ]", ",", " [1]"]))
+        return text
+    return make_array(draw, items)
+
+
+def make_array(draw, items):
+    text = draw(SPACE) + "[" + draw(SPACE)
+    for k, item in enumerate(items):
+        if k:
+            text += draw(SPACE) + "," + draw(SPACE)
+        text += item
+    return text + draw(SPACE) + "]" + draw(SPACE)
 
 
 def json_text(doc):
@@ -168,7 +244,7 @@ def test_streaming_path_agrees_with_materialised_path(taxonomy, catalog, scratch
     suffix, text = doc
     path = scratch / f"corpus{suffix}"
     path.write_text(text, encoding="utf-8")
-    check_paths_agree(path, taxonomy, catalog)
+    check_paths_agree(path, taxonomy, catalog, text)
 
 
 @pytest.mark.parametrize(
@@ -183,6 +259,20 @@ def test_streaming_path_agrees_with_materialised_path(taxonomy, catalog, scratch
         ("late-parse.json", '[{"incident_id": "I-1", "year": 1, "techniques": ["T9999"]}, 7]', ParseError),
         ("dup.json", '[{"incident_id": "I-1", "year": 1}, {"incident_id": "I-1", "year": 2}]',
          DuplicateIncidentId),
+        # A syntax error after the first shape error (and a domain error) still wins.
+        ("syntax-trailing-comma.json", '[{"incident_id": "I-1", "year": 1}, 7, {"incident_id": "I-1"},]',
+         ParseError),
+        ("syntax-missing-comma.json", '[{"incident_id": "I-1", "year": "x"}, {"incident_id": "I-2"} 7]',
+         ParseError),
+        ("syntax-brace.json", '[{"incident_id": "I-1", "year": 1, "techniques": ["T9999"]}, {"year": 1}}',
+         ParseError),
+        ("syntax-after-array.json", '[{"incident_id": "I-1", "year": 1, "title": 2}] x', ParseError),
+        ("syntax-truncated.json", '[{"incident_id": "", "year": 1}, {"incident_id": "I-2", "ye', ParseError),
+        ("syntax-top-level.json", '{"incident_id": "I-1", "year": 1} [', ParseError),
+        ("shape-top-level.json", ' "corpus" ', ParseError),
+        ("syntax-bom.json", '\ufeff[{"incident_id": "I-1", "year": 1}]', ParseError),
+        # Row numbers count blank lines and CRLF ends a row.
+        ("blank-lines.csv", "I-1,a,2020,,T0115|\r\n\r\n\nI-2,b,2020,,T9999\r\n\nI-3,c\r\n", ParseError),
     ],
 )
 def test_error_order_on_mixed_documents(taxonomy, catalog, tmp_path, name, text, error):
@@ -190,9 +280,13 @@ def test_error_order_on_mixed_documents(taxonomy, catalog, tmp_path, name, text,
         text = ",".join(CSV_HEADER) + "\n" + text
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(error):
+    with pytest.raises(error) as err:
         ingest_histogram(path, taxonomy, catalog)
-    check_paths_agree(path, taxonomy, catalog)
+    if name.startswith("syntax-"):
+        assert "corpus document is not valid JSON: " in str(err.value)
+    if name == "blank-lines.csv":
+        assert "row 6: expected 5 fields, got 2" in str(err.value)
+    check_paths_agree(path, taxonomy, catalog, text)
 
 
 @pytest.mark.parametrize(
@@ -213,11 +307,43 @@ def test_error_order_on_mixed_documents(taxonomy, catalog, tmp_path, name, text,
 def test_unreadable_documents_are_parse_errors(taxonomy, catalog, tmp_path, name, data, where):
     path = tmp_path / name
     path.write_bytes(data)
-    for ingest in (ingest_histogram, materialised):
+    for ingest in (ingest_histogram, materialised, library):
         with pytest.raises(ParseError) as err:
             ingest(path, taxonomy, catalog, "strict", False)
         assert str(err.value).startswith(f"{path}: ")
         assert where in str(err.value)
+
+
+def test_deeply_nested_element_is_a_parse_error(tmp_path, capsys):
+    """An element nested past the recursion limit, under a key that ingest
+    never reads, is a ParseError (exit 1), never a traceback; near the limit
+    a document either loads or is that same error."""
+    limit = sys.getrecursionlimit()
+    path = tmp_path / "deep.json"
+    for depth in [*range(limit - 60, limit + 60, 8), 100_000]:
+        path.write_text('[{"incident_id": "I-1", "year": 2020, "techniques": ["T0115"], "notes": '
+                        + "[" * depth + "]" * depth + "}]", encoding="utf-8")
+        rc = main(["stats", "--corpus", str(path), "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        if depth == 100_000 or rc:
+            assert (rc, err) == (1, f"ParseError: {path}: corpus document is nested too deeply\n"), depth
+
+
+@pytest.mark.parametrize("field, value", [
+    ("incident_id", 7), ("incident_id", ["I-1"]), ("title", None), ("title", ["a"]),
+    ("year", True), ("year", False), ("year", 2020.0), ("year", "2020"), ("year", None),
+    ("targets", "EU"), ("targets", {"EU": 1}), ("targets", ["EU", None]), ("techniques", "T0115"),
+    ("techniques", {"T0115": 1}), ("techniques", ["T0115", 7]), ("techniques", ["T0115", ["T0049"]]),
+])
+def test_each_wrong_json_type_is_the_reference_shape_error(taxonomy, catalog, tmp_path, field, value):
+    entry = {"incident_id": "I-2", "title": "b", "year": 2020, "targets": ["EU"], "techniques": ["T0115"]}
+    entry[field] = value
+    text = json.dumps([{"incident_id": "I-1", "year": 2020}, entry])
+    path = tmp_path / "shape.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"incident 2: .*'{field}'"):
+        ingest_histogram(path, taxonomy, catalog)
+    check_paths_agree(path, taxonomy, catalog, text)
 
 
 def test_histogram_built_corpus_has_statistics_but_no_profiles(catalog):
@@ -228,9 +354,9 @@ def test_histogram_built_corpus_has_statistics_but_no_profiles(catalog):
 
 
 def reference_classify(path, taxonomy, catalog, mode, strict_prep, pretty):
-    """The `classify` output rendered from the library's profiles, as the command
-    did before it streamed."""
-    corpus, _ = ingest_corpus(path, taxonomy, mode)
+    """The `classify` output rendered from the profiles of the reference's
+    corpus, as the command did before it streamed."""
+    corpus, _ = reference_ingest.ingest_corpus(path, taxonomy, mode)
     cc = classify_corpus(corpus, catalog, strict_prep)
     if pretty:
         lines = [
@@ -313,7 +439,7 @@ def test_lone_surrogate_id_is_a_parse_error(taxonomy, catalog, tmp_path, capsys)
     path.write_text('[{"incident_id": "I-1", "year": 2020},\n'
                     ' {"incident_id": "I-\\ud800", "year": 2020, "techniques": ["T0115"]}]',
                     encoding="utf-8")
-    for ingest in (ingest_histogram, materialised):
+    for ingest in (ingest_histogram, materialised, library):
         with pytest.raises(ParseError, match=r"surrogate.json: incident 2: 'incident_id' cannot be encoded"):
             ingest(path, taxonomy, catalog, "strict", False)
     out = tmp_path / "out.json"
