@@ -9,7 +9,12 @@ ids, one of them repeated in an incident. `escaped_ids.json` has incident ids
 with non-ASCII text, quotes, backslashes and control characters. Each golden
 file is the output of the argv listed beside it. `generate_exact_prep.*` is
 generated from `exact_prep_spec.json`, an exact-patterns spec with
-`include_preparation`; the bundled fixture spec generates `fixture_corpus.*`.
+`include_preparation`; the bundled fixture spec generates `fixture_corpus.*`,
+and with `--seed 8` it generates `generate_fixture_seed8.*`.
+`generate_escaped_prep.*` is generated from `escaped_prep_spec.json` over
+`escaped_taxonomy.json` and `escaped_catalog.json`, whose technique ids need
+CSV quoting (commas, double quotes) and JSON escaping (non-ASCII text, double
+quotes, backslashes).
 """
 
 from pathlib import Path
@@ -28,6 +33,10 @@ LENIENT = "golden/lenient_corpus"
 ESCAPED = "golden/escaped_ids.json"
 FIXTURE_SPEC = str(bundled_data_path("fixture_spec.json"))
 EXACT_PREP_SPEC = "golden/exact_prep_spec.json"
+ESCAPED_PREP = [
+    "--spec", "golden/escaped_prep_spec.json",
+    "--taxonomy", "golden/escaped_taxonomy.json", "--catalog", "golden/escaped_catalog.json",
+]
 
 CASES = {
     "stats.json": ["stats", "--corpus", FIXTURE],
@@ -80,6 +89,14 @@ CASES = {
         f"generate_exact_prep.{fmt}": ["generate", "--spec", EXACT_PREP_SPEC, "--corpus-format", fmt]
         for fmt in ("csv", "json")
     },
+    **{
+        f"generate_fixture_seed8.{fmt}": ["generate", "--spec", FIXTURE_SPEC, "--seed", "8", "--corpus-format", fmt]
+        for fmt in ("csv", "json")
+    },
+    **{
+        f"generate_escaped_prep.{fmt}": ["generate", *ESCAPED_PREP, "--corpus-format", fmt]
+        for fmt in ("csv", "json")
+    },
 }
 
 # Commands that print to stdout rather than through --out.
@@ -102,6 +119,14 @@ def test_stdout_matches_golden_bytes(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN.parent)
     assert main(STDOUT_CASES[name]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_seed_flag_equal_to_the_spec_seed_changes_no_byte(fmt, capsys, monkeypatch):
+    """The fixture spec records seed 7, so --seed 7 writes fixture_corpus.*."""
+    monkeypatch.chdir(GOLDEN.parent)
+    assert main(["generate", "--spec", FIXTURE_SPEC, "--seed", "7", "--corpus-format", fmt]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"fixture_corpus.{fmt}").read_bytes()
 
 
 def test_strict_prep_on_fixture_has_no_mapped_incident(capsys, monkeypatch):
