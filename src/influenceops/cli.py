@@ -16,10 +16,12 @@ import sys
 from pathlib import Path
 
 from .analytics import conditional_probabilities, cooccurrence
-from .corpus import corpus_to_csv, corpus_to_json
 from .errors import InfluenceOpsError, UnknownFormat
 from .evidence import classification_json, classification_text, ingest_technique_masks
-from .generate import generate_corpus, load_generator_spec
+# generate writes its text straight from the incident layout; the aliases
+# keep the names that perfbench wraps to time generation and serialization.
+from .generate import _layout as generate_corpus, _layout_csv as corpus_to_csv
+from .generate import _layout_json as corpus_to_json, load_generator_spec
 from .graphexport import GRAPH_FORMATS, export_graph
 from .report import build_report, report_to_json, report_to_text
 from .resources import bundled_data_path
@@ -194,8 +196,8 @@ def cmd_generate(args) -> int:
         from dataclasses import replace
 
         spec = replace(spec, seed=args.seed)
-    corpus = generate_corpus(spec, catalog)
-    text = corpus_to_json(corpus) if args.corpus_format == "json" else corpus_to_csv(corpus)
+    write = corpus_to_json if args.corpus_format == "json" else corpus_to_csv
+    text = write(generate_corpus(spec, catalog))
     _emit(text, args.out)
     return EXIT_OK
 

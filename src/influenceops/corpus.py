@@ -130,9 +130,11 @@ def scan_corpus(
     """
     path = Path(path)
     source = str(path)
+    is_json = path.suffix.lower() == ".json"
     try:
-        with path.open(encoding="utf-8") as lines:
-            if path.suffix.lower() == ".json":
+        # csv.reader reads line ends itself, so that one inside a quoted field is kept as it is.
+        with path.open(encoding="utf-8", newline=None if is_json else "") as lines:
+            if is_json:
                 return _scan_json(lines.read(), source, bits, mode, rows)
             return _scan_csv(lines, source, bits, mode, rows)
     except UnicodeDecodeError as exc:
@@ -395,23 +397,28 @@ def ingest_corpus(
     return _corpus(rows, known, str(Path(path))), report
 
 
+_needs_quotes = re.compile('[,"\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """One CSV field as csv.writer writes it on Python 3.13: quoted when it
+    holds a comma, a double quote, "\\r" or "\\n". (Before 3.13, with "\\n" line
+    ends, csv.writer leaves a lone "\\r" unquoted, which no reader reads back.)"""
+    if _needs_quotes(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def corpus_to_csv(corpus: Corpus) -> str:
     """Serialize with sorted technique ids and LF line endings (byte-stable)."""
-    techniques_field = cache(lambda techniques: "|".join(sorted(techniques)))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(
-        (
-            incident.incident_id,
-            incident.title,
-            incident.year,
-            "|".join(incident.targets),
-            techniques_field(incident.techniques),
-        )
+    techniques_field = cache(lambda techniques: _csv_field("|".join(sorted(techniques))))
+    lines = [",".join(CSV_HEADER)]
+    lines += [
+        f"{_csv_field(incident.incident_id)},{_csv_field(incident.title)},{incident.year},"
+        f"{_csv_field('|'.join(incident.targets))},{techniques_field(incident.techniques)}"
         for incident in corpus.incidents
-    )
-    return out.getvalue()
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # One incident of json.dumps(doc, indent=2, ensure_ascii=False) for a list of incident objects.

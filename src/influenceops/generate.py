@@ -19,6 +19,11 @@ pipeline. Identical spec + seed produces a byte-identical corpus: the seed
 drives only the greedy's tie-breaking and the synthetic metadata (ordering,
 years). Work is per distinct pattern except for the layout: one shuffle of
 the incidents and one year drawn per incident.
+
+``_layout`` checks the spec and gives each incident's technique set and year.
+``generate_corpus`` builds its Corpus from it; the ``generate`` command writes
+the bytes of ``corpus_to_csv``/``corpus_to_json`` straight from it, building no
+Incident (``_layout_csv``, ``_layout_json``).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Corpus, Incident
+from .corpus import CSV_HEADER, _JSON_INCIDENT, Corpus, Incident, _csv_field, _json_string_list
 from .documents import parse_json, read_text
 from .errors import InfeasibleSpec, SchemaError, ZeroIncidents
 from .strategies import StrategyCatalog
@@ -36,6 +41,9 @@ EXACT_MODE = "exact-patterns"
 SOLVER_MODE = "marginal-solver"
 
 _YEAR_RANGE = (2014, 2024)
+# Incident i, numbered from 1; neither needs CSV quoting or JSON escaping.
+_ID = "SYN-%04d"
+_TITLE = "Synthetic incident %04d"
 # 12,500 times the reference corpus; a larger count is refused rather than
 # left to exhaust memory.
 MAX_INCIDENTS = 1_000_000
@@ -313,16 +321,9 @@ def _solve_pattern_counts(
     return counts
 
 
-def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None) -> Corpus:
-    """Build a synthetic corpus realizing the spec's targets.
-
-    Pure function of the spec (including its seed): identical inputs yield an
-    identical corpus, incident by incident.
-    """
-    if catalog is None:
-        from .resources import load_bundled_catalog
-
-        catalog = load_bundled_catalog()
+def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozenset[str], int]]:
+    """Every check of the spec, then the technique set (one per pattern,
+    shared) and year of each incident in output order, numbered from 1."""
     _check_strategy_ids(spec, catalog)
 
     # The spec file's rule, also for a seed set by the CLI or the library:
@@ -341,7 +342,6 @@ def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None)
             f"generator spec describes {total} incidents; at most {MAX_INCIDENTS} can be generated"
         )
 
-    # Incidents start in canonical pattern order; one technique set per pattern.
     technique_sets: list[frozenset[str]] = []
     for pattern in sorted(counts, key=_canonical_pattern_key(catalog)):
         techniques: set[str] = set()
@@ -356,9 +356,51 @@ def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None)
     rng.shuffle(technique_sets)
     randrange = rng.randrange
     first_year, last_year = _YEAR_RANGE
-    incidents = []
-    for i, techniques in enumerate(technique_sets, start=1):
-        number = f"{i:04d}"
-        year = randrange(first_year, last_year + 1)
-        incidents.append(Incident("SYN-" + number, "Synthetic incident " + number, year, (), techniques))
-    return Corpus(tuple(incidents), source=f"generated(seed={spec.seed})")
+    return [(techniques, randrange(first_year, last_year + 1)) for techniques in technique_sets]
+
+
+def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None) -> Corpus:
+    """Build a synthetic corpus realizing the spec's targets.
+
+    Pure function of the spec (including its seed): identical inputs yield an
+    identical corpus, incident by incident.
+    """
+    if catalog is None:
+        from .resources import load_bundled_catalog
+
+        catalog = load_bundled_catalog()
+    incidents = tuple(
+        Incident(_ID % i, _TITLE % i, year, (), techniques)
+        for i, (techniques, year) in enumerate(_layout(spec, catalog), start=1)
+    )
+    return Corpus(incidents, source=f"generated(seed={spec.seed})")
+
+
+def _text(layout: list[tuple[frozenset[str], int]], head: str, row: str, sep: str, tail: str, render) -> str:
+    """head, ``row % (i, i, year, render(techniques))`` for each incident i of a
+    non-empty layout joined by ``sep``, then tail. Each distinct technique set
+    is rendered once; rows are joined 4096 at a time, not listed all at once."""
+    rendered = {t: render(t) for t in {t for t, _ in layout}}
+    chunks = [
+        sep.join([row % (i, i, year, rendered[t]) for i, (t, year) in enumerate(layout[k:k + 4096], k + 1)])
+        for k in range(0, len(layout), 4096)
+    ]
+    chunks[0] = head + chunks[0]
+    chunks[-1] += tail
+    return sep.join(chunks)
+
+
+def _layout_csv(layout: list[tuple[frozenset[str], int]]) -> str:
+    """``corpus_to_csv`` of the layout's corpus, without building it. Ids,
+    titles and years need no quoting; the incidents have no targets."""
+    return _text(
+        layout, ",".join(CSV_HEADER) + "\n", f"{_ID},{_TITLE},%d,,%s", "\n", "\n",
+        lambda t: _csv_field("|".join(sorted(t))),
+    )
+
+
+def _layout_json(layout: list[tuple[frozenset[str], int]]) -> str:
+    """``corpus_to_json`` of the layout's corpus, without building it. Ids and
+    titles need no escaping; the incidents have no targets."""
+    row = _JSON_INCIDENT % (f'"{_ID}"', f'"{_TITLE}"', "%d", _json_string_list(()), "%s")
+    return _text(layout, "[\n", row, ",\n", "\n]\n", lambda t: _json_string_list(sorted(t)))

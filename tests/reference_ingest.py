@@ -113,10 +113,12 @@ def _json_rows(text: str, source: str) -> Iterator[Row]:
 
 
 def _file_rows(path: Path, source: str) -> Iterator[Row]:
-    # A CSV file is parsed as it is read; JSON has to be read whole.
+    # A CSV file is parsed as it is read, and csv.reader reads its line ends;
+    # JSON has to be read whole.
+    is_json = path.suffix.lower() == ".json"
     try:
-        with path.open(encoding="utf-8") as lines:
-            if path.suffix.lower() == ".json":
+        with path.open(encoding="utf-8", newline=None if is_json else "") as lines:
+            if is_json:
                 yield from _json_rows(lines.read(), source)
             else:
                 yield from _csv_rows(lines, source)

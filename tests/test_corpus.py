@@ -115,6 +115,40 @@ def test_csv_round_trip_with_quoting(taxonomy):
     assert again.incidents == tricky.incidents
 
 
+_LINE_ENDS = ("a\rb", "a\r", "a\r\nb", "a\nb")
+
+
+def _line_ends_corpus():
+    return Corpus(
+        tuple(
+            Incident(f"I-{i}", text, 2020, (text, "B"), frozenset({"T0115", "T0049"}))
+            for i, text in enumerate(_LINE_ENDS)
+        ),
+        "test",
+    )
+
+
+def test_csv_round_trip_keeps_line_ends(taxonomy, tmp_path):
+    """Titles and targets holding "\r" or "\n" read back exactly, from text and from a file."""
+    corpus = _line_ends_corpus()
+    text = corpus_to_csv(corpus)
+    path = tmp_path / "c.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    for again, _ in (loads_corpus_csv(text, taxonomy), ingest_corpus(path, taxonomy)):
+        assert again.incidents == corpus.incidents
+
+
+def test_csv_quotes_line_ends_on_every_python():
+    """Every field holding "\r" or "\n" is quoted, so each version writes these bytes."""
+    assert corpus_to_csv(_line_ends_corpus()).encode("utf-8") == (
+        b"incident_id,title,year,targets,techniques\n"
+        b'I-0,"a\rb",2020,"a\rb|B",T0049|T0115\n'
+        b'I-1,"a\r",2020,"a\r|B",T0049|T0115\n'
+        b'I-2,"a\r\nb",2020,"a\r\nb|B",T0049|T0115\n'
+        b'I-3,"a\nb",2020,"a\nb|B",T0049|T0115\n'
+    )
+
+
 def test_json_round_trip(taxonomy):
     corpus, _ = loads_corpus_csv(CSV_OK, taxonomy)
     again, _ = loads_corpus_json(corpus_to_json(corpus), taxonomy)
@@ -188,11 +222,20 @@ def test_corpus_to_json_matches_json_dumps(corpus):
 @settings(max_examples=300, deadline=None)
 @given(corpus=_corpora)
 def test_corpus_to_csv_matches_csv_writer(corpus):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["incident_id", "title", "year", "targets", "techniques"])
-    for incident in corpus.incidents:
-        writer.writerow(
+    def line(fields):
+        # csv.writer as Python 3.13 writes with "\n" line ends, on every
+        # version: "\r\n" line ends make each version quote every field
+        # holding "\r" or "\n". NUL is quoted by no version, but 3.10's
+        # writer refuses it, so it goes through a stand-in (no text() draws
+        # a surrogate).
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(
+            [f.replace("\0", "\udfff") if isinstance(f, str) else f for f in fields]
+        )
+        return out.getvalue()[:-2].replace("\udfff", "\0") + "\n"
+
+    expected = line(["incident_id", "title", "year", "targets", "techniques"]) + "".join(
+        line(
             [
                 incident.incident_id,
                 incident.title,
@@ -201,7 +244,9 @@ def test_corpus_to_csv_matches_csv_writer(corpus):
                 "|".join(sorted(incident.techniques)),
             ]
         )
-    assert corpus_to_csv(corpus) == out.getvalue()
+        for incident in corpus.incidents
+    )
+    assert corpus_to_csv(corpus) == expected
 
 
 def test_serialisers_on_an_empty_corpus():

@@ -1,22 +1,29 @@
+import contextlib
+import io
 import json
 import random
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from influenceops import (
     GeneratorSpec,
     InfeasibleSpec,
+    InfluenceOpsError,
     ParseError,
     SchemaError,
     ZeroIncidents,
     classify_corpus,
     corpus_to_csv,
+    corpus_to_json,
     generate_corpus,
     load_fixture_spec,
+    load_strategy_catalog,
+    load_taxonomy,
     loads_generator_spec,
     prevalence,
     size_distribution,
@@ -377,3 +384,135 @@ def test_negative_seed_is_refused_however_the_spec_was_made(catalog):
     with pytest.raises(SchemaError, match="seed: must be a non-negative integer"):
         generate_corpus(replace(spec, seed=-3), catalog)
     assert len(generate_corpus(replace(spec, seed=0), catalog)) == 2
+
+
+# --- the generate command against the library ------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+ESCAPED_FILES = [
+    "--taxonomy", str(GOLDEN / "escaped_taxonomy.json"), "--catalog", str(GOLDEN / "escaped_catalog.json"),
+]
+
+
+@pytest.fixture(scope="module")
+def escaped_catalog():
+    taxonomy = load_taxonomy(GOLDEN / "escaped_taxonomy.json")
+    return load_strategy_catalog(GOLDEN / "escaped_catalog.json", taxonomy)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("generate")
+
+
+@st.composite
+def spec_documents(draw, ids):
+    """Spec documents over the strategy ids ``ids``, of either mode. Solver
+    targets are read off a drawn incidence, so most are feasible; some are
+    perturbed, and some describe zero or too many incidents."""
+    patterns = st.frozensets(st.sampled_from(ids), min_size=1).map(sorted)
+    counts = st.sampled_from(range(7))
+    drawn = draw(st.lists(st.tuples(patterns, counts), max_size=6, unique_by=lambda p: tuple(p[0])))
+    doc = {
+        "mode": draw(st.sampled_from(["marginal-solver", "exact-patterns"])),
+        "seed": draw(st.integers(0, 2**40)),
+        "unmapped_count": draw(st.integers(0, 3)),
+        "include_preparation": draw(st.booleans()),
+    }
+    if doc["mode"] == "exact-patterns":
+        doc["pattern_counts"] = [{"strategies": p, "count": c} for p, c in drawn]
+    else:
+        marginals = dict.fromkeys(ids, 0)
+        sizes = Counter()
+        for pattern, c in drawn:
+            sizes[len(pattern)] += c
+            for s in pattern:
+                marginals[s] += c
+        doc["pinned_patterns"] = [
+            {"strategies": p, "min_count": draw(st.integers(0, c))} for p, c in drawn if draw(st.booleans())
+        ]
+        if draw(st.sampled_from([False] * 4 + [True])):
+            s = draw(st.sampled_from(ids))
+            marginals[s] = max(0, marginals[s] + draw(st.sampled_from([-1, 1])))
+        doc["marginals"] = marginals
+        doc["size_distribution"] = {str(k): c for k, c in sizes.items()}
+    if draw(st.sampled_from([False] * 9 + [True])):
+        doc["unmapped_count"] = MAX_INCIDENTS + draw(st.integers(1, 3))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    escaped=st.booleans(),
+    fmt=st.sampled_from(["csv", "json"]),
+    seed=st.none() | st.integers(-3, 2**40),
+    to_file=st.booleans(),
+)
+def test_generate_command_writes_what_the_library_generates(
+    catalog, escaped_catalog, scratch, data, escaped, fmt, seed, to_file
+):
+    """main(["generate", ...]) writes corpus_to_csv/corpus_to_json of
+    generate_corpus byte for byte, and fails as it fails, writing nothing."""
+    cat = escaped_catalog if escaped else catalog
+    doc = data.draw(spec_documents(cat.ids()))
+    spec_path = scratch / "spec.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    spec = loads_generator_spec(json.dumps(doc))
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    try:
+        corpus = generate_corpus(spec, cat)
+    except InfluenceOpsError as exc:
+        expected, error = None, f"{type(exc).__name__}: {exc}\n"
+    else:
+        expected, error = (corpus_to_json if fmt == "json" else corpus_to_csv)(corpus), ""
+    event(f"{doc['mode']}: {error.split(':')[0] or 'generated'}")
+
+    argv = ["generate", "--spec", str(spec_path), "--corpus-format", fmt, *(ESCAPED_FILES if escaped else [])]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    out = scratch / "out"
+    out.unlink(missing_ok=True)
+    if to_file:
+        argv += ["--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv)
+    assert stderr.getvalue() == error
+    if expected is None:
+        assert rc == 1 and stdout.getvalue() == "" and not out.exists()
+    else:
+        assert rc == 0
+        written = out.read_bytes() if to_file else stdout.getvalue().encode("utf-8")
+        assert written == expected.encode("utf-8")
+
+
+def test_generate_errors_match_the_library(catalog, scratch, capsys):
+    """Zero-incident, over-limit, infeasible and negative-seed specs: the same
+    error as generate_corpus, exit 1, and no --out file."""
+    docs = [
+        ({"mode": "exact-patterns", "pattern_counts": [{"strategies": ["NR"], "count": 0}]}, None),
+        ({"mode": "marginal-solver"}, None),
+        ({"mode": "exact-patterns", "pattern_counts": [{"strategies": ["NR"], "count": MAX_INCIDENTS}],
+          "unmapped_count": 1}, None),
+        ({"mode": "marginal-solver", "marginals": {"NR": 2, "NS": 1}, "size_distribution": {"2": 1, "1": 1},
+          "unmapped_count": MAX_INCIDENTS}, None),
+        ({"mode": "marginal-solver", "marginals": {"NR": 3}, "size_distribution": {"1": 2}}, None),
+        ({"mode": "marginal-solver", "marginals": {"NR": 2, "NS": 0}, "size_distribution": {"2": 1}}, None),
+        ({"mode": "exact-patterns", "pattern_counts": [{"strategies": ["NR"], "count": 2}]}, -1),
+    ]
+    kinds = set()
+    for doc, seed in docs:
+        spec = loads_generator_spec(json.dumps(doc))
+        with pytest.raises(InfluenceOpsError) as caught:
+            generate_corpus(spec if seed is None else replace(spec, seed=seed), catalog)
+        kinds.add(type(caught.value))
+        spec_path = scratch / "bad-spec.json"
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = scratch / "never.csv"
+        argv = ["generate", "--spec", str(spec_path), "--out", str(out)]
+        assert main(argv if seed is None else [*argv, "--seed", str(seed)]) == 1
+        assert capsys.readouterr().err == f"{type(caught.value).__name__}: {caught.value}\n"
+        assert not out.exists()
+    assert kinds == {ZeroIncidents, SchemaError, InfeasibleSpec}

@@ -467,6 +467,27 @@ def test_streaming_commands_build_no_incident(monkeypatch, tmp_path, taxonomy):
         ingest_corpus(path, taxonomy)
 
 
+def test_generate_builds_no_incident(monkeypatch, tmp_path, catalog):
+    """The generate command builds no Incident; the library generate_corpus
+    does, which shows that the patch takes effect."""
+    import influenceops.corpus as corpus_module
+    import influenceops.generate as generate_module
+
+    def no_object(*args, **kwargs):
+        raise AssertionError("an Incident was built")
+
+    monkeypatch.setattr(corpus_module, "Incident", no_object)
+    monkeypatch.setattr(generate_module, "Incident", no_object)
+    spec = str(bundled_data_path("fixture_spec.json"))
+    golden = Path(__file__).parent / "golden"
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"o.{fmt}"
+        assert main(["generate", "--spec", spec, "--corpus-format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (golden / f"fixture_corpus.{fmt}").read_bytes()
+    with pytest.raises(AssertionError):
+        generate_module.generate_corpus(generate_module.load_generator_spec(spec), catalog)
+
+
 @st.composite
 def corpus_bytes(draw):
     header = ",".join(CSV_HEADER).encode()
