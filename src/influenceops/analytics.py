@@ -228,10 +228,8 @@ def prevalence(cc: ClassifiedCorpus) -> PrevalenceReport:
     denominator = table[0]
     entries = tuple(
         PrevalenceEntry(s.id, s.name, counts[s.id], Fraction(counts[s.id], denominator))
-        for s in sorted(
-            cc.catalog.strategies,
-            key=lambda s: (-counts[s.id], cc.catalog.order_index(s.id)),
-        )
+        # A stable sort of the catalog, which is in enumeration order.
+        for s in sorted(cc.catalog.strategies, key=lambda s: -counts[s.id])
     )
     return PrevalenceReport(entries, denominator)
 

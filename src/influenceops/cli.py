@@ -1,6 +1,6 @@
 """Command-line interface: validate, classify, stats, graph, generate.
 
-Exit codes: 0 success, 1 domain or validation failure, 2 I/O failure.
+Exit codes: 0 success, 1 domain or validation failure, 2 I/O failure or usage error.
 All outputs are UTF-8 and byte-identical across runs for identical inputs
 and configuration. Default taxonomy and catalog are the bundled files,
 overridable with --taxonomy/--catalog or the INFLUENCEOPS_TAXONOMY and
@@ -45,63 +45,57 @@ def _default_path(env_var: str, bundled_name: str) -> str:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; no default reads the environment."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--taxonomy",
-        default=None,
-        help=f"taxonomy JSON path (default: bundled, or ${ENV_TAXONOMY})",
-    )
-    common.add_argument(
-        "--catalog",
-        default=None,
-        help=f"strategy catalog JSON path (default: bundled, or ${ENV_CATALOG})",
-    )
-    common.add_argument("--corpus", default=None, help="incident corpus (.csv or .json)")
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict", dest="ingest_mode", action="store_const", const="strict",
-        help="fail ingestion on any unknown technique id (default)",
-    )
-    mode.add_argument(
-        "--lenient", dest="ingest_mode", action="store_const", const="lenient",
-        help="drop unknown technique ids per incident and report them",
-    )
-    common.set_defaults(ingest_mode="strict")
-    common.add_argument(
-        "--strict-prep", action="store_true",
-        help="require a preparation technique in addition to the execution technique",
-    )
-    common.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    common.add_argument("--pretty", action="store_true", help="human-readable output")
+    """The parser, built once per process; no default reads the environment.
+
+    Each subcommand takes only the flags it reads, from these parents, and
+    no abbreviation of a flag (``generate --corpus`` would be taken for
+    ``--corpus-format``).
+    """
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--taxonomy", help=f"taxonomy JSON path (default: bundled, or ${ENV_TAXONOMY})")
+    inputs.add_argument("--catalog", help=f"strategy catalog JSON path (default: bundled, or ${ENV_CATALOG})")
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", help="incident corpus (.csv or .json)")
+    mode = corpus.add_mutually_exclusive_group()
+    mode.add_argument("--strict", dest="ingest_mode", action="store_const", const="strict",
+                      help="fail ingestion on any unknown technique id (default)")
+    mode.add_argument("--lenient", dest="ingest_mode", action="store_const", const="lenient",
+                      help="drop unknown technique ids per incident and report them")
+    corpus.set_defaults(ingest_mode="strict")
+    strict_prep = argparse.ArgumentParser(add_help=False)
+    strict_prep.add_argument("--strict-prep", action="store_true",
+                             help="require a preparation technique in addition to the execution technique")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to this file instead of stdout")
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="human-readable output")
 
     parser = argparse.ArgumentParser(
         prog="influenceops",
         description="Model influence-operation strategies and analyze incident corpora.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(commands.add_parser, allow_abbrev=False)
 
-    sub.add_parser(
-        "validate", parents=[common],
-        help="validate taxonomy, catalog, and (optionally) a corpus",
-    )
+    add_command("validate", parents=[inputs, corpus],
+                help="validate taxonomy, catalog, and (optionally) a corpus")
+    add_command("classify", parents=[inputs, corpus, strict_prep, out, pretty],
+                help="classify each incident into strategies")
 
-    sub.add_parser("classify", parents=[common], help="classify each incident into strategies")
-
-    stats = sub.add_parser("stats", parents=[common], help="full analytics report for a corpus")
+    stats = add_command("stats", parents=[inputs, corpus, strict_prep, out, pretty],
+                        help="full analytics report for a corpus")
     stats.add_argument("--min-support", type=int, default=1,
                        help="conditional-graph source-count threshold (default 1)")
 
-    graph = sub.add_parser("graph", parents=[common], help="export a strategy graph")
+    graph = add_command("graph", parents=[inputs, corpus, strict_prep, out], help="export a strategy graph")
     graph.add_argument("--kind", choices=("cooccurrence", "conditional"), required=True)
     graph.add_argument("--format", dest="fmt", default="dot",
                        help=f"output format: {', '.join(GRAPH_FORMATS)}")
     graph.add_argument("--min-support", type=int, default=1,
                        help="conditional-graph source-count threshold (default 1)")
 
-    generate = sub.add_parser(
-        "generate", parents=[common], help="generate a synthetic corpus from a spec"
-    )
+    generate = add_command("generate", parents=[inputs, out], help="generate a synthetic corpus from a spec")
     generate.add_argument("--spec", required=True, help="generator spec JSON path")
     generate.add_argument("--seed", type=int, default=None,
                           help="override the seed recorded in the spec")
@@ -133,7 +127,7 @@ def _require_corpus(args):
 
 
 def _classified(args, taxonomy, catalog):
-    """The corpus as a mask histogram, for the commands that need no incident."""
+    """The corpus as a mask histogram, for ``stats`` and ``graph``."""
     return ingest_corpus(
         _require_corpus(args), taxonomy, catalog, args.ingest_mode, args.strict_prep
     )
@@ -151,7 +145,7 @@ def cmd_validate(args) -> int:
             failed = True
             print(f"{label}: INVALID\n{report}")
     if args.corpus:
-        cc, ingestion = _classified(args, taxonomy, catalog)
+        cc, ingestion = ingest_corpus(args.corpus, taxonomy, catalog, args.ingest_mode)
         print(f"corpus: ok ({cc.total_count} incidents)")
         for warning in ingestion.warnings():
             print(f"corpus: warning: {warning}")

@@ -1,6 +1,7 @@
 """Incident corpora: ingestion, validation, serialization, and summaries.
 
-Two on-disk forms are supported and round-trip losslessly:
+Two on-disk forms are supported and round-trip losslessly (except NUL in a
+CSV field on Python 3.10, whose csv reader refuses it: a ParseError):
 
 * CSV with header ``incident_id,title,year,targets,techniques`` where
   ``targets`` and ``techniques`` are ``|``-separated inside one RFC 4180
@@ -16,8 +17,10 @@ Each format has one scan (``_scan_csv``, ``_scan_json``, both behind
 ``scan_corpus``): a single loop that does every parse, shape and domain
 check (duplicate ids, unknown technique ids), ORs the bits that a table
 gives each row's technique ids, and returns ``{incident_id: mask}`` in file
-order with the ingestion report. Its three consumers differ only in the
-table and in what they keep: ``strategies.ingest_histogram`` (``validate``,
+order with the ingestion report. ``technique_table`` builds every such
+table: its keys are exactly the taxonomy's technique ids, so every consumer
+knows the same ids. The three consumers differ only in the table's bits and
+in what they keep: ``strategies.ingest_histogram`` (``validate``,
 ``stats``, ``graph``) counts strategy masks, ``evidence.ingest_technique_masks``
 (``classify``) keeps per-technique masks, and the library ``ingest_corpus``
 also passes a list that the scan collects full rows into, which it keeps as
@@ -26,7 +29,7 @@ also passes a list that the scan collects full rows into, which it keeps as
 A CSV file is parsed as it is read. A JSON document is decoded one array
 element at a time, so no document-sized list of incidents is built. Where
 the text stops being a well-formed array, or an element fails a shape
-check, the whole text goes through ``documents.parse_json`` first, so that
+check, the whole text goes through ``documents.decode_json`` first, so that
 a syntax error anywhere is raised first, with ``json.loads``' own message.
 Parse errors win over the first domain error, which is held until the
 whole document has been read. A file that is not UTF-8, an over-long CSV
@@ -110,9 +113,11 @@ class CorpusSummary:
 Row = tuple[str, str, int, list[str], list[str]]
 
 
-def technique_table(taxonomy: Taxonomy) -> dict[str, int]:
-    """Every taxonomy technique id, mapped to no strategy bit."""
-    return dict.fromkeys((t.id for t in taxonomy.techniques), 0)
+def technique_table(taxonomy: Taxonomy, bits: Mapping[str, int]) -> dict[str, int]:
+    """The table that ``scan_corpus`` reads: every taxonomy technique id, with
+    its bits from ``bits`` or 0, and no other key. An id that ``bits`` names
+    but the taxonomy lacks is thus unknown, on every ingest path."""
+    return {t.id: bits.get(t.id, 0) for t in taxonomy.techniques}
 
 
 def scan_corpus(
@@ -121,12 +126,12 @@ def scan_corpus(
     """{incident id: mask} of a .csv or .json corpus file, detected by
     extension, in file order, and the ingestion report.
 
-    ``bits`` maps every known technique id to the bits it sets (strategy bits
-    from ``strategies._technique_bits``, or one bit per catalog technique for
-    ``classify``); a missing key is an unknown id, which lenient mode drops
-    and records and strict mode rejects. A row's mask is the OR of the bits
-    of its known ids. Given ``rows``, the scan also appends each row to it, as
-    (incident_id, title, year, targets, technique ids).
+    ``bits`` is a ``technique_table``: of strategy bits, of one bit per
+    catalog technique for ``classify``, or of none. A missing key is an
+    unknown id, which lenient mode drops and records and strict mode
+    rejects. A row's mask is the OR of the bits of its known ids. Given
+    ``rows``, the scan also appends each row to it, as (incident_id, title,
+    year, targets, technique ids).
     """
     path = Path(path)
     source = str(path)
@@ -265,8 +270,8 @@ def _strings(value: object) -> bool:
 
 def _document_error(text: str, source: str, message: str) -> ParseError:
     """The shape error ``message``, unless the whole text has a syntax error:
-    then ``documents.parse_json`` raises that, with json.loads' own message."""
-    documents.parse_json(text, f"{source}: corpus document")
+    then ``documents.decode_json`` raises that, with json.loads' own message."""
+    documents.decode_json(text, f"{source}: corpus document")
     return ParseError(f"{source}: {message}")
 
 
@@ -372,7 +377,7 @@ def _corpus(rows: list[Row], known: Mapping[str, int], source: str) -> Corpus:
 def loads_corpus_csv(
     text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<csv>"
 ) -> tuple[Corpus, IngestionReport]:
-    known = technique_table(taxonomy)
+    known = technique_table(taxonomy, {})
     rows: list[Row] = []
     _, report = _scan_csv(io.StringIO(text), source, known, mode, rows)
     return _corpus(rows, known, source), report
@@ -381,7 +386,7 @@ def loads_corpus_csv(
 def loads_corpus_json(
     text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<json>"
 ) -> tuple[Corpus, IngestionReport]:
-    known = technique_table(taxonomy)
+    known = technique_table(taxonomy, {})
     rows: list[Row] = []
     _, report = _scan_json(text, source, known, mode, rows)
     return _corpus(rows, known, source), report
@@ -391,7 +396,7 @@ def ingest_corpus(
     path: str | Path, taxonomy: Taxonomy, mode: str = "strict"
 ) -> tuple[Corpus, IngestionReport]:
     """Load a corpus from a .csv or .json file, detected by extension."""
-    known = technique_table(taxonomy)
+    known = technique_table(taxonomy, {})
     rows: list[Row] = []
     _, report = scan_corpus(path, known, mode, rows)
     return _corpus(rows, known, str(Path(path))), report

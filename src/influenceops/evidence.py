@@ -10,11 +10,13 @@ for the bundled catalog) and one strategy list per strategy mask (at most
 128).
 
 The masks come from the same scan of the corpus file as ``ingest_corpus``
-(``corpus.scan_corpus``, with a per-technique table), so every input fails
-with the same error. The output is
-the same text as ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the
-per-incident documents built from ``classify_corpus(...).profiles``, or the
-same ``id: NR+NS`` lines with ``--pretty``.
+(``corpus.scan_corpus``), with a table from the same builder
+(``corpus.technique_table``), so every input fails with the same error and
+the same technique ids are unknown. Strategies are rendered in catalog
+order, which is the canonical order. The output is the same text as
+``json.dumps(doc, indent=2, ensure_ascii=False)`` of the per-incident
+documents built from ``classify_corpus(...).profiles``, or the same
+``id: NR+NS`` lines with ``--pretty``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from .corpus import IngestionReport, scan_corpus, technique_table
-from .strategies import STRATEGY_ORDER, StrategyCatalog
+from .strategies import StrategyCatalog
 from .taxonomy import Taxonomy
 
 # The string escaping of json.dumps(..., ensure_ascii=False).
@@ -44,12 +46,8 @@ def ingest_technique_masks(
     Bit k of a mask is set when the incident carries the k-th catalog
     technique. Same checks, errors and ingestion report as ``ingest_corpus``.
     """
-    table = technique_table(taxonomy)
-    for k, technique_id in enumerate(_catalog_techniques(catalog)):
-        # An id outside the taxonomy stays unknown, so its bit is never set.
-        if technique_id in table:
-            table[technique_id] = 1 << k
-    masks, report = scan_corpus(path, table, mode)
+    bits = {t: 1 << k for k, t in enumerate(_catalog_techniques(catalog))}
+    masks, report = scan_corpus(path, technique_table(taxonomy, bits), mode)
     return masks.items(), report
 
 
@@ -69,14 +67,11 @@ def _matches(pairs, catalog: StrategyCatalog, strict_prep: bool):
     """(incident id, strategy mask, evidence blocks) per pair.
 
     Bit i of a strategy mask is ``catalog.strategies[i]``. The evidence
-    blocks are JSON object members, in canonical strategy order.
+    blocks are JSON object members, in catalog order.
     """
     bit = {t: 1 << k for k, t in enumerate(_catalog_techniques(catalog))}
-    order = sorted(range(len(catalog.strategies)),
-                   key=lambda i: STRATEGY_ORDER.index(catalog.strategies[i].id))
     strategies = []
-    for i in order:
-        s = catalog.strategies[i]
+    for i, s in enumerate(catalog.strategies):
         preps = sorted(s.preparation_techniques)
 
         def block(matched, s=s, preps=preps):

@@ -154,7 +154,7 @@ def load_generator_spec(path: str | Path) -> GeneratorSpec:
 
 def _canonical_pattern_key(catalog: StrategyCatalog):
     def key(pattern: frozenset[str]) -> tuple:
-        return (-len(pattern), tuple(catalog.order_index(s) for s in catalog.sort_ids(pattern)))
+        return (-len(pattern), tuple(sorted(map(catalog.order_index, pattern))))
 
     return key
 

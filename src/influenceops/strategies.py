@@ -8,17 +8,17 @@ found in the incident are recorded as supporting evidence only. An optional
 strict mode additionally requires at least one preparation technique, which
 can only ever shrink a profile.
 
-A classified corpus reduces to a histogram over strategy masks, where bit i
-stands for ``catalog.strategies[i]``: with seven strategies there are at most
-128 bins, and every corpus statistic is a function of them. Per-incident
-profiles with their evidence are computed only when asked for.
-
-``_technique_bits`` is the one table from technique id to strategy bits. The
-histogram of a materialised corpus and ``ingest_histogram`` both read it;
-``ingest_histogram`` hands it to the corpus file's scan
-(``corpus.scan_corpus``), which yields one raw mask per incident without
-building incidents, and counts those masks. A ClassifiedCorpus built from a
-histogram has every statistic but no profiles.
+A catalog holds its strategies in ``STRATEGY_ORDER``, however it was built,
+so bit i of a strategy mask, ``catalog.strategies[i]``, is also the i-th
+strategy in display order. A classified corpus is its histogram over
+strategy masks: with seven strategies there are at most 128 bins, and every
+corpus statistic is a function of them. ``classify_corpus`` counts the bins
+of a materialised corpus; ``ingest_histogram`` counts them straight from the
+corpus file's scan (``corpus.scan_corpus``), which yields one raw mask per
+incident without building incidents. Both read ``_technique_bits``, the one
+table from technique id to strategy bits. Per-incident profiles with their
+evidence exist only for a corpus built by ``classify_corpus``, and are
+computed when asked for.
 
 The ``classify`` command does not use this module's profiles either: it
 scans the file into per-technique masks and renders them (``evidence.py``).
@@ -69,6 +69,12 @@ class StrategyCatalog:
         ids = [s.id for s in self.strategies]
         if len(set(ids)) != len(ids):
             raise SchemaError(f"duplicate strategy ids in catalog: {ids}")
+        unknown = [i for i in ids if i not in STRATEGY_ORDER]
+        if unknown:
+            raise SchemaError(f"unknown strategy id {unknown[0]!r}; expected one of {', '.join(STRATEGY_ORDER)}")
+        # Canonical enumeration order, whatever order the strategies came in.
+        ordered = tuple(sorted(self.strategies, key=lambda s: STRATEGY_ORDER.index(s.id)))
+        object.__setattr__(self, "strategies", ordered)
 
     @cached_property
     def _by_id(self) -> dict[str, StrategyDefinition]:
@@ -83,13 +89,9 @@ class StrategyCatalog:
     def order_index(self, strategy_id: str) -> int:
         return STRATEGY_ORDER.index(strategy_id)
 
-    def sort_ids(self, strategy_ids) -> tuple[str, ...]:
-        """Order a set of strategy ids by the canonical enumeration."""
-        return tuple(sorted(strategy_ids, key=STRATEGY_ORDER.index))
-
     def ids_of_mask(self, mask: int) -> tuple[str, ...]:
         """Canonically ordered ids of the strategies whose bits are set in mask."""
-        return self.sort_ids(s.id for i, s in enumerate(self.strategies) if mask >> i & 1)
+        return tuple(s.id for i, s in enumerate(self.strategies) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -107,49 +109,20 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class ClassifiedCorpus:
-    """A corpus classified against a catalog.
-
-    Built by ``classify_corpus`` over a materialised corpus, or by
-    ``ingest_histogram`` from a histogram alone, with ``corpus`` None: that
-    one has every statistic but no per-incident profiles.
+    """A corpus classified against a catalog: incident count per strategy
+    mask (bit i is ``catalog.strategies[i]``, mask 0 unmapped, only non-empty
+    bins). Profiles need the ``corpus``, which ``ingest_histogram`` leaves None.
     """
 
-    corpus: Corpus | None
     catalog: StrategyCatalog
+    histogram: dict[int, int]
+    total_count: int
+    source: str
     strict_prep: bool = False
-
-    @classmethod
-    def from_histogram(
-        cls,
-        histogram: dict[int, int],
-        total_count: int,
-        source: str,
-        catalog: StrategyCatalog,
-        strict_prep: bool = False,
-    ) -> ClassifiedCorpus:
-        cc = cls(None, catalog, strict_prep)
-        # Fill the cached properties that would otherwise read the incidents.
-        vars(cc).update(histogram=histogram, total_count=total_count, source=source)
-        return cc
+    corpus: Corpus | None = None
 
     def __len__(self) -> int:
         return self.total_count
-
-    @cached_property
-    def histogram(self) -> dict[int, int]:
-        """Incident count per strategy mask; mask 0 counts the unmapped incidents.
-
-        Bit i of a mask is ``catalog.strategies[i]``. Only non-empty bins are
-        present. Computed on first use, without building any profile.
-        """
-        get = _technique_bits(self.catalog, self.strict_prep).get
-        raw: Counter[int] = Counter()
-        for incident in self.corpus.incidents:
-            m = 0
-            for technique_id in incident.techniques:
-                m |= get(technique_id, 0)
-            raw[m] += 1
-        return _fold_masks(raw, self.catalog, self.strict_prep)
 
     @cached_property
     def profiles(self) -> tuple[StrategyProfile, ...]:
@@ -197,27 +170,16 @@ class ClassifiedCorpus:
     def mapped_count(self) -> int:
         return self.total_count - self.histogram.get(0, 0)
 
-    @cached_property
-    def total_count(self) -> int:
-        return len(self.corpus)
 
-    @cached_property
-    def source(self) -> str:
-        return self.corpus.source
-
-
-def _technique_bits(
-    catalog: StrategyCatalog, strict_prep: bool = False, taxonomy: Taxonomy | None = None
-) -> dict[str, int]:
+def _technique_bits(catalog: StrategyCatalog, strict_prep: bool = False) -> dict[str, int]:
     """Technique id -> the bits it contributes to an incident's raw mask.
 
     An execution technique sets bit i of each strategy i it executes. In
     strict mode a preparation technique sets bit i + n, n being the number
-    of strategies. Given a taxonomy, every one of its techniques is a key,
-    with 0 for those of no strategy, so that a missing key is an unknown id.
+    of strategies. Techniques of no strategy are not keys.
     """
     n = len(catalog.strategies)
-    bits = technique_table(taxonomy) if taxonomy is not None else {}
+    bits: dict[str, int] = {}
     for i, strategy in enumerate(catalog.strategies):
         owned = [(strategy.execution_technique, 1 << i)]
         if strict_prep:
@@ -255,9 +217,9 @@ def ingest_histogram(
     result has no profiles.
     """
     path = Path(path)
-    masks, report = scan_corpus(path, _technique_bits(catalog, strict_prep, taxonomy), mode)
+    masks, report = scan_corpus(path, technique_table(taxonomy, _technique_bits(catalog, strict_prep)), mode)
     histogram = _fold_masks(Counter(masks.values()), catalog, strict_prep)
-    return ClassifiedCorpus.from_histogram(histogram, len(masks), str(path), catalog, strict_prep), report
+    return ClassifiedCorpus(catalog, histogram, len(masks), str(path), strict_prep), report
 
 
 def check_disjointness(catalog: StrategyCatalog) -> ValidationReport:
@@ -309,12 +271,6 @@ def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
         if not isinstance(preps, list) or not all(isinstance(p, str) for p in preps):
             raise SchemaError(f"{where}: 'preparation_techniques' must be an array of ids")
         strategy_id = entry["id"]
-        if strategy_id not in STRATEGY_ORDER:
-            raise SchemaError(
-                f"{where}: unknown strategy id {strategy_id!r}; "
-                f"expected one of {', '.join(STRATEGY_ORDER)}"
-            )
-
         exec_id = entry["execution_technique"]
         if not taxonomy.has_technique(exec_id):
             raise UnknownTechnique(
@@ -348,8 +304,6 @@ def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
             )
         )
 
-    # Canonical enumeration order regardless of document order.
-    strategies.sort(key=lambda s: STRATEGY_ORDER.index(s.id))
     catalog = StrategyCatalog(tuple(strategies), taxonomy_version)
     report = check_disjointness(catalog)
     if not report.ok:
@@ -390,8 +344,16 @@ def classify_corpus(
     """Classify every incident, preserving corpus order.
 
     Incidents with at least one strategy are "mapped", the rest "unmapped".
-    The mask histogram and the profiles are computed lazily, on first use.
+    The mask histogram is counted here; the profiles on first use.
     """
     if not corpus.incidents:
         raise EmptyCorpus("cannot classify an empty corpus")
-    return ClassifiedCorpus(corpus, catalog, strict_prep)
+    get = _technique_bits(catalog, strict_prep).get
+    raw: Counter[int] = Counter()
+    for incident in corpus.incidents:
+        m = 0
+        for technique_id in incident.techniques:
+            m |= get(technique_id, 0)
+        raw[m] += 1
+    histogram = _fold_masks(raw, catalog, strict_prep)
+    return ClassifiedCorpus(catalog, histogram, len(corpus), corpus.source, strict_prep, corpus)

@@ -25,7 +25,7 @@ from influenceops.corpus import (
     IngestionReport,
     technique_table,
 )
-from influenceops.documents import parse_json
+from influenceops.documents import decode_json
 from influenceops.errors import (
     DuplicateIncidentId,
     EmptyCorpus,
@@ -80,7 +80,7 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[Row]:
 
 def _json_rows(text: str, source: str) -> Iterator[Row]:
     """Checked rows of a JSON document."""
-    doc = parse_json(text, f"{source}: corpus document")
+    doc = decode_json(text, f"{source}: corpus document")
     if not isinstance(doc, list):
         raise ParseError(f"{source}: corpus JSON must be an array of incident objects")
 
@@ -193,7 +193,7 @@ class RowChecker:
 def _build_corpus(
     rows: Iterable[Row], taxonomy: Taxonomy, mode: str, source: str
 ) -> tuple[Corpus, IngestionReport]:
-    known = technique_table(taxonomy)
+    known = technique_table(taxonomy, {})
     checker = RowChecker(known, mode, source)
     incidents: list[Incident] = []
     for incident_id, title, year, targets, technique_ids in rows:

@@ -282,6 +282,42 @@ def test_generate_accepts_seed_zero(tmp_path):
     assert zero.read_bytes() == default.read_bytes()
 
 
+def test_catalog_with_a_lone_surrogate_is_a_parse_error(tmp_path, hand_corpus_csv, capsys):
+    doc = json.loads(bundled_data_path("catalog.json").read_text(encoding="utf-8"))
+    doc["strategies"][0]["name"] = "Narrative \ud800 Release"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "g.dot"
+    for argv in (["stats"], ["graph", "--kind", "cooccurrence", "--format", "dot"]):
+        assert main([*argv, "--catalog", str(catalog), "--corpus", hand_corpus_csv, "--out", str(out)]) == 1
+        assert "ParseError" in capsys.readouterr().err
+        assert not out.exists()
+
+
+UNREAD_FLAGS = [
+    (["validate"], ["--out", "F"]),
+    (["validate"], ["--pretty"]),
+    (["validate"], ["--strict-prep"]),
+    (["graph", "--kind", "cooccurrence"], ["--pretty"]),
+    (["generate", "--spec", FIXTURE_SPEC], ["--corpus", "c.csv"]),
+    (["generate", "--spec", FIXTURE_SPEC], ["--corpus", "json"]),  # not --corpus-format
+    (["generate", "--spec", FIXTURE_SPEC], ["--strict"]),
+    (["generate", "--spec", FIXTURE_SPEC], ["--lenient"]),
+    (["generate", "--spec", FIXTURE_SPEC], ["--strict-prep"]),
+    (["generate", "--spec", FIXTURE_SPEC], ["--pretty"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[" ".join(c[:1] + f) for c, f in UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, *flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_parser_is_not_built_at_import():
     import os
     import subprocess

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from influenceops import (
     ingest_corpus,
     loads_corpus_csv,
     loads_corpus_json,
+    loads_taxonomy,
 )
+from influenceops.resources import bundled_data_path
 
 from helpers import corpus_of, incident
 
@@ -147,6 +150,23 @@ def test_csv_quotes_line_ends_on_every_python():
         b'I-2,"a\r\nb",2020,"a\r\nb|B",T0049|T0115\n'
         b'I-3,"a\nb",2020,"a\nb|B",T0049|T0115\n'
     )
+
+
+def test_csv_round_trip_of_nul(taxonomy):
+    """NUL in a title, a target and a technique id: read back exactly from
+    Python 3.11 on; 3.10's csv reader refuses NUL, which is a typed error."""
+    doc = json.loads(bundled_data_path("taxonomy.json").read_text(encoding="utf-8"))
+    doc["techniques"].append({"id": "T\x00NUL", "name": "NUL technique", "parent_id": "TA09"})
+    with_nul = loads_taxonomy(json.dumps(doc))
+    corpus = Corpus((Incident("I-1", "a\x00b", 2020, ("E\x00U",), frozenset({"T0115", "T\x00NUL"})),), "<csv>")
+    text = corpus_to_csv(corpus)
+    assert text == "incident_id,title,year,targets,techniques\nI-1,a\x00b,2020,E\x00U,T\x00NUL|T0115\n"
+    if sys.version_info < (3, 11):
+        with pytest.raises(ParseError, match="row 1: line contains NUL"):
+            loads_corpus_csv(text, with_nul)
+    else:
+        again, _ = loads_corpus_csv(text, with_nul)
+        assert again == corpus
 
 
 def test_json_round_trip(taxonomy):

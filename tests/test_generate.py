@@ -323,6 +323,12 @@ def test_spec_parse_errors():
         )
 
 
+def test_spec_lone_surrogate_escape_is_parse_error():
+    doc = {"mode": "marginal-solver", "marginals": {"N\ud800R": 1}, "size_distribution": {"1": 1}}
+    with pytest.raises(ParseError, match="cannot be encoded as UTF-8"):
+        loads_generator_spec(json.dumps(doc))
+
+
 @pytest.mark.parametrize("value", ['"no"', "0", "1", "null", "[]"])
 def test_spec_include_preparation_must_be_boolean(value):
     with pytest.raises(SchemaError, match="include_preparation"):

@@ -87,9 +87,3 @@ def test_stats_path_builds_no_profiles(catalog):
     build_report(cc)
     assert "profiles" not in vars(cc)
     assert len(cc.profiles) == 2
-
-
-def test_classify_path_builds_no_histogram(catalog):
-    cc = classify_corpus(corpus_of([{"T0115"}, set()]), catalog)
-    assert [p.mapped for p in cc.profiles] == [True, False]
-    assert "histogram" not in vars(cc)

@@ -19,6 +19,7 @@ import io
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,10 +38,11 @@ from influenceops import (
     loads_corpus_json,
 )
 from influenceops.cli import main
-from influenceops.corpus import CSV_HEADER
-from influenceops.evidence import classification_json, classification_text, ingest_technique_masks
+from influenceops.corpus import CSV_HEADER, DroppedTechnique
+from influenceops.evidence import _matches, classification_json, classification_text, ingest_technique_masks
 from influenceops.resources import bundled_data_path
 from influenceops.strategies import (
+    STRATEGY_ORDER,
     ClassifiedCorpus,
     StrategyCatalog,
     ingest_histogram,
@@ -347,10 +349,64 @@ def test_each_wrong_json_type_is_the_reference_shape_error(taxonomy, catalog, tm
 
 
 def test_histogram_built_corpus_has_statistics_but_no_profiles(catalog):
-    cc = ClassifiedCorpus.from_histogram({0: 1, 0b11: 2}, 3, "src", catalog)
+    cc = ClassifiedCorpus(catalog, {0: 1, 0b11: 2}, 3, "src")
     assert (len(cc), cc.total_count, cc.mapped_count, cc.source) == (3, 3, 2, "src")
     with pytest.raises(ValueError):
         cc.profiles
+
+
+def test_catalog_technique_outside_the_taxonomy_is_unknown_on_every_path(taxonomy, catalog, tmp_path):
+    # NR executes, and NS prepares with, ids that the taxonomy lacks.
+    hand_built = StrategyCatalog(
+        tuple(
+            replace(s, execution_technique="T9999") if s.id == "NR"
+            else replace(s, preparation_techniques=s.preparation_techniques | {"T4242"}) if s.id == "NS"
+            else s
+            for s in catalog.strategies
+        ),
+        catalog.taxonomy_version,
+    )
+    ns = hand_built.by_id("NS").execution_technique
+    path = tmp_path / "outside.csv"
+    path.write_text(
+        ",".join(CSV_HEADER) + f"\nI-1,a,2020,,T0115\nI-2,b,2020,,T9999|{ns}|T4242\nI-3,c,2020,,{ns}\n",
+        encoding="utf-8",
+    )
+
+    def histograms(mode, strict_prep):
+        cc, report = ingest_histogram(path, taxonomy, hand_built, mode, strict_prep)
+        corpus, corpus_report = ingest_corpus(path, taxonomy, mode)
+        pairs, pairs_report = ingest_technique_masks(path, taxonomy, hand_built, mode)
+        from_pairs = Counter(sm for _, sm, _ in _matches(pairs, hand_built, strict_prep))
+        return (
+            (dict(cc.histogram), report.dropped),
+            (dict(classify_corpus(corpus, hand_built, strict_prep).histogram), corpus_report.dropped),
+            (dict(from_pairs), pairs_report.dropped),
+        )
+
+    for strict_prep in (False, True):
+        messages = set()
+        for ingest in (
+            lambda: ingest_histogram(path, taxonomy, hand_built, "strict", strict_prep),
+            lambda: ingest_corpus(path, taxonomy, "strict"),
+            lambda: ingest_technique_masks(path, taxonomy, hand_built, "strict"),
+        ):
+            with pytest.raises(UnknownTechnique) as excinfo:
+                ingest()
+            messages.add(str(excinfo.value))
+        assert messages == {f"{path}: incident 2 ('I-2') references unknown technique 'T9999'"}
+        first, *others = histograms("lenient", strict_prep)
+        assert all(other == first for other in others)
+        assert first[1] == (DroppedTechnique("I-2", "T9999"), DroppedTechnique("I-2", "T4242"))
+    # NR's execution technique is never known, so NR never matches.
+    ns_bit = 1 << hand_built.ids().index("NS")
+    assert histograms("lenient", False)[0][0] == {0: 1, ns_bit: 2}
+    assert histograms("lenient", True)[0][0] == {0: 3}
+
+
+def canonical(strategy_ids):
+    """The ids in the canonical enumeration order, whatever the catalog's."""
+    return [s for s in STRATEGY_ORDER if s in strategy_ids]
 
 
 def reference_classify(path, taxonomy, catalog, mode, strict_prep, pretty):
@@ -360,15 +416,15 @@ def reference_classify(path, taxonomy, catalog, mode, strict_prep, pretty):
     cc = classify_corpus(corpus, catalog, strict_prep)
     if pretty:
         lines = [
-            f"{p.incident_id}: {'+'.join(catalog.sort_ids(p.strategies)) or '(unmapped)'}"
+            f"{p.incident_id}: {'+'.join(canonical(p.strategies)) or '(unmapped)'}"
             for p in cc.profiles
         ]
         return "\n".join(lines) + "\n"
     doc = [
         {
             "incident_id": p.incident_id,
-            "strategies": list(catalog.sort_ids(p.strategies)),
-            "evidence": {sid: list(p.evidence[sid]) for sid in catalog.sort_ids(p.strategies)},
+            "strategies": canonical(p.strategies),
+            "evidence": {sid: list(p.evidence[sid]) for sid in canonical(p.strategies)},
         }
         for p in cc.profiles
     ]
@@ -460,9 +516,10 @@ def test_streaming_commands_build_no_incident(monkeypatch, tmp_path, taxonomy):
 
     monkeypatch.setattr(corpus_module, "Incident", no_object)
     monkeypatch.setattr(strategies_module, "StrategyProfile", no_object)
-    for argv in (["stats"], ["graph", "--kind", "cooccurrence"], ["validate"],
-                 ["classify"], ["classify", "--strict-prep", "--pretty"]):
-        assert main([*argv, "--corpus", str(path), "--out", str(tmp_path / "o")]) == 0
+    out = ["--out", str(tmp_path / "o")]  # validate takes no --out: it prints
+    for argv in (["stats", *out], ["graph", "--kind", "cooccurrence", *out], ["validate"],
+                 ["classify", *out], ["classify", "--strict-prep", "--pretty", *out]):
+        assert main([*argv, "--corpus", str(path)]) == 0
     with pytest.raises(AssertionError):
         ingest_corpus(path, taxonomy)
 
@@ -502,11 +559,13 @@ def corpus_bytes(draw):
 def test_loader_fuzz_exits_with_a_code(scratch, data, suffix, command):
     path = scratch / f"fuzz{suffix}"
     path.write_bytes(data)
-    # --out encodes the output as UTF-8, as a UTF-8 stdout would.
-    out = str(scratch / "fuzz.out")
+    # --out encodes the output as UTF-8, as a UTF-8 stdout would. validate
+    # takes no --out; it prints the corpus's strings only through repr(),
+    # which escapes a lone surrogate.
+    out = [] if command == "validate" else ["--out", str(scratch / "fuzz.out")]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main([command, "--lenient", "--corpus", str(path), "--out", out]) in (0, 1, 2)
-        assert main([command, "--corpus", str(path), "--out", out]) in (0, 1, 2)
+        assert main([command, "--lenient", "--corpus", str(path), *out]) in (0, 1, 2)
+        assert main([command, "--corpus", str(path), *out]) in (0, 1, 2)
 
 
 def document_argv(flag, path, out):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from influenceops import (
     DisjointnessViolation,
     EmptyCorpus,
+    ParseError,
     PhaseViolation,
     SchemaError,
     StrategyCatalog,
@@ -15,11 +17,19 @@ from influenceops import (
     check_disjointness,
     classify_corpus,
     classify_incident,
+    conditional_probabilities,
+    cooccurrence,
     loads_strategy_catalog,
 )
+from influenceops.graphexport import GRAPH_FORMATS, export_graph
+from influenceops.report import build_report, report_to_json, report_to_text
 from influenceops.resources import bundled_data_path
+from influenceops.strategies import ingest_histogram
 
 from helpers import corpus_from_profiles, corpus_of, incident
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def catalog_doc():
@@ -76,6 +86,17 @@ def test_unknown_technique_reference(taxonomy):
         loads_strategy_catalog(json.dumps(doc), taxonomy)
 
 
+def test_lone_surrogate_escape_is_parse_error(taxonomy):
+    doc = catalog_doc()
+    strategy_entry(doc, "NR")["name"] = "Narrative \ud800 Release"
+    with pytest.raises(ParseError, match=r"string 'Narrative \\ud800 Release' cannot be encoded as UTF-8"):
+        loads_strategy_catalog(json.dumps(doc), taxonomy)
+    # An escaped surrogate pair is one character, which encodes.
+    strategy_entry(doc, "NR")["name"] = "Narrative \U0001f600 Release"
+    assert "\\ud83d\\ude00" in json.dumps(doc)
+    assert loads_strategy_catalog(json.dumps(doc), taxonomy).by_id("NR").name == "Narrative \U0001f600 Release"
+
+
 def test_unknown_strategy_id_rejected(taxonomy):
     doc = catalog_doc()
     strategy_entry(doc, "TD")["id"] = "XX"
@@ -88,6 +109,27 @@ def test_catalog_order_is_canonical_regardless_of_document_order(taxonomy):
     doc["strategies"].reverse()
     catalog = loads_strategy_catalog(json.dumps(doc), taxonomy)
     assert catalog.ids() == ("NR", "NS", "NA", "CNR", "NM", "TD", "IP")
+
+
+def test_hand_built_catalog_with_an_unknown_strategy_id_is_a_schema_error(catalog):
+    odd = StrategyDefinition("XX", "Unknown", "T0115", frozenset())
+    with pytest.raises(SchemaError, match="unknown strategy id 'XX'"):
+        StrategyCatalog((*catalog.strategies[:3], odd), catalog.taxonomy_version)
+
+
+def test_hand_built_catalog_in_reverse_order_is_canonical(taxonomy, catalog):
+    reversed_catalog = StrategyCatalog(catalog.strategies[::-1], catalog.taxonomy_version)
+    assert reversed_catalog.strategies == catalog.strategies
+    outputs = []
+    for built in (catalog, reversed_catalog):
+        cc, _ = ingest_histogram(GOLDEN / "fixture_corpus.csv", taxonomy, built)
+        graphs = (cooccurrence(cc), conditional_probabilities(cc, 3))
+        outputs.append((
+            report_to_json(build_report(cc)),
+            report_to_text(build_report(cc)),
+            [export_graph(graph, fmt) for graph in graphs for fmt in GRAPH_FORMATS],
+        ))
+    assert outputs[0] == outputs[1]
 
 
 # --- disjointness checker ----------------------------------------------------

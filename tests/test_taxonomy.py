@@ -85,6 +85,13 @@ def test_malformed_document_is_parse_error():
         loads_taxonomy("{not json")
 
 
+def test_lone_surrogate_escape_is_parse_error():
+    doc = bundled_doc()
+    doc["techniques"][0]["name"] = "Narrative \ud800 Release"
+    with pytest.raises(ParseError, match="cannot be encoded as UTF-8"):
+        loads_taxonomy(json.dumps(doc))
+
+
 def test_table1_profile_flags_tactic_count_mismatch(taxonomy):
     # TA08 has no techniques in the bundled file, so dropping it leaves
     # referential integrity intact and only the count check fires.
