@@ -40,7 +40,8 @@ def parse_json(text: str, what: str, object_pairs_hook=None) -> object:
     """The decoded JSON document, every string of which, key or value, can be
     written as UTF-8; ``what`` names it in the error."""
     doc = decode_json(text, what, object_pairs_hook)
-    pending = [doc]
+    # A lone surrogate comes from a \u escape or is in the text itself.
+    pending = [doc] if "\\u" in text or not text.isascii() else []
     while pending:
         value = pending.pop()
         if type(value) is dict:
