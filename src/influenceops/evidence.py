@@ -10,8 +10,8 @@ for the bundled catalog) and one strategy list per strategy mask (at most
 128).
 
 The masks come from the same scan of the corpus file as ``ingest_corpus``
-(``corpus.scan_corpus``), with a table from the same builder
-(``corpus.technique_table``), so every input fails with the same error and
+(``corpus.scan_corpus``), and both scan tables come from
+``corpus.technique_table``, so every input fails with the same error and
 the same technique ids are unknown. Strategies are rendered in catalog
 order, which is the canonical order. The output is the same text as
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the per-incident
