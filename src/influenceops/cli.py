@@ -109,7 +109,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        Path(out).write_bytes(text.encode("utf-8"))  # encoded before the file is opened
 
 
 def _load_inputs(args):

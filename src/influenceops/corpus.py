@@ -20,11 +20,12 @@ gives each row's technique ids, and returns ``{incident_id: mask}`` in file
 order with the ingestion report. ``technique_table`` builds every such
 table: its keys are exactly the taxonomy's technique ids, so every consumer
 knows the same ids. The three consumers differ only in the table's bits and
-in what they keep: ``strategies.ingest_histogram`` (``validate``,
-``stats``, ``graph``) counts strategy masks, ``evidence.ingest_technique_masks``
-(``classify``) keeps per-technique masks, and the library ``ingest_corpus``
-also passes a list that the scan collects full rows into, which it keeps as
-``Incident`` objects. So all three raise the same error on every input.
+in what they keep: ``strategies.ingest_histogram`` (``validate``, ``stats``,
+``graph``) counts strategy masks, ``evidence.ingest_technique_masks``
+(``classify``) keeps masks over ``StrategyCatalog.technique_bits``, and the
+library ``ingest_corpus`` passes a list that the scan collects full rows
+into, which it keeps as ``Incident`` objects. So all three raise the same
+error on every input.
 
 A CSV file is parsed as it is read. A JSON document is decoded one array
 element at a time, so no document-sized list of incidents is built. Where

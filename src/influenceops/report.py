@@ -24,6 +24,16 @@ from .render import fraction_payload, json_text, percent_string
 from .strategies import ClassifiedCorpus
 
 
+def _escaped(source: str) -> str:
+    """The corpus path as UTF-8 text: a byte that is not UTF-8, which Python
+    holds as a lone surrogate, as ``\\xff``, any other lone surrogate as
+    ``\\ud800``; a UTF-8 path is unchanged."""
+    try:
+        return source.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    except UnicodeEncodeError:
+        return source.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def build_report(
     cc: ClassifiedCorpus, ingest_mode: str = "strict", min_support: int = 1
 ) -> dict:
@@ -39,7 +49,7 @@ def build_report(
         "taxonomy_version": cc.catalog.taxonomy_version,
         "catalog_strategies": list(cc.catalog.ids()),
         "config": {
-            "corpus_source": cc.source,
+            "corpus_source": _escaped(cc.source),
             "ingest_mode": ingest_mode,
             "strict_prep": cc.strict_prep,
             "min_support": min_support,

@@ -12,25 +12,23 @@ A catalog holds its strategies in ``STRATEGY_ORDER``, however it was built,
 so bit i of a strategy mask, ``catalog.strategies[i]``, is also the i-th
 strategy in display order. A classified corpus is its histogram over
 strategy masks: with seven strategies there are at most 128 bins, and every
-corpus statistic is a function of them. ``classify_corpus`` counts the bins
-of a materialised corpus; ``ingest_histogram`` counts them straight from the
-corpus file's scan (``corpus.scan_corpus``), which yields one raw mask per
-incident without building incidents. Both read ``_technique_bits``, the one
-table from technique id to strategy bits. Per-incident profiles with their
-evidence exist only for a corpus built by ``classify_corpus``, and are
-computed when asked for.
+corpus statistic is a function of them.
 
-The ``classify`` command does not use this module's profiles either: it
-scans the file into per-technique masks and renders them (``evidence.py``).
-``classify_corpus``, ``classify_incident`` and ``ClassifiedCorpus.profiles``
-remain the library API and the reference that its output is tested against.
+The rule is stated twice, and the tests hold both to a set-based reference.
+``match_strategies`` matches masks over ``catalog.technique_bits``: it gives
+``classify_corpus`` its histogram, ``classify_incident`` and
+``ClassifiedCorpus.profiles`` their profiles, and the ``classify`` command
+its output (``evidence.py``). ``ingest_histogram`` (``validate``, ``stats``,
+``graph``) scans the corpus file (``corpus.scan_corpus``) into masks of
+strategy bits (``_technique_bits``) and folds them, building no incident.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .corpus import Corpus, Incident, IngestionReport, scan_corpus, technique_table
@@ -93,6 +91,18 @@ class StrategyCatalog:
         """Canonically ordered ids of the strategies whose bits are set in mask."""
         return tuple(s.id for i, s in enumerate(self.strategies) if mask >> i & 1)
 
+    @cached_property
+    def technique_bits(self) -> dict[str, int]:
+        """Technique id -> its bit in a technique mask, one per catalog technique."""
+        ids = dict.fromkeys(t for s in self.strategies for t in sorted(s.technique_ids()))
+        return {t: 1 << k for k, t in enumerate(ids)}
+
+    def evidence_item(self, i: int, matched: int) -> tuple[str, tuple[str, ...]]:
+        """(strategy id, evidence ids) of strategy i: its execution technique,
+        then its preparation techniques in the technique mask ``matched``, sorted."""
+        s, bits = self.strategies[i], self.technique_bits
+        return s.id, (s.execution_technique, *(p for p in sorted(s.preparation_techniques) if matched & bits[p]))
+
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -129,10 +139,7 @@ class ClassifiedCorpus:
         """Per-incident strategies and evidence, in corpus order."""
         if self.corpus is None:
             raise ValueError("a corpus classified from a histogram has no profiles")
-        return tuple(
-            classify_incident(incident, self.catalog, self.strict_prep)
-            for incident in self.corpus.incidents
-        )
+        return tuple(_profiles(self.corpus.incidents, self.catalog, self.strict_prep))
 
     @property
     def mapped_profiles(self) -> tuple[StrategyProfile, ...]:
@@ -189,19 +196,6 @@ def _technique_bits(catalog: StrategyCatalog, strict_prep: bool = False) -> dict
     return bits
 
 
-def _fold_masks(raw: Counter[int], catalog: StrategyCatalog, strict_prep: bool) -> Counter[int]:
-    """Histogram of strategy masks from the counts of raw masks, which are
-    ORs of ``_technique_bits`` values."""
-    # In strict mode preparation bits sit n places above execution bits,
-    # so m & m >> n keeps the strategies that have both; otherwise the
-    # shift is 0 and the mask is m itself.
-    shift = len(catalog.strategies) if strict_prep else 0
-    histogram: Counter[int] = Counter()
-    for m, count in raw.items():
-        histogram[m & m >> shift] += count
-    return histogram
-
-
 def ingest_histogram(
     path: str | Path,
     taxonomy: Taxonomy,
@@ -218,7 +212,13 @@ def ingest_histogram(
     """
     path = Path(path)
     masks, report = scan_corpus(path, technique_table(taxonomy, _technique_bits(catalog, strict_prep)), mode)
-    histogram = _fold_masks(Counter(masks.values()), catalog, strict_prep)
+    # In strict mode preparation bits sit n places above execution bits,
+    # so m & m >> n keeps the strategies that have both; otherwise the
+    # shift is 0 and the mask is m itself.
+    shift = len(catalog.strategies) if strict_prep else 0
+    histogram: Counter[int] = Counter()
+    for m, count in Counter(masks.values()).items():
+        histogram[m & m >> shift] += count
     return ClassifiedCorpus(catalog, histogram, len(masks), str(path), strict_prep), report
 
 
@@ -315,6 +315,57 @@ def load_strategy_catalog(path: str | Path, taxonomy: Taxonomy) -> StrategyCatal
     return loads_strategy_catalog(read_text(path, "catalog file"), taxonomy)
 
 
+class _Memo(dict):
+    """A dict that computes a missing key's value once, with ``compute(key)``."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def match_strategies(
+    pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool, found
+) -> Iterator[tuple[str, int, list]]:
+    """(incident id, strategy mask, [found(i, matched) per matched strategy i])
+    per (incident id, technique mask) pair. Strategy i matches when the mask
+    holds its execution technique and, under ``strict_prep``, one of its
+    preparation techniques, whose mask is ``matched``. ``found`` runs once per
+    (i, matched); incidents share its values."""
+    bits = catalog.technique_bits
+    strategies = [(1 << i, bits[s.execution_technique], sum(bits[p] for p in s.preparation_techniques),
+                   _Memo(partial(found, i))) for i, s in enumerate(catalog.strategies)]
+    for incident_id, tm in pairs:
+        sm = 0
+        evidence = []
+        for strategy_bit, execution_bit, prep_bits, found_of in strategies:
+            if tm & execution_bit:
+                matched = tm & prep_bits
+                if matched or not strict_prep:
+                    sm |= strategy_bit
+                    evidence.append(found_of[matched])
+        yield incident_id, sm, evidence
+
+
+def _technique_masks(incidents: Iterable[Incident], catalog: StrategyCatalog) -> Iterator[tuple[str, int]]:
+    get = catalog.technique_bits.get
+    for incident in incidents:
+        m = 0
+        for technique_id in incident.techniques:
+            m |= get(technique_id, 0)
+        yield incident.incident_id, m
+
+
+def _profiles(incidents: Iterable[Incident], catalog: StrategyCatalog, strict_prep: bool) -> Iterator:
+    pairs = _technique_masks(incidents, catalog)
+    for incident_id, _, items in match_strategies(pairs, catalog, strict_prep, catalog.evidence_item):
+        evidence = dict(items)
+        yield StrategyProfile(incident_id, frozenset(evidence), evidence)
+
+
 def classify_incident(
     incident: Incident, catalog: StrategyCatalog, strict_prep: bool = False
 ) -> StrategyProfile:
@@ -325,17 +376,7 @@ def classify_incident(
     execution technique first, then any matched preparation techniques.
     Depends only on the incident's technique set and the catalog.
     """
-    matched: list[str] = []
-    evidence: dict[str, tuple[str, ...]] = {}
-    for strategy in catalog.strategies:
-        if strategy.execution_technique not in incident.techniques:
-            continue
-        preps = sorted(strategy.preparation_techniques & incident.techniques)
-        if strict_prep and not preps:
-            continue
-        matched.append(strategy.id)
-        evidence[strategy.id] = (strategy.execution_technique, *preps)
-    return StrategyProfile(incident.incident_id, frozenset(matched), evidence)
+    return next(_profiles([incident], catalog, strict_prep))
 
 
 def classify_corpus(
@@ -348,12 +389,6 @@ def classify_corpus(
     """
     if not corpus.incidents:
         raise EmptyCorpus("cannot classify an empty corpus")
-    get = _technique_bits(catalog, strict_prep).get
-    raw: Counter[int] = Counter()
-    for incident in corpus.incidents:
-        m = 0
-        for technique_id in incident.techniques:
-            m |= get(technique_id, 0)
-        raw[m] += 1
-    histogram = _fold_masks(raw, catalog, strict_prep)
+    pairs = _technique_masks(corpus.incidents, catalog)
+    histogram = Counter(sm for _, sm, _ in match_strategies(pairs, catalog, strict_prep, lambda i, m: None))
     return ClassifiedCorpus(catalog, histogram, len(corpus), corpus.source, strict_prep, corpus)

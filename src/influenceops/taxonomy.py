@@ -115,12 +115,6 @@ class Taxonomy:
         tech = self.technique(technique_id)
         return self.phase(self.tactic(tech.tactic_id).phase_id)
 
-    def tactics_of_phase(self, phase_id: str) -> tuple[Tactic, ...]:
-        return tuple(t for t in self.tactics if t.phase_id == phase_id)
-
-    def techniques_of_tactic(self, tactic_id: str) -> tuple[Technique, ...]:
-        return tuple(t for t in self.techniques if t.tactic_id == tactic_id)
-
 
 def validate_taxonomy(taxonomy: Taxonomy) -> ValidationReport:
     """Check every structural invariant and report each violation.

@@ -1,5 +1,6 @@
 """The ingest pipeline that each format's fused scan in ``influenceops.corpus``
-replaced, kept as an independent reference for the tests.
+replaced, and the set-based classification rule that the package's mask
+matcher replaced, kept as independent references for the tests.
 
 A row parser per format (``_csv_rows``, ``_json_rows``) does every parse and
 shape check and yields rows; ``RowChecker`` does the domain checks (duplicate
@@ -8,6 +9,13 @@ JSON document is parsed whole with ``json.loads`` before its rows are read.
 The package shares no ingest code with this module, so the tests hold its
 scans, and the commands built on them, to the same results and the same
 errors on every document.
+
+``classify_incident`` states the rule over technique-id sets: a strategy
+matches iff its execution technique is present (and, under ``strict_prep``,
+one of its preparation techniques). The package states it over bit masks,
+in ``strategies.match_strategies`` and in ``ingest_histogram``'s fold, and
+the tests hold the profiles, the histograms and the ``classify`` output to
+this function.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from influenceops.errors import (
     ParseError,
     UnknownTechnique,
 )
+from influenceops.strategies import StrategyCatalog, StrategyProfile
 from influenceops.taxonomy import Taxonomy
 
 # incident_id, title, year, targets, technique ids
@@ -222,3 +231,26 @@ def loads_corpus_json(
     text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<json>"
 ) -> tuple[Corpus, IngestionReport]:
     return _build_corpus(_json_rows(text, source), taxonomy, mode, source)
+
+
+def classify_incident(
+    incident: Incident, catalog: StrategyCatalog, strict_prep: bool = False
+) -> StrategyProfile:
+    """Infer the incident's strategy set from its technique ids.
+
+    A strategy matches iff its execution technique is present (strict mode
+    also demands one of its preparation techniques). Evidence lists the
+    execution technique first, then any matched preparation techniques.
+    Depends only on the incident's technique set and the catalog.
+    """
+    matched: list[str] = []
+    evidence: dict[str, tuple[str, ...]] = {}
+    for strategy in catalog.strategies:
+        if strategy.execution_technique not in incident.techniques:
+            continue
+        preps = sorted(strategy.preparation_techniques & incident.techniques)
+        if strict_prep and not preps:
+            continue
+        matched.append(strategy.id)
+        evidence[strategy.id] = (strategy.execution_technique, *preps)
+    return StrategyProfile(incident.incident_id, frozenset(matched), evidence)

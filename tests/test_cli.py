@@ -330,3 +330,60 @@ def test_parser_is_not_built_at_import():
     env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "0"
+
+
+# --- a corpus path that is not UTF-8 ----------------------------------------
+
+
+def run_cli(argv, cwd):
+    """The CLI in a process of its own, whose stdout bytes are what it wrote."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import influenceops
+
+    env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "influenceops.cli", *argv], cwd=cwd, capture_output=True, env=env)
+
+
+@pytest.fixture()
+def non_utf8_corpus(tmp_path):
+    """A copy of the fixture corpus named c<0xff>.csv, as Python holds that name."""
+    import os
+    from pathlib import Path
+
+    name = os.fsdecode(b"c\xff.csv")
+    try:
+        (tmp_path / name).write_bytes((Path(__file__).parent / "golden" / "fixture_corpus.csv").read_bytes())
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("this file system takes no file name that is not UTF-8")
+    return name
+
+
+def test_stats_of_a_non_utf8_corpus_path_prints_utf8(tmp_path, non_utf8_corpus):
+    result = run_cli(["stats", "--corpus", non_utf8_corpus], tmp_path)
+    assert (result.returncode, result.stderr) == (0, b"")
+    report = json.loads(result.stdout.decode("utf-8"))
+    assert report["config"]["corpus_source"] == "c\\xff.csv"
+
+
+def test_stats_out_of_a_non_utf8_corpus_path_is_the_stdout_bytes(tmp_path, non_utf8_corpus):
+    printed = run_cli(["stats", "--corpus", non_utf8_corpus], tmp_path)
+    written = run_cli(["stats", "--corpus", non_utf8_corpus, "--out", "out.json"], tmp_path)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert (tmp_path / "out.json").read_bytes() == printed.stdout
+
+
+def test_report_escapes_a_lone_surrogate_in_its_source(catalog):
+    from influenceops.report import build_report, report_to_json
+    from influenceops.strategies import ClassifiedCorpus
+
+    def source_of(source):
+        text = report_to_json(build_report(ClassifiedCorpus(catalog, {1: 1}, 1, source)))
+        return json.loads(text.encode("utf-8"))["config"]["corpus_source"]
+
+    assert source_of("c\ud800.csv") == "c\\ud800.csv"
+    assert source_of("c\udcff\ud800.csv") == "c\\udcff\\ud800.csv"
+    assert source_of("dir/été 😀,\\x.csv") == "dir/été 😀,\\x.csv"

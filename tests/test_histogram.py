@@ -1,4 +1,5 @@
-"""The strategy-mask histogram against per-incident classification and the oracle."""
+"""The strategy-mask histogram and the profiles against the set-based
+reference rule (`reference_ingest.classify_incident`) and the oracle."""
 
 from collections import Counter
 
@@ -9,6 +10,7 @@ from influenceops import StrategyCatalog, classify_corpus, classify_incident
 from influenceops.report import build_report
 
 import oracle
+import reference_ingest
 from helpers import corpus_of
 
 
@@ -30,15 +32,13 @@ def mask_of(catalog, strategy_ids):
 def check_histogram(catalog, technique_sets, strict_prep):
     corpus = corpus_of(technique_sets)
     cc = classify_corpus(corpus, catalog, strict_prep)
-    expected = Counter(
-        mask_of(catalog, classify_incident(i, catalog, strict_prep).strategies)
-        for i in corpus.incidents
-    )
+    reference = [reference_ingest.classify_incident(i, catalog, strict_prep) for i in corpus.incidents]
+    expected = Counter(mask_of(catalog, p.strategies) for p in reference)
     assert cc.histogram == expected
     assert cc.total_count == len(technique_sets)
-    assert cc.mapped_count == sum(1 for p in cc.profiles if p.mapped)
+    assert cc.mapped_count == sum(1 for p in reference if p.mapped)
 
-    profiles = [set(p.strategies) for p in cc.profiles if p.mapped]
+    profiles = [set(p.strategies) for p in reference if p.mapped]
     if not profiles:
         return
     table = cc.superset_sums
@@ -65,6 +65,31 @@ def test_histogram_matches_profiles_four_strategies(catalog, data, strict_prep):
     # The pool keeps the other strategies' techniques: they must set no bit.
     sets = data.draw(technique_sets_over(technique_pool(catalog)))
     check_histogram(small, sets, strict_prep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["bundled", "reversed", "four"]), strict_prep=st.booleans())
+def test_profiles_and_histogram_match_the_set_based_reference(taxonomy, catalog, data, which, strict_prep):
+    chosen = {
+        "bundled": catalog,
+        "reversed": StrategyCatalog(catalog.strategies[::-1], catalog.taxonomy_version),
+        "four": four_strategy_catalog(catalog),
+    }[which]
+    used = sorted(set().union(*(s.technique_ids() for s in catalog.strategies)))
+    others = sorted({t.id for t in taxonomy.techniques} - set(used))
+    ids = st.one_of(st.sampled_from(used), st.sampled_from(others), st.sampled_from(["X0002", "T9999", "t0115"]))
+    corpus = corpus_of(data.draw(st.lists(st.sets(ids, max_size=12), min_size=1, max_size=12)))
+    reference = [reference_ingest.classify_incident(i, chosen, strict_prep) for i in corpus.incidents]
+
+    def as_lists(profiles):
+        # Evidence in catalog order, as the reference lists it.
+        return [(p.incident_id, p.strategies, list(p.evidence.items())) for p in profiles]
+
+    profiles = [classify_incident(i, chosen, strict_prep) for i in corpus.incidents]
+    assert as_lists(profiles) == as_lists(reference)
+    cc = classify_corpus(corpus, chosen, strict_prep)
+    assert as_lists(cc.profiles) == as_lists(reference)
+    assert cc.histogram == Counter(mask_of(chosen, p.strategies) for p in reference)
 
 
 def test_saturated_incident_fills_the_top_bin(catalog):

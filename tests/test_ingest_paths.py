@@ -9,8 +9,8 @@ histogram, counts and ingestion report, or the same exception and message.
 The library `ingest_corpus`, `loads_corpus_csv` and `loads_corpus_json` must
 build the reference's incidents and report, or raise its error. `classify`
 renders per-technique masks; its output must be the bytes of the
-reference's profiles rendered as the command did before it streamed, or the
-same error.
+reference's set-based profiles (`reference_ingest.classify_incident`)
+rendered as the command did before it streamed, or the same error.
 """
 
 import contextlib
@@ -39,7 +39,7 @@ from influenceops import (
 )
 from influenceops.cli import main
 from influenceops.corpus import CSV_HEADER, DroppedTechnique
-from influenceops.evidence import _matches, classification_json, classification_text, ingest_technique_masks
+from influenceops.evidence import classification_json, classification_text, ingest_technique_masks
 from influenceops.resources import bundled_data_path
 from influenceops.strategies import (
     STRATEGY_ORDER,
@@ -47,6 +47,7 @@ from influenceops.strategies import (
     StrategyCatalog,
     ingest_histogram,
     loads_strategy_catalog,
+    match_strategies,
 )
 
 MODES = [(mode, strict_prep) for mode in ("strict", "lenient") for strict_prep in (False, True)]
@@ -377,7 +378,7 @@ def test_catalog_technique_outside_the_taxonomy_is_unknown_on_every_path(taxonom
         cc, report = ingest_histogram(path, taxonomy, hand_built, mode, strict_prep)
         corpus, corpus_report = ingest_corpus(path, taxonomy, mode)
         pairs, pairs_report = ingest_technique_masks(path, taxonomy, hand_built, mode)
-        from_pairs = Counter(sm for _, sm, _ in _matches(pairs, hand_built, strict_prep))
+        from_pairs = Counter(sm for _, sm, _ in match_strategies(pairs, hand_built, strict_prep, lambda i, m: None))
         return (
             (dict(cc.histogram), report.dropped),
             (dict(classify_corpus(corpus, hand_built, strict_prep).histogram), corpus_report.dropped),
@@ -410,14 +411,14 @@ def canonical(strategy_ids):
 
 
 def reference_classify(path, taxonomy, catalog, mode, strict_prep, pretty):
-    """The `classify` output rendered from the profiles of the reference's
-    corpus, as the command did before it streamed."""
+    """The `classify` output rendered from the reference's set-based profiles
+    of the reference's corpus, as the command did before it streamed."""
     corpus, _ = reference_ingest.ingest_corpus(path, taxonomy, mode)
-    cc = classify_corpus(corpus, catalog, strict_prep)
+    profiles = [reference_ingest.classify_incident(i, catalog, strict_prep) for i in corpus.incidents]
     if pretty:
         lines = [
             f"{p.incident_id}: {'+'.join(canonical(p.strategies)) or '(unmapped)'}"
-            for p in cc.profiles
+            for p in profiles
         ]
         return "\n".join(lines) + "\n"
     doc = [
@@ -426,7 +427,7 @@ def reference_classify(path, taxonomy, catalog, mode, strict_prep, pretty):
             "strategies": canonical(p.strategies),
             "evidence": {sid: list(p.evidence[sid]) for sid in canonical(p.strategies)},
         }
-        for p in cc.profiles
+        for p in profiles
     ]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
