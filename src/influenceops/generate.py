@@ -135,6 +135,8 @@ def loads_generator_spec(text: str) -> GeneratorSpec:
     include_preparation = doc.get("include_preparation", False)
     if not isinstance(include_preparation, bool):
         raise SchemaError("generator spec: 'include_preparation' must be true or false")
+    if not isinstance(doc.get("notes", ""), str):
+        raise SchemaError("generator spec: 'notes' must be a string")
 
     return GeneratorSpec(
         mode=mode,

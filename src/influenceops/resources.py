@@ -8,16 +8,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .generate import GeneratorSpec, loads_generator_spec
-from .strategies import StrategyCatalog, loads_strategy_catalog
-from .taxonomy import Taxonomy, loads_taxonomy
+from .generate import GeneratorSpec, load_generator_spec
+from .strategies import StrategyCatalog, load_strategy_catalog
+from .taxonomy import Taxonomy, load_taxonomy
 
 
 _DATA = Path(__file__).parent / "data"
-
-
-def _read(name: str) -> str:
-    return (_DATA / name).read_text(encoding="utf-8")
 
 
 def bundled_data_path(name: str) -> Path:
@@ -26,15 +22,15 @@ def bundled_data_path(name: str) -> Path:
 
 
 def load_bundled_taxonomy() -> Taxonomy:
-    return loads_taxonomy(_read("taxonomy.json"))
+    return load_taxonomy(_DATA / "taxonomy.json")
 
 
 def load_bundled_catalog(taxonomy: Taxonomy | None = None) -> StrategyCatalog:
     if taxonomy is None:
         taxonomy = load_bundled_taxonomy()
-    return loads_strategy_catalog(_read("catalog.json"), taxonomy)
+    return load_strategy_catalog(_DATA / "catalog.json", taxonomy)
 
 
 def load_fixture_spec() -> GeneratorSpec:
     """Generator spec for the synthetic 81-incident reference corpus."""
-    return loads_generator_spec(_read("fixture_spec.json"))
+    return load_generator_spec(_DATA / "fixture_spec.json")

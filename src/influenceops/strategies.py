@@ -244,6 +244,18 @@ def check_disjointness(catalog: StrategyCatalog) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _check_technique(taxonomy: Taxonomy, where: str, strategy_id: str, role: str, technique: str, phase: str):
+    """Raise unless the taxonomy has the technique, in the phase its role needs."""
+    if not taxonomy.has_technique(technique):
+        raise UnknownTechnique(f"{where}: {role} technique {technique!r} not in taxonomy")
+    found = taxonomy.phase_of_technique(technique).name
+    if found != phase:
+        raise PhaseViolation(
+            f"strategy {strategy_id}: {role} technique {technique!r} "
+            f"belongs to phase {found!r}, expected {phase!r}"
+        )
+
+
 def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
     """Parse a catalog JSON document and verify it against the taxonomy.
 
@@ -270,29 +282,14 @@ def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
         preps = entry.get("preparation_techniques")
         if not isinstance(preps, list) or not all(isinstance(p, str) for p in preps):
             raise SchemaError(f"{where}: 'preparation_techniques' must be an array of ids")
+        description = entry.get("description", "")
+        if not isinstance(description, str):
+            raise SchemaError(f"{where}: 'description' must be a string")
         strategy_id = entry["id"]
         exec_id = entry["execution_technique"]
-        if not taxonomy.has_technique(exec_id):
-            raise UnknownTechnique(
-                f"{where}: execution technique {exec_id!r} not in taxonomy"
-            )
-        exec_phase = taxonomy.phase_of_technique(exec_id).name
-        if exec_phase != "Execute":
-            raise PhaseViolation(
-                f"strategy {strategy_id}: execution technique {exec_id!r} "
-                f"belongs to phase {exec_phase!r}, expected 'Execute'"
-            )
+        _check_technique(taxonomy, where, strategy_id, "execution", exec_id, "Execute")
         for prep_id in preps:
-            if not taxonomy.has_technique(prep_id):
-                raise UnknownTechnique(
-                    f"{where}: preparation technique {prep_id!r} not in taxonomy"
-                )
-            prep_phase = taxonomy.phase_of_technique(prep_id).name
-            if prep_phase != "Prepare":
-                raise PhaseViolation(
-                    f"strategy {strategy_id}: preparation technique {prep_id!r} "
-                    f"belongs to phase {prep_phase!r}, expected 'Prepare'"
-                )
+            _check_technique(taxonomy, where, strategy_id, "preparation", prep_id, "Prepare")
 
         strategies.append(
             StrategyDefinition(
@@ -300,7 +297,7 @@ def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
                 name=entry["name"],
                 execution_technique=exec_id,
                 preparation_techniques=frozenset(preps),
-                description=entry.get("description", ""),
+                description=description,
             )
         )
 

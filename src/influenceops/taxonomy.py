@@ -1,10 +1,11 @@
 """Taxonomy data model: phases, tactics, techniques.
 
 A taxonomy is a three-level tree (phase -> tactic -> technique) loaded from
-a versioned JSON document. Loading enforces every structural invariant, so a
-`Taxonomy` obtained from `load_taxonomy` is always valid; `validate_taxonomy`
-re-checks hand-built objects and returns violations as data instead of
-raising. Instances are immutable and safe for concurrent reads.
+a versioned JSON document. The loader is the one place that checks a
+document, so a `Taxonomy` obtained from `load_taxonomy` is always valid and
+nothing re-checks it; `validate_taxonomy` also checks hand-built objects and
+returns violations as data instead of raising. Instances are immutable and
+safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
 
     def __str__(self) -> str:
         if self.ok:
@@ -143,26 +141,24 @@ def validate_taxonomy(taxonomy: Taxonomy) -> ValidationReport:
         if names != sorted(PHASE_NAMES):
             bad("phase-name", f"phase names {names} != {sorted(PHASE_NAMES)}")
 
-    phase_ids = {p.id for p in taxonomy.phases}
     seen_tactic_ids: set[str] = set()
     for tactic in taxonomy.tactics:
         if tactic.id in seen_tactic_ids:
             bad("duplicate-id", f"duplicate tactic id {tactic.id!r}")
         seen_tactic_ids.add(tactic.id)
-        if tactic.phase_id not in phase_ids:
+        if tactic.phase_id not in seen_phase_ids:
             bad(
                 "orphan-tactic",
                 f"tactic {tactic.id!r} references unknown phase {tactic.phase_id!r}",
             )
 
-    tactic_ids = {t.id for t in taxonomy.tactics}
     seen_technique_ids: set[str] = set()
     names_in_tactic: set[tuple[str, str]] = set()
     for tech in taxonomy.techniques:
         if tech.id in seen_technique_ids:
             bad("duplicate-id", f"duplicate technique id {tech.id!r}")
         seen_technique_ids.add(tech.id)
-        if tech.tactic_id not in tactic_ids:
+        if tech.tactic_id not in seen_tactic_ids:
             bad(
                 "orphan-technique",
                 f"technique {tech.id!r} references unknown tactic {tech.tactic_id!r}",
@@ -212,6 +208,26 @@ def _str_field(entry: dict, key: str, where: str) -> str:
     return value
 
 
+def _entries(doc: dict, key: str, build) -> tuple:
+    """The array ``doc[key]``, each entry an object built by ``build(entry, where)``."""
+    built = []
+    for i, entry in enumerate(doc[key]):
+        where = f"{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: must be an object")
+        built.append(build(entry, where))
+    return tuple(built)
+
+
+def _phase(entry: dict, where: str) -> Phase:
+    return Phase(_str_field(entry, "id", where), _str_field(entry, "name", where))
+
+
+def _child(cls):
+    """The builder of a tactic or technique entry, from its id, name and parent id."""
+    return lambda e, w: cls(_str_field(e, "id", w), _str_field(e, "name", w), _str_field(e, "parent_id", w))
+
+
 def loads_taxonomy(text: str) -> Taxonomy:
     """Parse a taxonomy JSON document and return a validated Taxonomy."""
     doc = parse_json(text, "taxonomy document")
@@ -223,51 +239,20 @@ def loads_taxonomy(text: str) -> Taxonomy:
         if not isinstance(_require(doc, key, "taxonomy"), list):
             raise SchemaError(f"taxonomy: field {key!r} must be an array")
 
-    phases = []
-    for i, entry in enumerate(doc["phases"]):
-        where = f"phases[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: must be an object")
-        phases.append(Phase(_str_field(entry, "id", where), _str_field(entry, "name", where)))
-
-    tactics = []
-    for i, entry in enumerate(doc["tactics"]):
-        where = f"tactics[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: must be an object")
-        tactics.append(
-            Tactic(
-                _str_field(entry, "id", where),
-                _str_field(entry, "name", where),
-                _str_field(entry, "parent_id", where),
-            )
-        )
-
-    techniques = []
-    for i, entry in enumerate(doc["techniques"]):
-        where = f"techniques[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: must be an object")
-        techniques.append(
-            Technique(
-                _str_field(entry, "id", where),
-                _str_field(entry, "name", where),
-                _str_field(entry, "parent_id", where),
-            )
-        )
-
     profile = doc.get("profile")
     if profile is not None and not isinstance(profile, str):
         raise SchemaError("taxonomy: field 'profile' must be a string")
+    if profile not in (None, TABLE1_PROFILE):
+        raise SchemaError(f"taxonomy: field 'profile' must be {TABLE1_PROFILE!r}, not {profile!r}")
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, str):
         raise SchemaError("taxonomy: field 'provenance' must be a string")
 
     taxonomy = Taxonomy(
         version=version,
-        phases=tuple(phases),
-        tactics=tuple(tactics),
-        techniques=tuple(techniques),
+        phases=_entries(doc, "phases", _phase),
+        tactics=_entries(doc, "tactics", _child(Tactic)),
+        techniques=_entries(doc, "techniques", _child(Technique)),
         profile=profile,
         provenance=provenance,
     )

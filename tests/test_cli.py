@@ -1,8 +1,18 @@
+import argparse
+import contextlib
+import errno
+import io
 import json
+import os
+import stat
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from influenceops.cli import main
+from influenceops.cli import build_parser, main
+from influenceops.graphexport import GRAPH_FORMATS
 from influenceops.resources import bundled_data_path
 
 from helpers import corpus_from_profiles
@@ -319,10 +329,8 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch
 
 
 def test_parser_is_not_built_at_import():
-    import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import influenceops
 
@@ -335,25 +343,21 @@ def test_parser_is_not_built_at_import():
 # --- a corpus path that is not UTF-8 ----------------------------------------
 
 
-def run_cli(argv, cwd):
+def run_cli(argv, cwd, **kwargs):
     """The CLI in a process of its own, whose stdout bytes are what it wrote."""
-    import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import influenceops
 
     env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "influenceops.cli", *argv], cwd=cwd, capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-m", "influenceops.cli", *argv], cwd=cwd, capture_output=True, env=env,
+                          **kwargs)
 
 
 @pytest.fixture()
 def non_utf8_corpus(tmp_path):
     """A copy of the fixture corpus named c<0xff>.csv, as Python holds that name."""
-    import os
-    from pathlib import Path
-
     name = os.fsdecode(b"c\xff.csv")
     try:
         (tmp_path / name).write_bytes((Path(__file__).parent / "golden" / "fixture_corpus.csv").read_bytes())
@@ -387,3 +391,166 @@ def test_report_escapes_a_lone_surrogate_in_its_source(catalog):
     assert source_of("c\ud800.csv") == "c\\ud800.csv"
     assert source_of("c\udcff\ud800.csv") == "c\\udcff\\ud800.csv"
     assert source_of("dir/été 😀,\\x.csv") == "dir/été 😀,\\x.csv"
+
+
+# --- --out --------------------------------------------------------------------
+
+
+def test_out_replaces_a_regular_file_and_keeps_its_permission_bits(fixture_corpus_csv, tmp_path, capsys):
+    out = tmp_path / ("r" * 250 + ".json")  # the longest name most file systems take
+    out.write_bytes(b"old report\n")
+    out.chmod(0o640)
+    assert main(["stats", "--corpus", fixture_corpus_csv]) == 0
+    printed = capsys.readouterr().out
+    assert main(["stats", "--corpus", fixture_corpus_csv, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == printed
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_a_failed_replace_leaves_out_as_it_was(fixture_corpus_csv, tmp_path, monkeypatch, capsys):
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "report.json"
+    out.write_bytes(b"old report\n")
+    monkeypatch.setattr(os, "replace", disk_full)
+    assert main(["stats", "--corpus", fixture_corpus_csv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"I/O error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == b"old report\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_a_write_cut_short_by_the_file_size_limit_leaves_out_as_it_was(tmp_path):
+    resource = pytest.importorskip("resource")
+    corpus = Path(__file__).parent / "golden" / "fixture_corpus.csv"
+    out = tmp_path / "report.json"
+    out.write_bytes(b"old report\n")
+
+    def limit_file_size():  # the report is ~22 kB; CPython ignores SIGXFSZ, so the write fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    result = run_cli(["stats", "--corpus", str(corpus), "--out", "report.json"], tmp_path, preexec_fn=limit_file_size)
+    assert result.returncode == 2 and result.stderr.startswith(b"I/O error: ")
+    assert out.read_bytes() == b"old report\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_out_through_a_symlink_updates_its_target_and_keeps_the_link(fixture_corpus_csv, tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"old report\n")
+    link.symlink_to(target.name)
+    assert main(["stats", "--corpus", fixture_corpus_csv]) == 0
+    printed = capsys.readouterr().out
+    assert main(["stats", "--corpus", fixture_corpus_csv, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text(encoding="utf-8") == printed
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_out_to_dev_null(fixture_corpus_csv):
+    assert main(["stats", "--corpus", fixture_corpus_csv, "--out", os.devnull]) == 0
+
+
+# --- every flag, valid, boundary and hostile values ----------------------------
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory, fixture_corpus_csv):
+    """(valid, hostile) values of each path flag; --out values are relative to ``out_dir``."""
+    root = tmp_path_factory.mktemp("flags")
+    golden = Path(__file__).parent / "golden"
+    garbage = root / "garbage.json"
+    garbage.write_bytes(b'{"version": [\xff')
+    hostile = [os.devnull, "", str(root), str(root / "missing.json"), str(garbage), os.fsdecode(b"m\xff.json")]
+    corpora = [*(str(golden / name) for name in ("prep_corpus.csv", "fixture_corpus.json", "lenient_corpus.csv")),
+               fixture_corpus_csv]
+    surrogate = root / os.fsdecode(b"c\xff.csv")
+    try:
+        surrogate.write_bytes(Path(fixture_corpus_csv).read_bytes())
+        corpora.append(str(surrogate))
+    except (OSError, UnicodeEncodeError):
+        pass  # this file system takes no file name that is not UTF-8
+    out_dir = root / "out"
+    out_dir.mkdir()
+    return {
+        "taxonomy": ([str(bundled_data_path("taxonomy.json"))], hostile),
+        "catalog": ([str(bundled_data_path("catalog.json"))], hostile),
+        "corpus": (corpora, hostile),
+        "spec": ([FIXTURE_SPEC, str(golden / "exact_prep_spec.json")], hostile),
+        "out": (["new.json", "existing.json", os.devnull, os.fsdecode(b"o\xff.json")],
+                ["", ".", "missing/new.json", str(root)]),
+        "out_dir": out_dir,
+    }
+
+
+HOSTILE = st.sampled_from(["", "x", os.devnull, "\udcff", "-1", "--corpus"])
+INTS = st.one_of(st.integers(0, 100), st.sampled_from([2**63, 10**40])).map(str)
+HOSTILE_INTS = st.one_of(st.integers(-(10**40), -1).map(str), st.sampled_from(["1.5", "1e3", "0x10"]), HOSTILE)
+
+
+def flag_values(action, files):
+    """Strategies of the (valid and boundary, hostile) values of a flag."""
+    if action.dest in files:
+        valid, hostile = files[action.dest]
+        return st.sampled_from(valid), st.one_of(st.sampled_from(hostile), HOSTILE)
+    if action.type is int:
+        return INTS, HOSTILE_INTS
+    choices = action.choices or (GRAPH_FORMATS if action.dest == "fmt" else None)
+    if choices:
+        return st.sampled_from(sorted(choices)), HOSTILE
+    raise AssertionError(f"no values for {action.option_strings}: give the new flag some here")
+
+
+@st.composite
+def argvs(draw, files):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    command = draw(st.sampled_from(sorted(commands)))
+    argv = [command]
+    exclusive = {a for group in commands[command]._mutually_exclusive_groups for a in group._group_actions}
+    for action in commands[command]._actions:
+        # Hypothesis leans to 0, so 0 stands for the common case.
+        if isinstance(action, argparse._HelpAction):
+            wanted = draw(st.integers(0, 19)) == 19
+        elif action in exclusive:
+            wanted = draw(st.integers(0, 3)) == 3
+        else:
+            wanted = action.required or draw(st.integers(0, 3)) < 3
+        if not wanted:
+            continue
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            valid, hostile = flag_values(action, files)
+            argv.append(draw(hostile if draw(st.integers(0, 3)) == 3 else valid))
+    return argv
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_flag_exits_with_a_code_and_no_traceback(flag_files, data):
+    """Each subcommand and flag of the parser, with valid, boundary and hostile
+    values, exits 0, 1 or 2, prints UTF-8 and no traceback, and on failure
+    leaves the --out directory as it was."""
+    out_dir = flag_files["out_dir"]
+    for path in out_dir.iterdir():
+        path.unlink()
+    (out_dir / "existing.json").write_bytes(b"old\n")
+    argv = data.draw(argvs(flag_files), label="argv")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(out_dir)  # --out values are relative to it
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse: usage error or --help
+                rc = exc.code
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    stdout.getvalue().encode("utf-8")  # raises unless stdout is valid UTF-8
+    assert not [p for p in out_dir.iterdir() if p.suffix == ".tmp"]
+    if rc:
+        assert sorted(p.name for p in out_dir.iterdir()) == ["existing.json"]
+        assert (out_dir / "existing.json").read_bytes() == b"old\n"

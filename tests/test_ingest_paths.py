@@ -607,3 +607,27 @@ def test_unreadable_documents_exit_with_parse_error(tmp_path, capsys, flag, what
     assert main(document_argv(flag, str(path), str(tmp_path / "out"))) == 1
     err = capsys.readouterr().err
     assert err.startswith("ParseError: ") and what in err and where in err
+
+
+EXTRA_TACTIC = {"id": "TA99", "name": "Extra tactic", "parent_id": "P01"}
+
+
+@pytest.mark.parametrize("flag, name, edit, message", [
+    pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"][0].update(description={"not": "a string"}),
+                 "strategies[0]: 'description' must be a string", id="catalog-description"),
+    # A misspelt profile used to switch the Table 1 tactic counts off.
+    pytest.param("--taxonomy", "taxonomy.json",
+                 lambda doc: doc.update(profile="tabel1", tactics=[*doc["tactics"], EXTRA_TACTIC]),
+                 "taxonomy: field 'profile' must be 'table1', not 'tabel1'", id="taxonomy-profile"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(notes=["not", "a string"]),
+                 "generator spec: 'notes' must be a string", id="spec-notes"),
+])
+def test_a_schema_field_of_the_wrong_type_is_a_schema_error(tmp_path, capsys, flag, name, edit, message):
+    doc = json.loads(bundled_data_path(name).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(document_argv(flag, str(path), str(out))) == 1
+    assert capsys.readouterr().err == f"SchemaError: {message}\n"
+    assert not out.exists()
