@@ -124,7 +124,10 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_bytes(data)
         return
     temporary = os.path.join(os.path.dirname(out), f".influenceops-{os.urandom(6).hex()}.tmp")
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the path the user gave, not the temporary file
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with open(fd, "wb") as file:
             if mode is not None:

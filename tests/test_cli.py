@@ -448,6 +448,13 @@ def test_out_through_a_symlink_updates_its_target_and_keeps_the_link(fixture_cor
     assert sorted(tmp_path.iterdir()) == [link, target]
 
 
+def test_out_in_a_missing_directory_names_the_out_path(fixture_corpus_csv, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["stats", "--corpus", fixture_corpus_csv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"I/O error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_to_dev_null(fixture_corpus_csv):
     assert main(["stats", "--corpus", fixture_corpus_csv, "--out", os.devnull]) == 0
 
