@@ -60,14 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--taxonomy", help=f"taxonomy JSON path (default: bundled, or ${ENV_TAXONOMY})")
     inputs.add_argument("--catalog", help=f"strategy catalog JSON path (default: bundled, or ${ENV_CATALOG})")
-    corpus = argparse.ArgumentParser(add_help=False)
-    corpus.add_argument("--corpus", help="incident corpus (.csv or .json)")
-    mode = corpus.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="ingest_mode", action="store_const", const="strict",
-                      help="fail ingestion on any unknown technique id (default)")
-    mode.add_argument("--lenient", dest="ingest_mode", action="store_const", const="lenient",
-                      help="drop unknown technique ids per incident and report them")
-    corpus.set_defaults(ingest_mode="strict")
+    corpus, optional_corpus = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
+    for flags in (corpus, optional_corpus):
+        flags.add_argument("--corpus", required=flags is corpus, type=_path, help="incident corpus (.csv or .json)")
+        mode = flags.add_mutually_exclusive_group()
+        mode.add_argument("--strict", dest="ingest_mode", action="store_const", const="strict",
+                          help="fail ingestion on any unknown technique id (default)")
+        mode.add_argument("--lenient", dest="ingest_mode", action="store_const", const="lenient",
+                          help="drop unknown technique ids per incident and report them")
+        flags.set_defaults(ingest_mode="strict")
     strict_prep = argparse.ArgumentParser(add_help=False)
     strict_prep.add_argument("--strict-prep", action="store_true",
                              help="require a preparation technique in addition to the execution technique")
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     add_command = functools.partial(commands.add_parser, allow_abbrev=False)
 
-    add_command("validate", parents=[inputs, corpus],
+    add_command("validate", parents=[inputs, optional_corpus],
                 help="validate taxonomy, catalog, and (optionally) a corpus")
     add_command("classify", parents=[inputs, corpus, strict_prep, out, pretty],
                 help="classify each incident into strategies")
@@ -98,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--kind", choices=("cooccurrence", "conditional"), required=True)
     graph.add_argument("--format", dest="fmt", default="dot",
                        help=f"output format: {', '.join(GRAPH_FORMATS)}")
-    graph.add_argument("--min-support", type=int, default=1,
-                       help="conditional-graph source-count threshold (default 1)")
+    graph.add_argument("--min-support", type=int,
+                       help="conditional-graph source-count threshold (default 1); --kind conditional only")
 
     generate = add_command("generate", parents=[inputs, out], help="generate a synthetic corpus from a spec")
     generate.add_argument("--spec", required=True, help="generator spec JSON path")
@@ -109,6 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output document format (default csv)")
 
     return parser
+
+
+def _path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -147,19 +154,6 @@ def _load_inputs(args):
     return taxonomy, catalog
 
 
-def _require_corpus(args):
-    if not args.corpus:
-        raise InfluenceOpsError("this command needs --corpus")
-    return args.corpus
-
-
-def _classified(args, taxonomy, catalog):
-    """The corpus as a mask histogram, for ``stats`` and ``graph``."""
-    return ingest_corpus(
-        _require_corpus(args), taxonomy, catalog, args.ingest_mode, args.strict_prep
-    )
-
-
 def cmd_validate(args) -> int:
     taxonomy, catalog = _load_inputs(args)  # each loader raises on any rule it checks
     print("taxonomy: ok\ncatalog: ok")
@@ -173,7 +167,7 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     taxonomy, catalog = _load_inputs(args)
-    pairs, _ = ingest_technique_masks(_require_corpus(args), taxonomy, catalog, args.ingest_mode)
+    pairs, _ = ingest_technique_masks(args.corpus, taxonomy, catalog, args.ingest_mode)
     render = classification_text if args.pretty else classification_json
     _emit(render(pairs, catalog, args.strict_prep), args.out)
     return EXIT_OK
@@ -181,7 +175,7 @@ def cmd_classify(args) -> int:
 
 def cmd_stats(args) -> int:
     taxonomy, catalog = _load_inputs(args)
-    cc, _ = _classified(args, taxonomy, catalog)
+    cc, _ = ingest_corpus(args.corpus, taxonomy, catalog, args.ingest_mode, args.strict_prep)
     report = build_report(cc, ingest_mode=args.ingest_mode, min_support=args.min_support)
     _emit(report_to_text(report) if args.pretty else report_to_json(report), args.out)
     return EXIT_OK
@@ -193,11 +187,11 @@ def cmd_graph(args) -> int:
             f"unknown graph format {args.fmt!r}; expected one of {', '.join(GRAPH_FORMATS)}"
         )
     taxonomy, catalog = _load_inputs(args)
-    cc, _ = _classified(args, taxonomy, catalog)
+    cc, _ = ingest_corpus(args.corpus, taxonomy, catalog, args.ingest_mode, args.strict_prep)
     if args.kind == "cooccurrence":
         graph = cooccurrence(cc)
     else:
-        graph = conditional_probabilities(cc, args.min_support)
+        graph = conditional_probabilities(cc, 1 if args.min_support is None else args.min_support)
     _emit(export_graph(graph, args.fmt), args.out)
     return EXIT_OK
 
@@ -225,7 +219,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "graph" and args.kind == "cooccurrence" and args.min_support is not None:
+        parser.error("argument --min-support: not allowed with --kind cooccurrence")
     try:
         return _COMMANDS[args.command](args)
     except InfluenceOpsError as exc:

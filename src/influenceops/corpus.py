@@ -1,7 +1,12 @@
 """Incident corpora: ingestion, validation, serialization, and summaries.
 
-Two on-disk forms are supported and round-trip losslessly (except NUL in a
-CSV field on Python 3.10, whose csv reader refuses it: a ParseError):
+Two on-disk forms are supported and round-trip losslessly, with two
+exceptions. CSV joins ``targets`` and ``techniques`` with ``|`` and drops
+empty items when it reads them, so a list item that is empty or holds
+``|`` does not read back (``["US|EU", ""]`` reads back as ``("US", "EU")``),
+and a taxonomy technique id holding ``|`` cannot be referenced from CSV
+(``corpus_to_csv`` and ``generate`` write it unquoted). And Python 3.10's
+csv reader refuses NUL in a field: a ParseError.
 
 * CSV with header ``incident_id,title,year,targets,techniques`` where
   ``targets`` and ``techniques`` are ``|``-separated inside one RFC 4180
@@ -127,12 +132,12 @@ def scan_corpus(
     """{incident id: mask} of a .csv or .json corpus file, detected by
     extension, in file order, and the ingestion report.
 
-    ``bits`` is a ``technique_table``: of strategy bits, of one bit per
-    catalog technique for ``classify``, or of none. A missing key is an
-    unknown id, which lenient mode drops and records and strict mode
-    rejects. A row's mask is the OR of the bits of its known ids. Given
-    ``rows``, the scan also appends each row to it, as (incident_id, title,
-    year, targets, technique ids).
+    ``bits`` is a ``technique_table``: of ``StrategyCatalog.technique_bits``,
+    whole for ``classify`` or cut to the bits the rule reads, or of none. A
+    missing key is an unknown id, which lenient mode drops and records and
+    strict mode rejects. A row's mask is the OR of the bits of its known
+    ids. Given ``rows``, the scan also appends each row to it, as
+    (incident_id, title, year, targets, technique ids).
     """
     path = Path(path)
     source = str(path)

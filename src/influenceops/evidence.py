@@ -3,7 +3,9 @@
 ``classify`` prints, in corpus order, each incident's strategies and the
 technique ids behind them. It builds no Incident, Corpus or
 StrategyProfile. Each checked row is reduced to a technique mask over
-``catalog.technique_bits``, and only (incident id, mask) pairs are kept for
+``catalog.technique_bits`` (bit i for strategy i's execution technique, bit
+n + i and an own bit from 2n up for each of its preparation techniques),
+and only (incident id, mask) pairs are kept for
 ``strategies.match_strategies``, the matcher of the library's profiles. The
 output is put together from pieces that incidents share: one evidence block
 per strategy and subset of its preparation techniques (42 for the bundled
@@ -38,8 +40,9 @@ def ingest_technique_masks(
 ) -> tuple[Iterable[tuple[str, int]], IngestionReport]:
     """(incident id, technique mask) per incident of a corpus file, in file order.
 
-    Bit k of a mask is the k-th technique of ``catalog.technique_bits``. Same
-    checks, errors and ingestion report as ``ingest_corpus``.
+    A mask is the OR of its techniques' bits in the layout of
+    ``catalog.technique_bits``. Same checks, errors and ingestion report as
+    ``ingest_corpus``.
     """
     masks, report = scan_corpus(path, technique_table(taxonomy, catalog.technique_bits), mode)
     return masks.items(), report

@@ -14,13 +14,12 @@ strategy in display order. A classified corpus is its histogram over
 strategy masks: with seven strategies there are at most 128 bins, and every
 corpus statistic is a function of them.
 
-The rule is stated twice, and the tests hold both to a set-based reference.
-``match_strategies`` matches masks over ``catalog.technique_bits``: it gives
-``classify_corpus`` its histogram, ``classify_incident`` and
-``ClassifiedCorpus.profiles`` their profiles, and the ``classify`` command
-its output (``evidence.py``). ``ingest_histogram`` (``validate``, ``stats``,
-``graph``) scans the corpus file (``corpus.scan_corpus``) into masks of
-strategy bits (``_technique_bits``) and folds them, building no incident.
+The rule is stated once, as ``strategy_mask``, over technique masks in the
+one bit layout of ``catalog.technique_bits``. ``match_strategies`` applies
+it per incident for ``classify_incident``, ``ClassifiedCorpus.profiles`` and
+the ``classify`` command (``evidence.py``). ``classify_corpus`` and
+``ingest_histogram`` (``validate``, ``stats``, ``graph``) apply it once per
+distinct mask. The tests hold every path to a set-based reference.
 """
 
 from __future__ import annotations
@@ -93,13 +92,19 @@ class StrategyCatalog:
 
     @cached_property
     def technique_bits(self) -> dict[str, int]:
-        """Technique id -> its bit in a technique mask, one per catalog technique."""
-        ids = dict.fromkeys(t for s in self.strategies for t in sorted(s.technique_ids()))
-        return {t: 1 << k for k, t in enumerate(ids)}
+        """Technique id -> its bits in a technique mask. For n strategies, strategy
+        i's execution technique sets bit i, and each of its preparation techniques
+        bit n + i and an own bit 2n + k, k in order of first occurrence."""
+        n, bits, own = len(self.strategies), {}, {}
+        for i, s in enumerate(self.strategies):
+            bits[s.execution_technique] = bits.get(s.execution_technique, 0) | 1 << i
+            for p in sorted(s.preparation_techniques):
+                bits[p] = bits.get(p, 0) | 1 << n + i | 1 << 2 * n + own.setdefault(p, len(own))
+        return bits
 
     def evidence_item(self, i: int, matched: int) -> tuple[str, tuple[str, ...]]:
         """(strategy id, evidence ids) of strategy i: its execution technique,
-        then its preparation techniques in the technique mask ``matched``, sorted."""
+        then its preparation techniques whose own bits are in ``matched``, sorted."""
         s, bits = self.strategies[i], self.technique_bits
         return s.id, (s.execution_technique, *(p for p in sorted(s.preparation_techniques) if matched & bits[p]))
 
@@ -178,22 +183,18 @@ class ClassifiedCorpus:
         return self.total_count - self.histogram.get(0, 0)
 
 
-def _technique_bits(catalog: StrategyCatalog, strict_prep: bool = False) -> dict[str, int]:
-    """Technique id -> the bits it contributes to an incident's raw mask.
+def strategy_mask(m: int, n: int, strict_prep: bool) -> int:
+    """Bit i is set iff technique mask m holds strategy i's execution technique
+    and, under ``strict_prep``, one of its preparation techniques."""
+    return m & (m >> n if strict_prep else m) & (1 << n) - 1
 
-    An execution technique sets bit i of each strategy i it executes. In
-    strict mode a preparation technique sets bit i + n, n being the number
-    of strategies. Techniques of no strategy are not keys.
-    """
-    n = len(catalog.strategies)
-    bits: dict[str, int] = {}
-    for i, strategy in enumerate(catalog.strategies):
-        owned = [(strategy.execution_technique, 1 << i)]
-        if strict_prep:
-            owned.extend((p, 1 << (i + n)) for p in strategy.preparation_techniques)
-        for technique_id, bit in owned:
-            bits[technique_id] = bits.get(technique_id, 0) | bit
-    return bits
+
+def _histogram(masks: Iterable[int], n: int, strict_prep: bool) -> Counter[int]:
+    """Incident count per strategy mask, the rule applied once per distinct mask."""
+    histogram: Counter[int] = Counter()
+    for m, count in Counter(masks).items():
+        histogram[strategy_mask(m, n, strict_prep)] += count
+    return histogram
 
 
 def ingest_histogram(
@@ -211,14 +212,12 @@ def ingest_histogram(
     result has no profiles.
     """
     path = Path(path)
-    masks, report = scan_corpus(path, technique_table(taxonomy, _technique_bits(catalog, strict_prep)), mode)
-    # In strict mode preparation bits sit n places above execution bits,
-    # so m & m >> n keeps the strategies that have both; otherwise the
-    # shift is 0 and the mask is m itself.
-    shift = len(catalog.strategies) if strict_prep else 0
-    histogram: Counter[int] = Counter()
-    for m, count in Counter(masks.values()).items():
-        histogram[m & m >> shift] += count
+    n = len(catalog.strategies)
+    # The rule reads only the bits below n, or 2n: cut to them, masks take few values.
+    low = (1 << (2 * n if strict_prep else n)) - 1
+    bits = {t: b & low for t, b in catalog.technique_bits.items()}
+    masks, report = scan_corpus(path, technique_table(taxonomy, bits), mode)
+    histogram = _histogram(masks.values(), n, strict_prep)
     return ClassifiedCorpus(catalog, histogram, len(masks), str(path), strict_prep), report
 
 
@@ -328,23 +327,18 @@ def match_strategies(
     pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool, found
 ) -> Iterator[tuple[str, int, list]]:
     """(incident id, strategy mask, [found(i, matched) per matched strategy i])
-    per (incident id, technique mask) pair. Strategy i matches when the mask
-    holds its execution technique and, under ``strict_prep``, one of its
-    preparation techniques, whose mask is ``matched``. ``found`` runs once per
-    (i, matched); incidents share its values."""
-    bits = catalog.technique_bits
-    strategies = [(1 << i, bits[s.execution_technique], sum(bits[p] for p in s.preparation_techniques),
-                   _Memo(partial(found, i))) for i, s in enumerate(catalog.strategies)]
+    per (incident id, technique mask) pair; ``matched`` is the own bits of i's
+    preparation techniques in the mask. ``found`` runs once per (i, matched);
+    incidents share its values."""
+    n, bits = len(catalog.strategies), catalog.technique_bits
+    shift, low, own = (n if strict_prep else 0), (1 << n) - 1, -1 << 2 * n
+    # Own bits are masked before the sum: bit n + i, once per technique, would carry.
+    strategies = [(sum(bits[p] & own for p in s.preparation_techniques), _Memo(partial(found, i)))
+                  for i, s in enumerate(catalog.strategies)]
+    members = _Memo(lambda sm: [strategies[i] for i in range(n) if sm >> i & 1])
     for incident_id, tm in pairs:
-        sm = 0
-        evidence = []
-        for strategy_bit, execution_bit, prep_bits, found_of in strategies:
-            if tm & execution_bit:
-                matched = tm & prep_bits
-                if matched or not strict_prep:
-                    sm |= strategy_bit
-                    evidence.append(found_of[matched])
-        yield incident_id, sm, evidence
+        sm = tm & tm >> shift & low  # strategy_mask(tm, n, strict_prep), inlined in this loop
+        yield incident_id, sm, [found_of[tm & prep_bits] for prep_bits, found_of in members[sm]]
 
 
 def _technique_masks(incidents: Iterable[Incident], catalog: StrategyCatalog) -> Iterator[tuple[str, int]]:
@@ -386,6 +380,6 @@ def classify_corpus(
     """
     if not corpus.incidents:
         raise EmptyCorpus("cannot classify an empty corpus")
-    pairs = _technique_masks(corpus.incidents, catalog)
-    histogram = Counter(sm for _, sm, _ in match_strategies(pairs, catalog, strict_prep, lambda i, m: None))
+    masks = (m for _, m in _technique_masks(corpus.incidents, catalog))
+    histogram = _histogram(masks, len(catalog.strategies), strict_prep)
     return ClassifiedCorpus(catalog, histogram, len(corpus), corpus.source, strict_prep, corpus)

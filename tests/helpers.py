@@ -1,6 +1,8 @@
 """Small constructors shared by the test modules."""
 
-from influenceops import Corpus, Incident, classify_corpus
+from dataclasses import replace
+
+from influenceops import Corpus, Incident, StrategyCatalog, classify_corpus
 
 
 def incident(n, techniques, year=2020, title=None, targets=()):
@@ -31,3 +33,18 @@ def corpus_from_profiles(catalog, profiles, source="test"):
 
 def classified_from_profiles(catalog, profiles, source="test"):
     return classify_corpus(corpus_from_profiles(catalog, profiles, source), catalog)
+
+
+def non_disjoint_catalog(catalog):
+    """The catalog with two techniques of two roles each, as only a hand-built
+    catalog can have: NS also prepares with NR's execution technique, and NA
+    also prepares with NS's first preparation technique."""
+    nr, ns = catalog.by_id("NR"), catalog.by_id("NS")
+    extra = {"NS": nr.execution_technique, "NA": min(ns.preparation_techniques)}
+    return StrategyCatalog(
+        tuple(
+            replace(s, preparation_techniques=s.preparation_techniques | {extra[s.id]}) if s.id in extra else s
+            for s in catalog.strategies
+        ),
+        catalog.taxonomy_version,
+    )

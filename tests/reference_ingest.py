@@ -12,10 +12,10 @@ errors on every document.
 
 ``classify_incident`` states the rule over technique-id sets: a strategy
 matches iff its execution technique is present (and, under ``strict_prep``,
-one of its preparation techniques). The package states it over bit masks,
-in ``strategies.match_strategies`` and in ``ingest_histogram``'s fold, and
-the tests hold the profiles, the histograms and the ``classify`` output to
-this function.
+one of its preparation techniques). The package states it once, over bit
+masks of ``StrategyCatalog.technique_bits``, as ``strategies.strategy_mask``,
+and the tests hold the profiles, the histograms and the ``classify`` output
+to this function.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def read_corpus_rows(path: str | Path) -> tuple[Iterator[Row], str]:
 class RowChecker:
     """The domain checks of ingestion: duplicate ids and unknown technique ids.
 
-    ``bits`` maps every known technique id to the bits it sets (strategy bits
-    from ``strategies._technique_bits``, or one bit per catalog technique for
-    ``classify``); a missing key is an unknown id. The first
+    ``bits`` maps every known technique id to the bits it sets (bits of
+    ``StrategyCatalog.technique_bits``, or none); a missing key is an unknown
+    id. The first
     domain error is held rather than raised, and ``finish`` raises it, so that
     a parse error anywhere in the document wins over it.
     """

@@ -308,7 +308,7 @@ UNREAD_FLAGS = [
     (["validate"], ["--out", "F"]),
     (["validate"], ["--pretty"]),
     (["validate"], ["--strict-prep"]),
-    (["graph", "--kind", "cooccurrence"], ["--pretty"]),
+    (["graph", "--kind", "cooccurrence", "--corpus", "c.csv"], ["--pretty"]),
     (["generate", "--spec", FIXTURE_SPEC], ["--corpus", "c.csv"]),
     (["generate", "--spec", FIXTURE_SPEC], ["--corpus", "json"]),  # not --corpus-format
     (["generate", "--spec", FIXTURE_SPEC], ["--strict"]),
@@ -326,6 +326,45 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+CORPUS_USAGE_ERRORS = [
+    (["classify"], "the following arguments are required: --corpus"),
+    (["stats"], "the following arguments are required: --corpus"),
+    (["graph", "--kind", "cooccurrence"], "the following arguments are required: --corpus"),
+    (["validate", "--corpus", ""], "argument --corpus: expected a path, got an empty string"),
+    (["classify", "--corpus", ""], "argument --corpus: expected a path, got an empty string"),
+    (["stats", "--corpus", ""], "argument --corpus: expected a path, got an empty string"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CORPUS_USAGE_ERRORS, ids=[" ".join(a) for a, _ in CORPUS_USAGE_ERRORS])
+def test_a_missing_or_empty_corpus_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
+    # A taxonomy that fails to load shows that nothing is loaded first.
+    (tmp_path / "taxonomy.json").write_text("{", encoding="utf-8")
+    monkeypatch.setenv("INFLUENCEOPS_TAXONOMY", str(tmp_path / "taxonomy.json"))
+    out = tmp_path / "out.json"
+    if argv[0] != "validate":
+        argv = [*argv, "--out", str(out)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("support", ["1", "50", "-5"])
+def test_min_support_with_a_cooccurrence_graph_is_a_usage_error(tmp_path, hand_corpus_csv, capsys, support):
+    out = tmp_path / "g.dot"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["graph", "--kind", "cooccurrence", "--min-support", support, "--corpus", hand_corpus_csv,
+              "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "argument --min-support: not allowed with --kind cooccurrence" in capsys.readouterr().err
+    assert not out.exists()
+    # The conditional graph reads the flag: a negative threshold is a domain error.
+    assert main(["graph", "--kind", "conditional", "--min-support", "-5", "--corpus", hand_corpus_csv]) == 1
+    assert "NegativeSupport" in capsys.readouterr().err
 
 
 def test_parser_is_not_built_at_import():

@@ -169,6 +169,30 @@ def test_csv_round_trip_of_nul(taxonomy):
         assert again == corpus
 
 
+def test_csv_cannot_hold_an_empty_list_item_or_one_with_a_pipe(taxonomy):
+    """CSV joins a list with "|" and drops empty items when it reads one, so
+    such items do not round-trip: what CSV reads back is pinned here."""
+    json_text = '[{"incident_id": "I-1", "year": 2020, "targets": ["US|EU", ""], "techniques": ["T0115"]}]'
+    corpus, _ = loads_corpus_json(json_text, taxonomy)
+    assert corpus.incidents[0].targets == ("US|EU", "")
+    text = corpus_to_csv(corpus)
+    assert text == "incident_id,title,year,targets,techniques\nI-1,,2020,US|EU|,T0115\n"
+    again, _ = loads_corpus_csv(text, taxonomy)
+    assert again.incidents[0].targets == ("US", "EU")
+
+    # A taxonomy technique id holding "|" is written unquoted and read back as
+    # two ids, so CSV cannot reference it; JSON can.
+    doc = json.loads(bundled_data_path("taxonomy.json").read_text(encoding="utf-8"))
+    doc["techniques"].append({"id": "T|X", "name": "Pipe technique", "parent_id": "TA09"})
+    with_pipe = loads_taxonomy(json.dumps(doc))
+    corpus = Corpus((Incident("I-1", "a", 2020, (), frozenset({"T|X"})),), "<csv>")
+    text = corpus_to_csv(corpus)
+    assert text == "incident_id,title,year,targets,techniques\nI-1,a,2020,,T|X\n"
+    with pytest.raises(UnknownTechnique, match="references unknown technique 'T'"):
+        loads_corpus_csv(text, with_pipe)
+    assert loads_corpus_json(corpus_to_json(corpus), with_pipe)[0].incidents == corpus.incidents
+
+
 def test_json_round_trip(taxonomy):
     corpus, _ = loads_corpus_csv(CSV_OK, taxonomy)
     again, _ = loads_corpus_json(corpus_to_json(corpus), taxonomy)

@@ -11,7 +11,7 @@ from influenceops.report import build_report
 
 import oracle
 import reference_ingest
-from helpers import corpus_of
+from helpers import corpus_of, non_disjoint_catalog
 
 
 def technique_pool(catalog):
@@ -67,13 +67,15 @@ def test_histogram_matches_profiles_four_strategies(catalog, data, strict_prep):
     check_histogram(small, sets, strict_prep)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), which=st.sampled_from(["bundled", "reversed", "four"]), strict_prep=st.booleans())
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["bundled", "reversed", "four", "non-disjoint"]),
+       strict_prep=st.booleans())
 def test_profiles_and_histogram_match_the_set_based_reference(taxonomy, catalog, data, which, strict_prep):
     chosen = {
         "bundled": catalog,
         "reversed": StrategyCatalog(catalog.strategies[::-1], catalog.taxonomy_version),
         "four": four_strategy_catalog(catalog),
+        "non-disjoint": non_disjoint_catalog(catalog),
     }[which]
     used = sorted(set().union(*(s.technique_ids() for s in catalog.strategies)))
     others = sorted({t.id for t in taxonomy.techniques} - set(used))

@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_ingest
+from helpers import non_disjoint_catalog
 from influenceops import (
     DuplicateIncidentId,
     InfluenceOpsError,
@@ -403,6 +404,44 @@ def test_catalog_technique_outside_the_taxonomy_is_unknown_on_every_path(taxonom
     ns_bit = 1 << hand_built.ids().index("NS")
     assert histograms("lenient", False)[0][0] == {0: 1, ns_bit: 2}
     assert histograms("lenient", True)[0][0] == {0: 3}
+
+
+def test_a_technique_with_two_roles_is_classified_alike_on_every_path(taxonomy, catalog, tmp_path):
+    hand_built = non_disjoint_catalog(catalog)
+    nr, ns, na = (hand_built.by_id(s) for s in ("NR", "NS", "NA"))
+    shared = min(catalog.by_id("NS").preparation_techniques)
+    # Every subset of the three execution techniques, the two shared
+    # preparation techniques and one preparation technique of NS and of NA alone.
+    pool = [nr.execution_technique, ns.execution_technique, na.execution_technique, shared,
+            max(ns.preparation_techniques - {shared, nr.execution_technique}),
+            max(na.preparation_techniques - {shared})]
+    rows = ["|".join(t for k, t in enumerate(pool) if m >> k & 1) for m in range(1 << len(pool))]
+    path = tmp_path / "two_roles.csv"
+    path.write_text(
+        ",".join(CSV_HEADER) + "\n" + "".join(f"I-{m},t,2020,,{row}\n" for m, row in enumerate(rows)),
+        encoding="utf-8",
+    )
+    corpus, _ = ingest_corpus(path, taxonomy)
+    ids = hand_built.ids()
+    for strict_prep in (False, True):
+        reference = [reference_ingest.classify_incident(i, hand_built, strict_prep) for i in corpus.incidents]
+        expected = Counter(sum(1 << ids.index(s) for s in p.strategies) for p in reference)
+        pairs, _ = ingest_technique_masks(path, taxonomy, hand_built)
+        from_pairs = Counter(sm for _, sm, _ in match_strategies(pairs, hand_built, strict_prep, lambda i, m: None))
+        assert ingest_histogram(path, taxonomy, hand_built, "strict", strict_prep)[0].histogram == expected
+        assert classify_corpus(corpus, hand_built, strict_prep).histogram == expected
+        assert from_pairs == expected
+        for pretty in (False, True):
+            render = classification_text if pretty else classification_json
+            pairs, _ = ingest_technique_masks(path, taxonomy, hand_built)
+            assert render(pairs, hand_built, strict_prep) == reference_classify(
+                path, taxonomy, hand_built, "strict", strict_prep, pretty
+            )
+    # NS matches under strict_prep with NR's execution technique as its preparation.
+    only = corpus.incidents[0b011]
+    assert reference_ingest.classify_incident(only, hand_built, True).evidence == {
+        "NS": (ns.execution_technique, nr.execution_technique)
+    }
 
 
 def canonical(strategy_ids):

@@ -24,7 +24,7 @@ from influenceops import (
 from influenceops.graphexport import GRAPH_FORMATS, export_graph
 from influenceops.report import build_report, report_to_json, report_to_text
 from influenceops.resources import bundled_data_path
-from influenceops.strategies import ingest_histogram
+from influenceops.strategies import ingest_histogram, match_strategies, strategy_mask
 
 from helpers import corpus_from_profiles, corpus_of, incident
 
@@ -209,6 +209,48 @@ def test_saturated_incident_hits_all_seven(catalog):
     profile = classify_incident(incident(1, techs), catalog)
     assert profile.strategies == frozenset(catalog.ids())
     assert len(profile.strategies) == 7
+
+
+def test_technique_bits_layout(catalog):
+    """Bit i for strategy i's execution technique; bit n + i and one own bit
+    from 2n up for each of its preparation techniques."""
+    n, bits = len(catalog.strategies), catalog.technique_bits
+    own = []
+    for i, s in enumerate(catalog.strategies):
+        assert bits[s.execution_technique] == 1 << i
+        for p in sorted(s.preparation_techniques):
+            assert bits[p] & (1 << 2 * n) - 1 == 1 << n + i
+            own.append(bits[p] >> 2 * n)
+    assert own == [1 << k for k in range(len(own))]
+    assert max(bits.values()).bit_length() == 30  # one CPython digit for the bundled catalog
+
+
+def test_strategy_mask_is_the_rule(catalog):
+    bits, n = catalog.technique_bits, len(catalog.strategies)
+    nr, ns = catalog.by_id("NR"), catalog.by_id("NS")
+    m = bits[nr.execution_technique] | bits[ns.execution_technique] | bits[min(ns.preparation_techniques)]
+    assert strategy_mask(m, n, strict_prep=False) == 0b11
+    assert strategy_mask(m, n, strict_prep=True) == 0b10
+    assert strategy_mask(bits[min(nr.preparation_techniques)], n, strict_prep=False) == 0
+
+
+def test_matcher_hands_each_strategy_only_its_own_preparation_bits(catalog):
+    """``found`` sees, for strategy i, exactly the own bits of i's preparation
+    techniques in the mask: no bit of another strategy, and no carry."""
+    n, bits = len(catalog.strategies), catalog.technique_bits
+    everything = 0
+    for m in bits.values():
+        everything |= m
+    for strict_prep in (False, True):
+        calls = []
+        list(match_strategies([("I", everything)], catalog, strict_prep, lambda i, m: calls.append((i, m))))
+        expected = []
+        for i, s in enumerate(catalog.strategies):
+            own = 0
+            for p in s.preparation_techniques:
+                own |= bits[p] >> 2 * n << 2 * n
+            expected.append((i, own))
+        assert calls == expected
 
 
 def test_classify_corpus_partitions_and_preserves_order(catalog):
