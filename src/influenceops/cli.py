@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 domain or validation failure, 2 I/O failure or usage er
 All outputs are UTF-8 and byte-identical across runs for identical inputs
 and configuration. Default taxonomy and catalog are the bundled files,
 overridable with --taxonomy/--catalog or the INFLUENCEOPS_TAXONOMY and
-INFLUENCEOPS_CATALOG environment variables.
+INFLUENCEOPS_CATALOG environment variables; an empty variable counts as
+unset. Every path flag (--taxonomy, --catalog, --corpus, --spec, --out)
+refuses an empty string as a usage error, before anything is loaded.
 
 ``validate`` reports what loading established: each loader raises on any rule
 it checks. ``--out`` replaces a regular or absent file through a temporary file
@@ -58,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     ``--corpus-format``).
     """
     inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--taxonomy", help=f"taxonomy JSON path (default: bundled, or ${ENV_TAXONOMY})")
-    inputs.add_argument("--catalog", help=f"strategy catalog JSON path (default: bundled, or ${ENV_CATALOG})")
+    inputs.add_argument("--taxonomy", type=_path, help=f"taxonomy JSON path (default: bundled, or ${ENV_TAXONOMY})")
+    inputs.add_argument("--catalog", type=_path,
+                        help=f"strategy catalog JSON path (default: bundled, or ${ENV_CATALOG})")
     corpus, optional_corpus = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
     for flags in (corpus, optional_corpus):
         flags.add_argument("--corpus", required=flags is corpus, type=_path, help="incident corpus (.csv or .json)")
@@ -73,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     strict_prep.add_argument("--strict-prep", action="store_true",
                              help="require a preparation technique in addition to the execution technique")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write output to this file instead of stdout")
+    out.add_argument("--out", type=_path, help="write output to this file instead of stdout")
     pretty = argparse.ArgumentParser(add_help=False)
     pretty.add_argument("--pretty", action="store_true", help="human-readable output")
 
@@ -103,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conditional-graph source-count threshold (default 1); --kind conditional only")
 
     generate = add_command("generate", parents=[inputs, out], help="generate a synthetic corpus from a spec")
-    generate.add_argument("--spec", required=True, help="generator spec JSON path")
+    generate.add_argument("--spec", required=True, type=_path, help="generator spec JSON path")
     generate.add_argument("--seed", type=int, default=None,
                           help="override the seed recorded in the spec")
     generate.add_argument("--corpus-format", choices=("csv", "json"), default="csv",

@@ -19,42 +19,41 @@ dropped per incident and reported, because hand-tagged datasets contain
 typos. A resulting Corpus is immutable and shareable across workers.
 
 Each format has one scan (``_scan_csv``, ``_scan_json``, both behind
-``scan_corpus``): a single loop that does every parse, shape and domain
-check (duplicate ids, unknown technique ids), ORs the bits that a table
-gives each row's technique ids, and returns ``{incident_id: mask}`` in file
-order with the ingestion report. ``technique_table`` builds every such
-table: its keys are exactly the taxonomy's technique ids, so every consumer
-knows the same ids. The three consumers differ only in the table's bits and
-in what they keep: ``strategies.ingest_histogram`` (``validate``, ``stats``,
-``graph``) counts strategy masks, ``evidence.ingest_technique_masks``
-(``classify``) keeps masks over ``StrategyCatalog.technique_bits``, and the
-library ``ingest_corpus`` passes a list that the scan collects full rows
-into, which it keeps as ``Incident`` objects. So all three raise the same
-error on every input.
+``scan_corpus``) that does every parse, shape and domain check (duplicate
+ids, unknown technique ids), ORs the bits that a table gives each row's
+technique ids, and returns ``{incident_id: mask}`` in file order with the
+ingestion report. ``_known`` is the one statement of the lenient rule: the
+OR over the known ids, and the unknown ids to drop. ``technique_table``
+builds every such table: its keys are exactly the taxonomy's technique ids,
+so every consumer knows the same ids. The three consumers differ only in
+the table's bits and in what they keep: ``strategies.ingest_histogram``
+(``validate``, ``stats``, ``graph``) counts strategy masks,
+``evidence.ingest_technique_masks`` (``classify``) keeps masks over
+``StrategyCatalog.technique_bits``, and the library ``ingest_corpus`` passes
+a list that the scan collects full rows into, which it keeps as
+``Incident`` objects. So all three raise the same error on every input.
 
-A CSV file is parsed as it is read. A JSON document is decoded one array
-element at a time, so no document-sized list of incidents is built. Where
-the text stops being a well-formed array, or an element fails a shape
-check, the whole text goes through ``documents.decode_json`` first, so that
-a syntax error anywhere is raised first, with ``json.loads``' own message.
-Parse errors win over the first domain error, which is held until the
-whole document has been read. A file that is not UTF-8, an over-long CSV
-field, JSON nested too deeply and an ``incident_id`` that cannot be encoded
-as UTF-8 (a lone surrogate escape such as ``\\ud800``) are each a
-ParseError.
+A CSV file is parsed as it is read. A JSON document goes through one
+``documents.decode_json``, whose object hook checks each object's shape as
+it is decoded and leaves a small record in its place, so the decoded array
+holds one (id, mask) record per incident and never the incident. A syntax
+error anywhere is raised first, with ``json.loads``' own message; then the
+first shape error in document order; then the first domain error, which is
+held until the whole document has been read. A file that is not UTF-8, an
+over-long CSV field, JSON nested too deeply and an ``incident_id`` that
+cannot be encoded as UTF-8 (a lone surrogate escape such as ``\\ud800``) are
+each a ParseError.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cache
-from json.decoder import WHITESPACE
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -168,18 +167,17 @@ def _unknown(source: str, number: int, incident_id: str, technique_id: str) -> U
     )
 
 
-def _drop_unknown(
-    incident_id: str, technique_ids: list[str], bits: Mapping[str, int], dropped: list[DroppedTechnique]
-) -> int:
-    """OR of the bits of the known ids; each unknown id is recorded as dropped."""
+def _known(technique_ids: list[str], bits: Mapping[str, int]) -> tuple[int, list[str]]:
+    """The OR of the bits of the known ids, and the unknown ids in order."""
     m = 0
+    unknown = []
     for technique_id in technique_ids:
         b = bits.get(technique_id)
         if b is None:
-            dropped.append(DroppedTechnique(incident_id, technique_id))
+            unknown.append(technique_id)
         else:
             m |= b
-    return m
+    return m, unknown
 
 
 def _scanned(
@@ -250,17 +248,13 @@ def _scan_csv(
                 if strict:
                     error = _unknown(source, len(masks) + 1, incident_id, technique_id)
                     continue
-                m = _drop_unknown(incident_id, techniques, bits, dropped)
+                m, unknown = _known(techniques, bits)
+                dropped += [DroppedTechnique(incident_id, t) for t in unknown]
             masks[incident_id] = m
     except csv.Error as exc:
         # Raised for the row after the last one read, e.g. a field over csv.field_size_limit().
         raise ParseError(f"{source}: row {n + 1}: {exc}") from None
     return _scanned(masks, dropped, error, mode, source)
-
-
-_decode = json.JSONDecoder().raw_decode
-_skip_whitespace = WHITESPACE.match
-_comma = re.compile(f"{WHITESPACE.pattern},{WHITESPACE.pattern}").match
 
 
 def _strings(value: object) -> bool:
@@ -274,98 +268,79 @@ def _strings(value: object) -> bool:
     return True
 
 
-def _document_error(text: str, source: str, message: str) -> ParseError:
-    """The shape error ``message``, unless the whole text has a syntax error:
-    then ``documents.decode_json`` raises that, with json.loads' own message."""
-    documents.decode_json(text, f"{source}: corpus document")
-    return ParseError(f"{source}: {message}")
-
-
 def _scan_json(
     text: str, source: str, bits: Mapping[str, int], mode: str, rows: list[Row] | None
 ) -> tuple[dict[str, int], IngestionReport]:
-    """The scan of a JSON document, decoded one array element at a time.
+    """The scan of a JSON document: one ``json.loads`` whose object hook
+    checks each object's shape, then one loop over the decoded array.
 
-    What the loop cannot read as an array of elements (a top level that is
-    not an array, an element that does not decode, a bad delimiter, data
-    after the closing bracket) is raised by ``_document_error``: json.loads
-    fails on such a text too, so its error is raised, and only a valid
-    document that is not an array gets the shape error.
+    The hook puts in each object's place either (incident_id, mask, unknown
+    ids, row or None) or a ParseError that holds the shape reason (not a
+    str, which an array of strings would take), so the decoded array holds
+    one small record per incident and never the incident. The hook also runs on every object nested in an incident, so
+    it does no domain work: a record there fails the enclosing incident's own
+    check, or sits unread under a key that ingest never reads. The loop does
+    the rest in document order.
     """
     strict = _is_strict(mode)
-    masks: dict[str, int] = {}
-    dropped: list[DroppedTechnique] = []
-    error: InfluenceOpsError | None = None
-    not_an_array = "corpus JSON must be an array of incident objects"
-    i = _skip_whitespace(text).end()
-    if not text.startswith("[", i):
-        raise _document_error(text, source, not_an_array)
-    i = _skip_whitespace(text, i + 1).end()
-    more = not text.startswith("]", i)
-    n = 0
-    while more:  # i is at the next element
-        try:
-            entry, i = _decode(text, i)
-        except ValueError:  # JSONDecodeError, or an integer too long to convert
-            raise _document_error(text, source, not_an_array) from None
-        except RecursionError:
-            raise ParseError(f"{source}: corpus document is nested too deeply") from None
-        comma = _comma(text, i)
-        if comma is not None:
-            i = comma.end()
-        else:
-            i = _skip_whitespace(text, i).end()
-            if not text.startswith("]", i):
-                raise _document_error(text, source, not_an_array)
-            more = False
-        n += 1
+
+    def incident(entry: dict) -> tuple | ParseError:
         # JSON decodes to exact dict, list, str and int, and bool is not int.
-        if type(entry) is not dict:
-            raise _document_error(text, source, f"incident {n}: must be an object")
         incident_id = entry.get("incident_id")
         if type(incident_id) is not str or not incident_id:
-            raise _document_error(text, source, f"incident {n}: missing or empty 'incident_id'")
+            return ParseError("missing or empty 'incident_id'")
         if not incident_id.isascii():
             # A \ud800 escape decodes to a lone surrogate, which no output can encode.
             try:
                 incident_id.encode("utf-8")
             except UnicodeEncodeError:
-                raise _document_error(
-                    text, source, f"incident {n}: 'incident_id' cannot be encoded as UTF-8"
-                ) from None
+                return ParseError("'incident_id' cannot be encoded as UTF-8")
         title = entry.get("title", "")
         if type(title) is not str:
-            raise _document_error(text, source, f"incident {n}: 'title' must be a string")
+            return ParseError("'title' must be a string")
         year = entry.get("year")
         if type(year) is not int:
-            raise _document_error(text, source, f"incident {n}: 'year' must be an integer")
+            return ParseError("'year' must be an integer")
         targets = entry.get("targets", [])
         techniques = entry.get("techniques", [])
         if not _strings(targets):
-            raise _document_error(text, source, f"incident {n}: 'targets' must be an array of strings")
+            return ParseError("'targets' must be an array of strings")
         if not _strings(techniques):
-            raise _document_error(text, source, f"incident {n}: 'techniques' must be an array of strings")
-        if rows is not None:
-            rows.append((incident_id, title, year, targets, techniques))
-        # After the first domain error only syntax and shape errors are looked for.
+            return ParseError("'techniques' must be an array of strings")
+        m = 0
+        unknown: list[str] | tuple[()] = ()
+        try:
+            for technique_id in techniques:
+                m |= bits[technique_id]
+        except KeyError:
+            m, unknown = _known(techniques, bits)
+        return incident_id, m, unknown, None if rows is None else (incident_id, title, year, targets, techniques)
+
+    doc = documents.decode_json(text, f"{source}: corpus document", object_hook=incident)
+    if type(doc) is not list:
+        raise ParseError(f"{source}: corpus JSON must be an array of incident objects")
+    masks: dict[str, int] = {}
+    dropped: list[DroppedTechnique] = []
+    error: InfluenceOpsError | None = None
+    for n, record in enumerate(doc, start=1):
+        if type(record) is not tuple:
+            reason = record if type(record) is ParseError else "must be an object"
+            raise ParseError(f"{source}: incident {n}: {reason}")
+        incident_id, m, unknown, row = record
+        if row is not None:
+            rows.append(row)
+        # After the first domain error only shape errors are looked for.
         if error is not None:
             continue
         if incident_id in masks:
             error = _duplicate(source, incident_id)
             continue
-        m = 0
-        try:
-            for technique_id in techniques:
-                m |= bits[technique_id]
-        except KeyError:
+        if unknown:
             if strict:
-                error = _unknown(source, n, incident_id, technique_id)
+                error = _unknown(source, n, incident_id, unknown[0])
                 continue
-            m = _drop_unknown(incident_id, techniques, bits, dropped)
+            dropped += [DroppedTechnique(incident_id, t) for t in unknown]
         masks[incident_id] = m
-    # i is at the closing bracket.
-    if _skip_whitespace(text, i + 1).end() != len(text):
-        raise _document_error(text, source, not_an_array)
     return _scanned(masks, dropped, error, mode, source)
 
 

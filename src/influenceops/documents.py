@@ -5,8 +5,8 @@ The taxonomy, catalog and generator-spec loaders read their files with
 UTF-8, text that is not JSON, JSON nested too deeply for the parser, an
 integer over Python's digit limit and a string that cannot be encoded as
 UTF-8 (a lone surrogate, as a ``\\ud800`` escape decodes to) are each a
-ParseError. The corpus scan (``corpus.py``) calls ``decode_json`` for the
-syntax error of a malformed document, and checks the incident ids itself.
+ParseError. The corpus scan (``corpus.py``) calls ``decode_json`` with an
+object hook that checks each incident, its id included, as it is decoded.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ def read_text(path: str | Path, what: str) -> str:
         raise ParseError(f"{path}: {what} is not valid UTF-8: {exc.reason}") from None
 
 
-def decode_json(text: str, what: str, object_pairs_hook=None) -> object:
+def decode_json(text: str, what: str, object_pairs_hook=None, object_hook=None) -> object:
     """The decoded JSON document; ``what`` names it in the error."""
     try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        return json.loads(text, object_pairs_hook=object_pairs_hook, object_hook=object_hook)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:

@@ -23,16 +23,13 @@ documents built from ``classify_corpus(...).profiles``, or the same
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .corpus import IngestionReport, scan_corpus, technique_table
 from .strategies import StrategyCatalog, _Memo, match_strategies
 from .taxonomy import Taxonomy
-
-# The string escaping of json.dumps(..., ensure_ascii=False).
-_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def ingest_technique_masks(
@@ -55,17 +52,18 @@ def classification_json(
 
     def strategy_list(sm):
         ids = catalog.ids_of_mask(sm)
-        return "[\n      " + ",\n      ".join(map(_encode, ids)) + "\n    ]" if ids else "[]"
+        return "[\n      " + ",\n      ".join(map(encode_basestring, ids)) + "\n    ]" if ids else "[]"
 
     def block(i, matched):
         strategy_id, ids = catalog.evidence_item(i, matched)
-        return f'{_encode(strategy_id)}: [\n        ' + ",\n        ".join(map(_encode, ids)) + "\n      ]"
+        items = ",\n        ".join(map(encode_basestring, ids))
+        return f'{encode_basestring(strategy_id)}: [\n        ' + items + "\n      ]"
 
     lists = _Memo(strategy_list)
     rows = []
     for incident_id, sm, blocks in match_strategies(pairs, catalog, strict_prep, block):
         evidence = "{\n      " + ",\n      ".join(blocks) + "\n    }" if blocks else "{}"
-        rows.append(f'  {{\n    "incident_id": {_encode(incident_id)},\n    "strategies": {lists[sm]},\n'
+        rows.append(f'  {{\n    "incident_id": {encode_basestring(incident_id)},\n    "strategies": {lists[sm]},\n'
                     f'    "evidence": {evidence}\n  }}')
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influenceops import (
+    ClassifiedCorpus,
     EmptyCorpus,
     InvalidRange,
     NegativeSupport,
@@ -111,6 +112,22 @@ def test_size_distribution_fixture(fixture_cc):
 def test_all_singleton_corpus_has_zero_multi_fraction(catalog):
     cc = classified_from_profiles(catalog, [("NR",), ("TD",)])
     assert size_distribution(cc).multi_fraction_of_all == 0
+
+
+def test_no_multi_strategy_incident_gives_zero_fraction_of_multi(catalog):
+    dist = size_distribution(classified_from_profiles(catalog, [("NR",), ("TD",), ()]))
+    assert (dist.multi_total, dist.fraction_of_multi(2), dist.fraction_of_multi(1)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("statistic, histogram, message", [
+    (size_distribution, {0: 2}, "no mapped incidents: statistics are undefined"),
+    (mapping_coverage, {}, "empty corpus has no coverage"),
+])
+def test_statistic_of_a_degenerate_corpus_is_empty_corpus(catalog, statistic, histogram, message):
+    cc = ClassifiedCorpus(catalog, histogram, sum(histogram.values()), "src")
+    with pytest.raises(EmptyCorpus) as err:
+        statistic(cc)
+    assert str(err.value) == message
 
 
 # --- pattern table -----------------------------------------------------------------

@@ -353,6 +353,38 @@ def test_a_missing_or_empty_corpus_is_a_usage_error(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+EMPTY_PATHS = [
+    ["validate", "--taxonomy", ""],
+    ["validate", "--catalog", ""],
+    ["generate", "--spec", ""],
+    ["generate", "--spec", FIXTURE_SPEC, "--out", ""],
+    ["classify", "--corpus", "golden/fixture_corpus.json", "--out", ""],
+    ["stats", "--taxonomy", "", "--corpus", "golden/fixture_corpus.csv"],
+    ["graph", "--kind", "conditional", "--catalog", "", "--corpus", "golden/fixture_corpus.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_PATHS, ids=[" ".join(a) for a in EMPTY_PATHS])
+def test_an_empty_path_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """Every path flag refuses "" as --corpus does: exit 2, nothing loaded,
+    no file written. An empty environment variable still means unset."""
+    # A taxonomy that fails to load shows that nothing is loaded first.
+    (tmp_path / "taxonomy.json").write_text("{", encoding="utf-8")
+    monkeypatch.setenv("INFLUENCEOPS_TAXONOMY", str(tmp_path / "taxonomy.json"))
+    monkeypatch.setenv("INFLUENCEOPS_CATALOG", "")
+    argv = [str(Path(__file__).parent / value) if value.startswith("golden/") else value for value in argv]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    flag = argv[argv.index("") - 1]
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: expected a path, got an empty string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taxonomy.json"]
+    monkeypatch.setenv("INFLUENCEOPS_TAXONOMY", "")
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out == "taxonomy: ok\ncatalog: ok\n"
+
+
 @pytest.mark.parametrize("support", ["1", "50", "-5"])
 def test_min_support_with_a_cooccurrence_graph_is_a_usage_error(tmp_path, hand_corpus_csv, capsys, support):
     out = tmp_path / "g.dot"

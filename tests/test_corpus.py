@@ -93,6 +93,14 @@ def test_json_ingest_and_errors(taxonomy):
         loads_corpus_json('[{"incident_id": "x", "year": "2020"}]', taxonomy)
 
 
+@pytest.mark.parametrize("loads", [loads_corpus_csv, loads_corpus_json])
+def test_an_unknown_ingest_mode_is_a_value_error(taxonomy, loads):
+    text = CSV_OK if loads is loads_corpus_csv else corpus_to_json(corpus_of([{"T0115"}]))
+    with pytest.raises(ValueError) as err:
+        loads(text, taxonomy, mode="Lenient")
+    assert str(err.value) == "mode must be 'strict' or 'lenient', got 'Lenient'"
+
+
 def test_csv_round_trip(taxonomy):
     corpus, _ = loads_corpus_csv(CSV_OK, taxonomy)
     again, _ = loads_corpus_csv(corpus_to_csv(corpus), taxonomy)

@@ -169,29 +169,3 @@ def test_commands_in_one_process_match_their_goldens(tmp_path, monkeypatch, caps
     assert main([*CASES["stats.json"], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "stats.json").read_bytes()
 
-
-def test_no_command_parses_a_json_corpus_whole(tmp_path, monkeypatch, capsys):
-    """validate, stats, graph and classify decode a JSON corpus one incident
-    at a time: json.loads never sees an array document, and every output is
-    still its golden."""
-    import json
-
-    loads = json.loads
-
-    def loads_no_array(text, *args, **kwargs):
-        if text.lstrip().startswith("["):
-            raise AssertionError("a JSON corpus was parsed whole")
-        return loads(text, *args, **kwargs)
-
-    monkeypatch.setattr(json, "loads", loads_no_array)
-    monkeypatch.chdir(GOLDEN.parent)
-    on_json = {name: argv for name, argv in CASES.items() if "--corpus" in argv
-               and argv[argv.index("--corpus") + 1].endswith(".json")}
-    assert {argv[0] for argv in on_json.values()} == {"stats", "graph", "classify"}
-    for name, argv in on_json.items():
-        out = tmp_path / name
-        assert main([*argv, "--out", str(out)]) == 0, name
-        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
-    name = "validate_lenient_json.txt"
-    assert main(STDOUT_CASES[name]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -161,12 +161,23 @@ def json_entries(draw, valid):
         "targets": draw(st.lists(TEXT, max_size=2)),
         "techniques": draw(techniques),
     }
+    if rarely(draw):
+        # A key that ingest never reads: an object under it is no incident,
+        # even one that repeats an id or names an unknown technique.
+        nested = st.sampled_from([{}, nested_incident(draw)])
+        entry["notes"] = draw(st.one_of(nested, st.lists(nested, max_size=2)))
     if not valid and rarely(draw):
         key = draw(st.sampled_from(sorted(entry)))
-        entry[key] = draw(st.sampled_from([None, True, 3, "2020", ["T0115", 7], {}]))
+        entry[key] = draw(st.sampled_from([None, True, 3, "2020", ["T0115", 7], {}, nested_incident(draw),
+                                           ["EU", nested_incident(draw)]]))
     if not valid and rarely(draw):
         return draw(st.sampled_from([[], "I-1", 1, None]))
     return entry
+
+
+def nested_incident(draw):
+    """An object that would pass as an incident at the top level."""
+    return {"incident_id": draw(st.sampled_from(IDS)), "year": 2020, "techniques": draw(techniques)}
 
 
 def csv_documents(valid):
@@ -275,6 +286,12 @@ def test_streaming_path_agrees_with_materialised_path(taxonomy, catalog, scratch
         ("syntax-top-level.json", '{"incident_id": "I-1", "year": 1} [', ParseError),
         ("shape-top-level.json", ' "corpus" ', ParseError),
         ("syntax-bom.json", '\ufeff[{"incident_id": "I-1", "year": 1}]', ParseError),
+        # An object where a string belongs fails the enclosing incident, even one shaped like an incident.
+        ("nested-title.json", '[{"incident_id": "I-1", "year": 1, "techniques": ["T9999"]},'
+         ' {"incident_id": "I-2", "year": 1, "title": {"incident_id": "I-3", "year": 1}}]', ParseError),
+        ("nested-targets.json", '[{"incident_id": "I-1", "year": 1, "targets": ["EU", {"incident_id": "I-2",'
+         ' "year": 1}]}, {"incident_id": "I-1", "year": 2}]', ParseError),
+        ("nested-empty-in-targets.json", '[{"incident_id": "I-1", "year": 1, "targets": [{}]}]', ParseError),
         # Row numbers count blank lines and CRLF ends a row.
         ("blank-lines.csv", "I-1,a,2020,,T0115|\r\n\r\n\nI-2,b,2020,,T9999\r\n\nI-3,c\r\n", ParseError),
     ],
@@ -288,6 +305,9 @@ def test_error_order_on_mixed_documents(taxonomy, catalog, tmp_path, name, text,
         ingest_histogram(path, taxonomy, catalog)
     if name.startswith("syntax-"):
         assert "corpus document is not valid JSON: " in str(err.value)
+    if name.startswith("nested-"):
+        assert str(err.value).endswith(("incident 2: 'title' must be a string",
+                                        "incident 1: 'targets' must be an array of strings"))
     if name == "blank-lines.csv":
         assert "row 6: expected 5 fields, got 2" in str(err.value)
     check_paths_agree(path, taxonomy, catalog, text)
@@ -564,6 +584,36 @@ def test_streaming_commands_build_no_incident(monkeypatch, tmp_path, taxonomy):
         ingest_corpus(path, taxonomy)
 
 
+def test_json_corpus_scan_keeps_no_incident_object(taxonomy, catalog):
+    """A JSON corpus scan holds no incident dict past its own checks: its
+    peak allocation stays under a third of json.loads' on the same text."""
+    import random
+    import tracemalloc
+
+    from influenceops.corpus import _scan_json, technique_table
+
+    rng = random.Random(5)
+    ids = [t.id for t in taxonomy.techniques]
+    text = json.dumps([
+        {"incident_id": f"INC-{k:05d}", "title": f"Operation {rng.random():.6f}", "year": rng.randint(2010, 2024),
+         "targets": rng.sample(["US", "EU", "UA", "DE", "FR"], 2), "techniques": rng.sample(ids, rng.randint(1, 6))}
+        for k in range(5000)
+    ], indent=2)
+    bits = technique_table(taxonomy, catalog.technique_bits)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda: json.loads(text))
+    scan = peak(lambda: _scan_json(text, "<json>", bits, "strict", None))
+    assert scan < whole / 3, (scan, whole)
+
+
 def test_generate_builds_no_incident(monkeypatch, tmp_path, catalog):
     """The generate command builds no Incident; the library generate_corpus
     does, which shows that the patch takes effect."""
@@ -660,10 +710,70 @@ EXTRA_TACTIC = {"id": "TA99", "name": "Extra tactic", "parent_id": "P01"}
                  "taxonomy: field 'profile' must be 'table1', not 'tabel1'", id="taxonomy-profile"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(notes=["not", "a string"]),
                  "generator spec: 'notes' must be a string", id="spec-notes"),
+    # Taxonomy loader: the document, its fields and its entries.
+    pytest.param("--taxonomy", "taxonomy.json", ["not", "an object"],
+                 "taxonomy document must be a JSON object", id="taxonomy-not-object"),
+    pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc.update(version=""),
+                 "taxonomy: field 'version' must be a non-empty string", id="taxonomy-version"),
+    pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc.update(tactics={"TA01": "Plan strategy"}),
+                 "taxonomy: field 'tactics' must be an array", id="taxonomy-tactics"),
+    pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc.update(profile=1),
+                 "taxonomy: field 'profile' must be a string", id="taxonomy-profile-type"),
+    pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc.update(provenance=["a", "b"]),
+                 "taxonomy: field 'provenance' must be a string", id="taxonomy-provenance"),
+    pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc["phases"].__setitem__(2, "Execute"),
+                 "phases[2]: must be an object", id="taxonomy-entry"),
+    pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc["techniques"][1].update(parent_id=9),
+                 "techniques[1]: field 'parent_id' must be a non-empty string", id="taxonomy-entry-field"),
+    pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc["phases"][3].update(id="P01"),
+                 "taxonomy document is invalid:\n[duplicate-id] duplicate phase id 'P01'\n"
+                 "[orphan-tactic] tactic 'TA12' references unknown phase 'P04'", id="taxonomy-invalid"),
+    # Catalog loader.
+    pytest.param("--catalog", "catalog.json", lambda doc: doc.update(strategies={"NR": {}}),
+                 "catalog document must be an object with a 'strategies' array", id="catalog-no-strategies"),
+    pytest.param("--catalog", "catalog.json", lambda doc: doc.update(taxonomy_version=2026.08),
+                 "catalog: missing or non-string 'taxonomy_version'", id="catalog-version"),
+    pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"].__setitem__(1, "NS"),
+                 "strategies[1]: must be an object", id="catalog-entry"),
+    pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"][0].update(name=""),
+                 "strategies[0]: missing or empty field 'name'", id="catalog-name"),
+    pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"][2].update(preparation_techniques="T0085"),
+                 "strategies[2]: 'preparation_techniques' must be an array of ids", id="catalog-preparation"),
+    pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"].append(doc["strategies"][0]),
+                 "duplicate strategy ids in catalog: ['NR', 'NS', 'NA', 'CNR', 'NM', 'TD', 'IP', 'NR']",
+                 id="catalog-duplicate-id"),
+    # Generator-spec loader.
+    pytest.param("--spec", "fixture_spec.json", "marginal-solver",
+                 "generator spec must be a JSON object", id="spec-not-object"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(pinned_patterns={"NR": 4}),
+                 "pinned_patterns: must be an array of pattern objects", id="spec-patterns"),
+    pytest.param("--spec", "fixture_spec.json",
+                 lambda doc: doc.update(pattern_counts=[{"strategies": ["NR"], "count": 1}, 7]),
+                 "pattern_counts[1]: must be an object", id="spec-pattern-entry"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc["pinned_patterns"][0].update(strategies=[]),
+                 "pinned_patterns[0]: 'strategies' must be a non-empty array of ids", id="spec-pattern-strategies"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc["pinned_patterns"][3].update(min_count=True),
+                 "pinned_patterns[3]: 'min_count' must be a non-negative integer", id="spec-pattern-count"),
+    pytest.param("--spec", "fixture_spec.json",
+                 lambda doc: doc["pinned_patterns"][1].update(strategies=["NR", "IP", "NA", "NM", "TD", "NS", "CNR"]),
+                 "pinned_patterns[1]: duplicate pattern ['CNR', 'IP', 'NA', 'NM', 'NR', 'NS', 'TD']",
+                 id="spec-duplicate-pattern"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(marginals=[["NR", 78]]),
+                 "generator spec: 'marginals' must be an object", id="spec-marginals"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(size_distribution=[6, 11]),
+                 "generator spec: 'size_distribution' must be an object", id="spec-size-distribution"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc["size_distribution"].update({"0": 1}),
+                 "size_distribution: size 0 must be >= 1", id="spec-size-0"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc["size_distribution"].update({"9" * 5000: 1}),
+                 f"size_distribution: key {'9' * 5000!r} is too large", id="spec-size-too-large",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
 ])
 def test_a_schema_field_of_the_wrong_type_is_a_schema_error(tmp_path, capsys, flag, name, edit, message):
     doc = json.loads(bundled_data_path(name).read_text(encoding="utf-8"))
-    edit(doc)
+    if callable(edit):
+        edit(doc)
+    else:  # the whole document
+        doc = edit
     path = tmp_path / "document.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"

@@ -168,3 +168,58 @@ def test_load_is_deterministic():
     a = load_bundled_taxonomy()
     b = load_bundled_taxonomy()
     assert a == b
+
+
+def small_taxonomy(phases=(("P1", "Plan"), ("P2", "Prepare"), ("P3", "Execute"), ("P4", "Assess")),
+                   tactics=(("A1", "P1"),), profile=None):
+    """Four phases, one tactic per (id, phase id) pair and one technique under A1."""
+    return Taxonomy(
+        version="test",
+        phases=tuple(Phase(i, name) for i, name in phases),
+        tactics=tuple(Tactic(i, f"Tactic {k}", phase_id) for k, (i, phase_id) in enumerate(tactics)),
+        techniques=(Technique("T1", "Technique", "A1"),),
+        profile=profile,
+    )
+
+
+TABLE1_TACTICS = [(f"A{k}", phase_id) for k, phase_id in enumerate(["P1"] * 3 + ["P2"] * 6 + ["P3"] * 6 + ["P4"], 1)]
+
+
+@pytest.mark.parametrize("hand_built, violations", [
+    pytest.param(small_taxonomy(), "ok", id="valid"),
+    pytest.param(small_taxonomy(phases=(("P1", "Plan"), ("P2", "Prepare"), ("P3", "Execute"), ("P1", "Assess"))),
+                 "[duplicate-id] duplicate phase id 'P1'", id="duplicate-phase-id"),
+    pytest.param(small_taxonomy(phases=(("P1", "Plan"), ("P2", "Prepare"), ("P3", "Execute"), ("P4", "Assessment"))),
+                 "[phase-name] phase 'P4' has unknown name 'Assessment'\n"
+                 "[phase-name] phase names ['Assessment', 'Execute', 'Plan', 'Prepare']"
+                 " != ['Assess', 'Execute', 'Plan', 'Prepare']", id="unknown-phase-name"),
+    pytest.param(small_taxonomy(phases=(("P1", "Plan"), ("P2", "Prepare"), ("P3", "Execute"))),
+                 "[phase-count] expected 4 phases, found 3", id="phase-count"),
+    pytest.param(small_taxonomy(phases=(("P1", "Plan"), ("P2", "Prepare"), ("P3", "Execute"), ("P4", "Plan"))),
+                 "[phase-name] phase names ['Execute', 'Plan', 'Plan', 'Prepare']"
+                 " != ['Assess', 'Execute', 'Plan', 'Prepare']", id="repeated-phase-name"),
+    pytest.param(small_taxonomy(tactics=(("A1", "P1"), ("A1", "P2"))),
+                 "[duplicate-id] duplicate tactic id 'A1'", id="duplicate-tactic-id"),
+    pytest.param(small_taxonomy(tactics=(("A1", "P1"), ("A2", "P9"))),
+                 "[orphan-tactic] tactic 'A2' references unknown phase 'P9'", id="orphan-tactic"),
+    pytest.param(small_taxonomy(tactics=TABLE1_TACTICS, profile="table1"), "ok", id="table1"),
+    pytest.param(small_taxonomy(tactics=[*TABLE1_TACTICS[:2], ("A3", "P2"), *TABLE1_TACTICS[3:]], profile="table1"),
+                 "[tactic-count] tactic count mismatch: phase 'Plan' expects 3 tactics, found 2\n"
+                 "[tactic-count] tactic count mismatch: phase 'Prepare' expects 6 tactics, found 7",
+                 id="table1-per-phase"),
+])
+def test_each_taxonomy_rule_reports_its_violations(hand_built, violations):
+    report = validate_taxonomy(hand_built)
+    assert str(report) == violations
+    assert report.ok == (violations == "ok")
+
+
+@pytest.mark.parametrize("lookup, key, message", [
+    ("phase", "P9", "unknown phase id 'P9'"),
+    ("tactic", "TA99", "unknown tactic id 'TA99'"),
+    ("technique", "t0115", "unknown technique id 't0115'"),
+])
+def test_lookup_of_an_unknown_id_is_not_found(taxonomy, lookup, key, message):
+    with pytest.raises(NotFound) as err:
+        getattr(taxonomy, lookup)(key)
+    assert str(err.value) == message
