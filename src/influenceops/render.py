@@ -56,9 +56,18 @@ def json_text(value: object) -> str:
     Raises TypeError on a value that is not str, int, bool, None, list or
     dict, and on a dict key that is not str.
     """
+    return json_block(value, 0) + "\n"
+
+
+def json_block(value: object, depth: int) -> str:
+    """Indent-2 JSON text of a value that sits ``depth`` levels deep in a
+    document, with no trailing newline: its lines after the first are
+    indented by 2 * depth more spaces. ``json_text`` is depth 0; the
+    ``classify`` and ``generate`` row templates fill their lists with it.
+    Raises TypeError as ``json_text`` does.
+    """
     parts: list[str] = []
-    _write_json(value, "\n", parts.append)
-    parts.append("\n")
+    _write_json(value, "\n" + "  " * depth, parts.append)
     return "".join(parts)
 
 

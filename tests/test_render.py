@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influenceops.render import decimal_string, json_text, percent_string
+from influenceops.render import decimal_string, json_block, json_text, percent_string
 
 # Text that json.dumps escapes, and text it must leave alone with ensure_ascii=False.
 TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\b\f\n\r\t  é\U0001f600\ud800 ')) | st.text()
@@ -20,9 +20,11 @@ DOCUMENTS = st.recursive(
 
 
 @settings(max_examples=500, deadline=None)
-@given(DOCUMENTS)
-def test_json_text_matches_json_dumps(document):
-    assert json_text(document) == json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+@given(DOCUMENTS, st.integers(0, 3))
+def test_json_text_matches_json_dumps(document, depth):
+    text = json.dumps(document, indent=2, ensure_ascii=False)
+    assert json_text(document) == text + "\n"
+    assert json_block(document, depth) == text.replace("\n", "\n" + "  " * depth)
 
 
 def test_json_text_keeps_bools_apart_from_ints():

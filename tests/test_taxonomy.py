@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,16 @@ def test_validate_is_pure(taxonomy):
 
 def test_round_trip_identity(taxonomy):
     assert loads_taxonomy(serialize_taxonomy(taxonomy)) == taxonomy
+
+
+@pytest.mark.parametrize(
+    "path", [bundled_data_path("taxonomy.json"), Path(__file__).parent / "golden" / "escaped_taxonomy.json"]
+)
+def test_serialized_taxonomy_is_json_dumps_of_its_document(path):
+    """Both files hold every field that a taxonomy keeps, in the serializer's order."""
+    text = path.read_text(encoding="utf-8")
+    expected = json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+    assert serialize_taxonomy(loads_taxonomy(text)) == expected
 
 
 def test_lookup_by_name_is_case_insensitive(taxonomy):
