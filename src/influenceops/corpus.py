@@ -33,6 +33,11 @@ the table's bits and in what they keep: ``strategies.ingest_histogram``
 a list that the scan collects full rows into, which it keeps as
 ``Incident`` objects. So all three raise the same error on every input.
 
+A CSV ``year`` must be an integer in canonical decimal (``str(int(text)) ==
+text``), so that it is written back as read. ``corpus_to_csv`` and
+``corpus_to_json`` are plain references that no command calls; the tests
+hold ``generate``'s row templates to them.
+
 A CSV file is parsed as it is read. A JSON document goes through one
 ``documents.decode_json``, whose object hook checks each object's shape as
 it is decoded and leaves a small record in its place, so the decoded array
@@ -53,8 +58,6 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cache
-from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import documents
@@ -65,6 +68,7 @@ from .errors import (
     ParseError,
     UnknownTechnique,
 )
+from .render import json_text
 from .taxonomy import Taxonomy
 
 CSV_HEADER = ("incident_id", "title", "year", "targets", "techniques")
@@ -223,8 +227,10 @@ def _scan_csv(
                 raise ParseError(f"{source}: row {n}: empty incident_id")
             try:
                 year = int(year_text)
+                if str(year) != year_text:  # int() also takes "02020", " 2021", "2_020", "٢٠٢٢"
+                    raise ValueError
             except ValueError:
-                raise ParseError(f"{source}: row {n}: year {year_text!r} is not an integer") from None
+                raise ParseError(f"{source}: row {n}: year {year_text!r} is not an integer in canonical decimal") from None
             # "|"-separated lists; empty items are dropped.
             techniques = techniques_text.split("|")
             if "" in techniques:
@@ -397,50 +403,24 @@ def _csv_field(text: str) -> str:
 
 def corpus_to_csv(corpus: Corpus) -> str:
     """Serialize with sorted technique ids and LF line endings (byte-stable)."""
-    techniques_field = cache(lambda techniques: _csv_field("|".join(sorted(techniques))))
     lines = [",".join(CSV_HEADER)]
     lines += [
         f"{_csv_field(incident.incident_id)},{_csv_field(incident.title)},{incident.year},"
-        f"{_csv_field('|'.join(incident.targets))},{techniques_field(incident.techniques)}"
+        f"{_csv_field('|'.join(incident.targets))},{_csv_field('|'.join(sorted(incident.techniques)))}"
         for incident in corpus.incidents
     ]
     return "\n".join(lines) + "\n"
-
-
-# One incident of json.dumps(doc, indent=2, ensure_ascii=False) for a list of incident objects.
-_JSON_INCIDENT = (
-    '  {\n    "incident_id": %s,\n    "title": %s,\n    "year": %s,\n'
-    '    "targets": %s,\n    "techniques": %s\n  }'
-)
-
-
-def _json_string_list(items: Iterable[str]) -> str:
-    """A list of strings as json.dumps writes it three levels deep at indent=2."""
-    encoded = [encode_basestring(item) for item in items]
-    if not encoded:
-        return "[]"
-    return "[\n      " + ",\n      ".join(encoded) + "\n    ]"
 
 
 def corpus_to_json(corpus: Corpus) -> str:
     """The incidents as a JSON array, byte for byte as
     ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` writes it,
     with sorted technique ids."""
-    if not corpus.incidents:
-        return "[]\n"
-    techniques_block = cache(lambda techniques: _json_string_list(sorted(techniques)))
-    body = ",\n".join(
-        _JSON_INCIDENT
-        % (
-            encode_basestring(incident.incident_id),
-            encode_basestring(incident.title),
-            int.__repr__(incident.year),
-            _json_string_list(incident.targets),
-            techniques_block(incident.techniques),
-        )
+    return json_text([
+        {"incident_id": incident.incident_id, "title": incident.title, "year": incident.year,
+         "targets": list(incident.targets), "techniques": sorted(incident.techniques)}
         for incident in corpus.incidents
-    )
-    return "[\n" + body + "\n]\n"
+    ])
 
 
 def corpus_summary(corpus: Corpus) -> CorpusSummary:

@@ -9,7 +9,10 @@ and only (incident id, mask) pairs are kept for
 ``strategies.match_strategies``, the matcher of the library's profiles. The
 output is put together from pieces that incidents share: one evidence block
 per strategy and subset of its preparation techniques (42 for the bundled
-catalog), memoised by the matcher, and one strategy list per strategy mask.
+catalog), memoised by the matcher, and one strategy list per strategy mask,
+each list written by ``render.json_block`` at its depth. Only the row around
+them is a hand-written template. ``--pretty`` needs no evidence: it reads
+each incident's strategy mask with ``strategies.strategy_mask``.
 
 The masks come from the same scan of the corpus file as ``ingest_corpus``
 (``corpus.scan_corpus``), and both scan tables come from
@@ -18,17 +21,18 @@ the same technique ids are unknown. Strategies are rendered in catalog
 order, which is the canonical order. The output is the same text as
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the per-incident
 documents built from ``classify_corpus(...).profiles``, or the same
-``id: NR+NS`` lines with ``--pretty``.
+``id: NR+NS`` lines with ``--pretty`` (ids as ``_pretty_id`` writes them).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from .corpus import IngestionReport, scan_corpus, technique_table
-from .strategies import StrategyCatalog, _Memo, match_strategies
+from .render import json_block
+from .strategies import StrategyCatalog, _Memo, match_strategies, strategy_mask
 from .taxonomy import Taxonomy
 
 
@@ -50,16 +54,11 @@ def classification_json(
 ) -> str:
     """The ``classify`` JSON document of ``ingest_technique_masks`` pairs."""
 
-    def strategy_list(sm):
-        ids = catalog.ids_of_mask(sm)
-        return "[\n      " + ",\n      ".join(map(encode_basestring, ids)) + "\n    ]" if ids else "[]"
-
     def block(i, matched):
         strategy_id, ids = catalog.evidence_item(i, matched)
-        items = ",\n        ".join(map(encode_basestring, ids))
-        return f'{encode_basestring(strategy_id)}: [\n        ' + items + "\n      ]"
+        return f"{encode_basestring(strategy_id)}: {json_block(list(ids), 3)}"
 
-    lists = _Memo(strategy_list)
+    lists = _Memo(lambda sm: json_block(list(catalog.ids_of_mask(sm)), 2))
     rows = []
     for incident_id, sm, blocks in match_strategies(pairs, catalog, strict_prep, block):
         evidence = "{\n      " + ",\n      ".join(blocks) + "\n    }" if blocks else "{}"
@@ -68,11 +67,21 @@ def classification_json(
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
+def _pretty_id(incident_id: str) -> str:
+    """The id, or when it is not printable or starts with a double quote, its
+    ``json.dumps`` (ASCII escapes): one line, no control character, and
+    apart from any plain id."""
+    if incident_id.isprintable() and not incident_id.startswith('"'):
+        return incident_id
+    return encode_basestring_ascii(incident_id)
+
+
 def classification_text(
     pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
 ) -> str:
-    """The ``classify --pretty`` lines of ``ingest_technique_masks`` pairs."""
+    """The ``classify --pretty`` lines of ``ingest_technique_masks`` pairs, one
+    per incident: its id (see ``_pretty_id``), then its strategies."""
+    n = len(catalog.strategies)
     names = _Memo(lambda sm: "+".join(catalog.ids_of_mask(sm)) or "(unmapped)")
-    matches = match_strategies(pairs, catalog, strict_prep, lambda i, matched: None)
-    lines = [f"{incident_id}: {names[sm]}" for incident_id, sm, _ in matches]
+    lines = [f"{_pretty_id(incident_id)}: {names[strategy_mask(tm, n, strict_prep)]}" for incident_id, tm in pairs]
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ the incidents and one year drawn per incident.
 ``_layout`` checks the spec and gives each incident's technique set and year.
 ``generate_corpus`` builds its Corpus from it; the ``generate`` command writes
 the bytes of ``corpus_to_csv``/``corpus_to_json`` straight from it, building no
-Incident (``_layout_csv``, ``_layout_json``).
+Incident (``_layout_csv``, ``_layout_json``), from one hand-written row template.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CSV_HEADER, _JSON_INCIDENT, Corpus, Incident, _csv_field, _json_string_list
+from .corpus import CSV_HEADER, Corpus, Incident, _csv_field
 from .documents import parse_json, read_text
 from .errors import InfeasibleSpec, SchemaError, ZeroIncidents
+from .render import json_block
 from .strategies import StrategyCatalog
 
 EXACT_MODE = "exact-patterns"
@@ -404,5 +405,6 @@ def _layout_csv(layout: list[tuple[frozenset[str], int]]) -> str:
 def _layout_json(layout: list[tuple[frozenset[str], int]]) -> str:
     """``corpus_to_json`` of the layout's corpus, without building it. Ids and
     titles need no escaping; the incidents have no targets."""
-    row = _JSON_INCIDENT % (f'"{_ID}"', f'"{_TITLE}"', "%d", _json_string_list(()), "%s")
-    return _text(layout, "[\n", row, ",\n", "\n]\n", lambda t: _json_string_list(sorted(t)))
+    row = (f'  {{\n    "incident_id": "{_ID}",\n    "title": "{_TITLE}",\n    "year": %d,\n'
+           '    "targets": [],\n    "techniques": %s\n  }')
+    return _text(layout, "[\n", row, ",\n", "\n]\n", lambda t: json_block(sorted(t), 2))

@@ -4,10 +4,13 @@ Statistics are held as `fractions.Fraction`; turning them into decimal text
 is a report-layer concern. Rounding is round-half-even, computed in integers
 on the numerator and denominator, so no float ever enters the pipeline.
 
-``json_text`` writes the report and the graph JSON views. It gives the bytes
-of ``json.dumps(value, indent=2, ensure_ascii=False)`` plus a newline for
-documents of str, int, bool, None, list and dict with str keys, without the
+``json_block`` is the package's one statement of the JSON layout: the bytes
+of ``json.dumps(value, indent=2, ensure_ascii=False)`` for values of str, int,
+bool, None, list and dict with str keys, at any depth, without the
 pure-Python encoder that ``json.dumps`` falls back to when indenting.
+``json_text`` (a whole document and a newline) writes every JSON output but
+the rows that ``classify`` and ``generate`` write once per incident: those
+are hand-written templates whose lists ``json_block`` fills.
 """
 
 from __future__ import annotations
@@ -60,12 +63,9 @@ def json_text(value: object) -> str:
 
 
 def json_block(value: object, depth: int) -> str:
-    """Indent-2 JSON text of a value that sits ``depth`` levels deep in a
-    document, with no trailing newline: its lines after the first are
-    indented by 2 * depth more spaces. ``json_text`` is depth 0; the
-    ``classify`` and ``generate`` row templates fill their lists with it.
-    Raises TypeError as ``json_text`` does.
-    """
+    """Indent-2 JSON text of a value ``depth`` levels deep in a document, with
+    no trailing newline: lines after the first get 2 * depth more spaces.
+    Raises TypeError as ``json_text`` does."""
     parts: list[str] = []
     _write_json(value, "\n" + "  " * depth, parts.append)
     return "".join(parts)

@@ -10,13 +10,13 @@ safe for concurrent reads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from .documents import parse_json, read_text
 from .errors import AmbiguousName, NotFound, SchemaError
+from .render import json_text
 
 PHASE_NAMES = ("Plan", "Prepare", "Execute", "Assess")
 
@@ -280,7 +280,7 @@ def serialize_taxonomy(taxonomy: Taxonomy) -> str:
     doc["techniques"] = [
         {"id": t.id, "name": t.name, "parent_id": t.tactic_id} for t in taxonomy.techniques
     ]
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json_text(doc)
 
 
 def lookup_technique(

@@ -72,8 +72,10 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[Row]:
                 raise ParseError(f"{source}: row {n}: empty incident_id")
             try:
                 year = int(year_text)
+                if str(year) != year_text:  # int() also takes "02020", " 2021", "2_020", "٢٠٢٢"
+                    raise ValueError
             except ValueError:
-                raise ParseError(f"{source}: row {n}: year {year_text!r} is not an integer") from None
+                raise ParseError(f"{source}: row {n}: year {year_text!r} is not an integer in canonical decimal") from None
             # "|"-separated lists; empty items are dropped.
             targets = targets_text.split("|")
             if "" in targets:

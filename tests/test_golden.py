@@ -81,6 +81,7 @@ CASES = {
         for suffix, flags in ((".json", []), ("_pretty.txt", ["--pretty"]))
     },
     "classify_escaped_ids.json": ["classify", "--corpus", ESCAPED],
+    "classify_escaped_ids_pretty.txt": ["classify", "--corpus", ESCAPED, "--pretty"],
     **{
         f"fixture_corpus.{fmt}": ["generate", "--spec", FIXTURE_SPEC, "--corpus-format", fmt]
         for fmt in ("csv", "json")

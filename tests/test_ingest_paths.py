@@ -39,7 +39,7 @@ from influenceops import (
     loads_corpus_json,
 )
 from influenceops.cli import main
-from influenceops.corpus import CSV_HEADER, DroppedTechnique
+from influenceops.corpus import CSV_HEADER, DroppedTechnique, corpus_to_csv
 from influenceops.evidence import classification_json, classification_text, ingest_technique_masks
 from influenceops.resources import bundled_data_path
 from influenceops.strategies import (
@@ -140,7 +140,7 @@ def csv_rows(draw, valid):
     incident_id = "" if not valid and rarely(draw) else draw(st.sampled_from(IDS))
     year = draw(st.integers(1990, 2030))
     if not valid and rarely(draw):
-        year = draw(st.sampled_from(["x", "", "20.5", "2_020", " 2021"]))
+        year = draw(st.sampled_from(["x", "", "20.5", "2_020", " 2021", "02020", "+2021", "٢٠٢٢", "-0"]))
     # A trailing "|" leaves an empty item, which is skipped.
     row = [incident_id, draw(TEXT), year, "|".join(draw(st.lists(TEXT, max_size=2))),
            "|".join(draw(techniques)) + draw(st.sampled_from(["", "", "|"]))]
@@ -469,6 +469,14 @@ def canonical(strategy_ids):
     return [s for s in STRATEGY_ORDER if s in strategy_ids]
 
 
+def pretty_id(incident_id):
+    """An id as `classify --pretty` prints it: quoted with ASCII escapes when
+    it is not printable or starts with a double quote."""
+    if incident_id.isprintable() and not incident_id.startswith('"'):
+        return incident_id
+    return json.dumps(incident_id)
+
+
 def reference_classify(path, taxonomy, catalog, mode, strict_prep, pretty):
     """The `classify` output rendered from the reference's set-based profiles
     of the reference's corpus, as the command did before it streamed."""
@@ -476,7 +484,7 @@ def reference_classify(path, taxonomy, catalog, mode, strict_prep, pretty):
     profiles = [reference_ingest.classify_incident(i, catalog, strict_prep) for i in corpus.incidents]
     if pretty:
         lines = [
-            f"{p.incident_id}: {'+'.join(canonical(p.strategies)) or '(unmapped)'}"
+            f"{pretty_id(p.incident_id)}: {'+'.join(canonical(p.strategies)) or '(unmapped)'}"
             for p in profiles
         ]
         return "\n".join(lines) + "\n"
@@ -548,6 +556,52 @@ def test_classify_rendering_does_not_depend_on_catalog_order(taxonomy, catalog):
 def test_classify_rendering_of_no_incident(catalog):
     assert classification_json([], catalog) == json.dumps([], indent=2) + "\n"
     assert classification_text([], catalog) == "\n"
+
+
+@pytest.mark.parametrize(
+    "incident_id, printed",
+    [
+        ("I-1", "I-1"),
+        ('Q-"7"', 'Q-"7"'),
+        ("É-6 «été»", "É-6 «été»"),
+        ('"I-1"', '"\\"I-1\\""'),
+        ("I\u00a01", '"I\\u00a01"'),
+        ("C-\x07\t\n\x7f\x85\u2028", '"C-\\u0007\\t\\n\\u007f\\u0085\\u2028"'),
+    ],
+)
+def test_classify_pretty_quotes_ids_that_are_not_printable(catalog, incident_id, printed):
+    assert classification_text([(incident_id, 0)], catalog) == f"{printed}: (unmapped)\n"
+
+
+def test_classify_pretty_prints_one_line_per_incident(capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent)
+    assert main(["classify", "--pretty", "--corpus", "golden/escaped_ids.json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ids = [entry["incident_id"] for entry in json.loads(Path("golden/escaped_ids.json").read_text(encoding="utf-8"))]
+    assert len(lines) == len(ids) == 5
+    assert [line.rpartition(": ")[0] for line in lines] == [pretty_id(i) for i in ids]
+    assert all(line.isprintable() for line in lines)
+
+
+@pytest.mark.parametrize("year", ["2_020", " +2021 ", "٢٠٢٢", "02020", "-0", "2020.0"])
+def test_csv_year_must_be_canonical_decimal(taxonomy, catalog, tmp_path, year):
+    """int() takes each of these, but corpus_to_csv would write it back otherwise."""
+    path = tmp_path / "years.csv"
+    path.write_text(csv_text(CSV_HEADER, [["I-1", "a", "2020", "", "T0115"], ["I-2", "b", year, "", "T0115"]]),
+                    encoding="utf-8")
+    message = f"{path}: row 2: year {year!r} is not an integer in canonical decimal"
+    for ingest in (ingest_histogram, materialised, library):
+        with pytest.raises(ParseError) as err:
+            ingest(path, taxonomy, catalog, "strict", False)
+        assert str(err.value) == message
+    check_paths_agree(path, taxonomy, catalog, path.read_text(encoding="utf-8"))
+
+
+def test_csv_year_in_canonical_decimal_reads_back(taxonomy):
+    text = csv_text(CSV_HEADER, [["I-1", "a", "2020", "", ""], ["I-2", "b", "-44", "", ""], ["I-3", "c", "0", "", ""]])
+    corpus, _ = loads_corpus_csv(text, taxonomy)
+    assert [i.year for i in corpus.incidents] == [2020, -44, 0]
+    assert corpus_to_csv(corpus) == text
 
 
 def test_lone_surrogate_id_is_a_parse_error(taxonomy, catalog, tmp_path, capsys):
