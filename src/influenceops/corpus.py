@@ -206,6 +206,7 @@ def _scan_csv(
     dropped: list[DroppedTechnique] = []
     error: InfluenceOpsError | None = None
     reader = csv.reader(lines)
+    years: dict[str, int] = {}  # a corpus has few distinct years: each text is checked once
     n = -1  # the header is row 0
     try:
         header = next(reader, None)
@@ -225,12 +226,16 @@ def _scan_csv(
             incident_id, title, year_text, targets_text, techniques_text = row
             if not incident_id:
                 raise ParseError(f"{source}: row {n}: empty incident_id")
-            try:
-                year = int(year_text)
-                if str(year) != year_text:  # int() also takes "02020", " 2021", "2_020", "٢٠٢٢"
-                    raise ValueError
-            except ValueError:
-                raise ParseError(f"{source}: row {n}: year {year_text!r} is not an integer in canonical decimal") from None
+            year = years.get(year_text)
+            if year is None:
+                try:
+                    year = years[year_text] = int(year_text)
+                    if str(year) != year_text:  # int() also takes "02020", " 2021", "2_020", "٢٠٢٢"
+                        raise ValueError
+                except ValueError:
+                    raise ParseError(
+                        f"{source}: row {n}: year {year_text!r} is not an integer in canonical decimal"
+                    ) from None
             # "|"-separated lists; empty items are dropped.
             techniques = techniques_text.split("|")
             if "" in techniques:
