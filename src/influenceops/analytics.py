@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -253,14 +253,18 @@ def pattern_frequencies(cc: ClassifiedCorpus) -> PatternTable:
     then enumeration order of the member ids.
     """
     table = cc.superset_sums
-    order = cc.catalog.order_index
-    rows = [
-        PatternRow(cc.catalog.ids_of_mask(mask), count, table[mask])
-        for mask, count in cc.histogram.items()
-        if mask
-    ]
-    rows.sort(key=lambda r: (-r.exact_count, len(r.strategies), tuple(order(s) for s in r.strategies)))
-    return PatternTable(tuple(rows))
+    histogram = cc.histogram
+    masks = sorted((mask for mask in histogram if mask), key=lambda mask: (-histogram[mask], _mask_order(mask)))
+    return PatternTable(
+        tuple(PatternRow(cc.catalog.ids_of_mask(mask), histogram[mask], table[mask]) for mask in masks)
+    )
+
+
+@cache
+def _mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Size, then member bit positions. The catalog is in enumeration order, so
+    bit positions compare as the members' enumeration positions do."""
+    return mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _nodes(cc: ClassifiedCorpus, counts: dict[str, int]) -> tuple[CooccurrenceNode, ...]:
@@ -285,6 +289,14 @@ def cooccurrence(cc: ClassifiedCorpus) -> CooccurrenceGraph:
     return CooccurrenceGraph(_nodes(cc, _strategy_counts(cc, table)), edges)
 
 
+def support_threshold(min_support: int) -> int:
+    """The source count a conditional edge needs, max(min_support, 1); raises
+    NegativeSupport on a negative min_support."""
+    if min_support < 0:
+        raise NegativeSupport(f"min_support must be >= 0, got {min_support}")
+    return max(min_support, 1)
+
+
 def conditional_probabilities(cc: ClassifiedCorpus, min_support: int = 1) -> ConditionalGraph:
     """Directed graph of P(target | source) = joint / source count.
 
@@ -292,13 +304,11 @@ def conditional_probabilities(cc: ClassifiedCorpus, min_support: int = 1) -> Con
     strategy's incident count reaches max(min_support, 1); weights are exact
     rationals carried as integer pairs.
     """
-    if min_support < 0:
-        raise NegativeSupport(f"min_support must be >= 0, got {min_support}")
+    threshold = support_threshold(min_support)
     table = cc.superset_sums
     counts = _strategy_counts(cc, table)
     joint = _joint_counts(cc, table)
     ids = cc.catalog.ids()
-    threshold = max(min_support, 1)
     edges = tuple(
         ConditionalEdge(source, target, joint[(source, target)], counts[source])
         for source in ids

@@ -1,8 +1,9 @@
 """Command-line interface: validate, classify, stats, graph, generate.
 
 Exit codes: 0 success, 1 domain or validation failure, 2 I/O failure or usage error.
-All outputs are UTF-8 and byte-identical across runs for identical inputs
-and configuration. Default taxonomy and catalog are the bundled files,
+All outputs are UTF-8, on stdout too whatever its encoding, and
+byte-identical across runs for identical inputs and configuration. A closed
+stdout is an I/O failure. Default taxonomy and catalog are the bundled files,
 overridable with --taxonomy/--catalog or the INFLUENCEOPS_TAXONOMY and
 INFLUENCEOPS_CATALOG environment variables; an empty variable counts as
 unset. Every path flag (--taxonomy, --catalog, --corpus, --spec, --out)
@@ -17,6 +18,7 @@ symlink, a FIFO, a device) in place.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import stat
@@ -31,7 +33,7 @@ from .evidence import classification_json, classification_text, ingest_technique
 from .generate import _layout as generate_corpus, _layout_csv as corpus_to_csv
 from .generate import _layout_json as corpus_to_json, load_generator_spec
 from .graphexport import GRAPH_FORMATS, export_graph
-from .report import build_report, report_to_json, report_to_text
+from .report import _tables, build_report, report_to_json, report_to_text
 from .resources import bundled_data_path
 from .strategies import load_strategy_catalog
 # validate, stats and graph scan the corpus file straight into the mask
@@ -122,8 +124,16 @@ def _path(value: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write the text as UTF-8 to ``out``, or else to stdout, whatever its encoding."""
     if out is None:
-        sys.stdout.write(text)
+        if sys.stdout is None:  # the process was started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
+        else:
+            buffer.write(text.encode("utf-8"))
+            buffer.flush()
         return
     data = text.encode("utf-8")  # encoded before any file is opened
     try:
@@ -159,12 +169,11 @@ def _load_inputs(args):
 
 def cmd_validate(args) -> int:
     taxonomy, catalog = _load_inputs(args)  # each loader raises on any rule it checks
-    print("taxonomy: ok\ncatalog: ok")
+    _emit("taxonomy: ok\ncatalog: ok\n", None)
     if args.corpus:
         cc, ingestion = ingest_corpus(args.corpus, taxonomy, catalog, args.ingest_mode)
-        print(f"corpus: ok ({cc.total_count} incidents)")
-        for warning in ingestion.warnings():
-            print(f"corpus: warning: {warning}")
+        lines = [f"corpus: ok ({cc.total_count} incidents)", *(f"corpus: warning: {w}" for w in ingestion.warnings())]
+        _emit("\n".join(lines) + "\n", None)
     return EXIT_OK
 
 
@@ -179,8 +188,11 @@ def cmd_classify(args) -> int:
 def cmd_stats(args) -> int:
     taxonomy, catalog = _load_inputs(args)
     cc, _ = ingest_corpus(args.corpus, taxonomy, catalog, args.ingest_mode, args.strict_prep)
-    report = build_report(cc, ingest_mode=args.ingest_mode, min_support=args.min_support)
-    _emit(report_to_text(report) if args.pretty else report_to_json(report), args.out)
+    if args.pretty:  # the text tables read no graph
+        text = report_to_text(_tables(cc, args.ingest_mode, args.min_support))
+    else:
+        text = report_to_json(build_report(cc, ingest_mode=args.ingest_mode, min_support=args.min_support))
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -4,15 +4,16 @@ Writers are hand-rolled so output is byte-identical across platforms and
 library versions: nodes are emitted in strategy enumeration order and edges
 in (source, target) enumeration order. There is one writer per format, for
 both graph kinds. The JSON view is ``graph_document``, the node/edge document
-whose parts the report's ``graphs`` block also embeds. No plotting here;
-these documents feed external renderers.
+whose parts the report's ``graphs`` block also embeds; a conditional edge's
+probability there is a ``render.ratio_payload`` of its two counts. No
+plotting here; these documents feed external renderers.
 """
 
 from __future__ import annotations
 
 from .analytics import ConditionalGraph, CooccurrenceGraph
 from .errors import UnknownFormat
-from .render import decimal_string, fraction_payload, json_text
+from .render import decimal_string, json_text, ratio_payload
 
 
 def _xml_escape(text: str) -> str:
@@ -44,7 +45,7 @@ def graph_document(graph: CooccurrenceGraph | ConditionalGraph) -> dict:
     """The graph as a JSON-ready document of its kind, nodes and edges.
 
     A conditional graph also records its ``min_support``, and its edges carry
-    the exact probability as a ``fraction_payload``.
+    the exact probability as a ``ratio_payload`` of joint and source count.
     """
     nodes = [{"id": n.strategy_id, "name": n.name, "count": n.count} for n in graph.nodes]
     if isinstance(graph, CooccurrenceGraph):
@@ -56,7 +57,7 @@ def graph_document(graph: CooccurrenceGraph | ConditionalGraph) -> dict:
             "target": e.target,
             "joint_count": e.joint_count,
             "source_count": e.source_count,
-            "probability": fraction_payload(e.probability),
+            "probability": ratio_payload(e.joint_count, e.source_count),
         }
         for e in graph.edges
     ]

@@ -3,6 +3,9 @@
 Statistics are held as `fractions.Fraction`; turning them into decimal text
 is a report-layer concern. Rounding is round-half-even, computed in integers
 on the numerator and denominator, so no float ever enters the pipeline.
+``ratio_payload`` builds the JSON view of a ratio from its two integers, as
+the report and the conditional-graph document do from the counts they hold;
+``fraction_payload`` is the same view of a ``Fraction``.
 
 ``json_block`` is the package's one statement of the JSON layout: the bytes
 of ``json.dumps(value, indent=2, ensure_ascii=False)`` for values of str, int,
@@ -10,13 +13,16 @@ bool, None, list and dict with str keys, at any depth, without the
 pure-Python encoder that ``json.dumps`` falls back to when indenting.
 ``json_text`` (a whole document and a newline) writes every JSON output but
 the rows that ``classify`` and ``generate`` write once per incident: those
-are hand-written templates whose lists ``json_block`` fills.
+are hand-written templates whose lists ``json_block`` fills. The report's
+pattern rows and conditional edges are templates too (``report.py``), which
+``json_text`` places in the report as ``Rendered`` text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import gcd
 
 
 def _decimal(numerator: int, denominator: int, places: int) -> str:
@@ -45,12 +51,27 @@ def percent_string(value: Fraction, places: int = 1) -> str:
 
 def fraction_payload(value: Fraction, percent: bool = False) -> dict:
     """JSON-friendly view: exact integer pair plus a decimal rendering."""
-    payload = {"numerator": value.numerator, "denominator": value.denominator}
+    return ratio_payload(value.numerator, value.denominator, percent)
+
+
+def ratio_payload(numerator: int, denominator: int, percent: bool = False) -> dict:
+    """``fraction_payload(Fraction(numerator, denominator), percent)``, built
+    without a Fraction. Raises ZeroDivisionError on a zero denominator."""
+    if denominator < 0:
+        numerator, denominator = -numerator, -denominator
+    common = gcd(numerator, denominator)
+    numerator, denominator = numerator // common, denominator // common
+    payload = {"numerator": numerator, "denominator": denominator}
     if percent:
-        payload["percent"] = percent_string(value, 1)
+        payload["percent"] = _decimal(numerator * 100, denominator, 1)
     else:
-        payload["value"] = decimal_string(value, 4)
+        payload["value"] = _decimal(numerator, denominator, 4)
     return payload
+
+
+class Rendered(str):
+    """JSON text already laid out for the depth where it is placed in a
+    document; ``json_text`` and ``json_block`` write it as it is."""
 
 
 def json_text(value: object) -> str:
@@ -73,7 +94,7 @@ def json_block(value: object, depth: int) -> str:
 
 def _write_json(value: object, newline: str, write) -> None:
     if isinstance(value, str):
-        write(encode_basestring(value))
+        write(value if type(value) is Rendered else encode_basestring(value))
     elif value is None or value is True or value is False:
         write("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):

@@ -5,10 +5,18 @@ taxonomy and catalog versions, and the configuration used, so downstream
 renderings never have to guess what a share was computed against. Its
 ``graphs`` block embeds parts of ``graphexport.graph_document``, the same
 node/edge document as the graph JSON view, and ``report_to_json`` writes it
-with ``render.json_text``.
+with ``render.json_text``. Every share and conditional probability in it is
+a ``render.ratio_payload`` of two counts the analytics return, built here
+and in ``graph_document``, not from the analytics' Fractions.
+
+``_tables`` is the report without its ``graphs`` block: everything
+``report_to_text`` reads, so ``stats --pretty`` builds no graph.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from json.encoder import encode_basestring
 
 from . import __version__
 from .analytics import (
@@ -18,9 +26,10 @@ from .analytics import (
     pattern_frequencies,
     prevalence,
     size_distribution,
+    support_threshold,
 )
 from .graphexport import graph_document
-from .render import fraction_payload, json_text, percent_string
+from .render import Rendered, json_block, json_text, ratio_payload
 from .strategies import ClassifiedCorpus
 
 
@@ -37,12 +46,24 @@ def _escaped(source: str) -> str:
 def build_report(
     cc: ClassifiedCorpus, ingest_mode: str = "strict", min_support: int = 1
 ) -> dict:
+    report = _tables(cc, ingest_mode, min_support)
+    codoc = graph_document(cooccurrence(cc))
+    conddoc = graph_document(conditional_probabilities(cc, min_support))
+    report["graphs"] = {
+        "cooccurrence": {"nodes": codoc["nodes"], "edges": codoc["edges"]},
+        "conditional": {"min_support": conddoc["min_support"], "edges": conddoc["edges"]},
+    }
+    return report
+
+
+def _tables(cc: ClassifiedCorpus, ingest_mode: str, min_support: int) -> dict:
+    """``build_report`` without its ``graphs`` block; raises the same errors."""
     coverage = mapping_coverage(cc)
     prev = prevalence(cc)
     sizes = size_distribution(cc)
     patterns = pattern_frequencies(cc)
-    codoc = graph_document(cooccurrence(cc))
-    conddoc = graph_document(conditional_probabilities(cc, min_support))
+    support_threshold(min_support)  # the conditional graph's check, in its turn
+    mapped, multi = sizes.mapped_total, sizes.multi_total
 
     return {
         "tool": {"name": "influenceops", "version": __version__},
@@ -57,7 +78,7 @@ def build_report(
         "coverage": {
             "mapped": coverage.mapped,
             "total": coverage.total,
-            "fraction": fraction_payload(coverage.fraction, percent=True),
+            "fraction": ratio_payload(coverage.mapped, coverage.total, percent=True),
         },
         "prevalence": {
             "denominator": prev.denominator,
@@ -66,24 +87,20 @@ def build_report(
                     "id": entry.strategy_id,
                     "name": entry.name,
                     "count": entry.count,
-                    "share": fraction_payload(entry.fraction, percent=True),
+                    "share": ratio_payload(entry.count, prev.denominator, percent=True),
                 }
                 for entry in prev.entries
             ],
         },
         "size_distribution": {
-            "denominator_all": sizes.mapped_total,
-            "denominator_multi": sizes.multi_total,
+            "denominator_all": mapped,
+            "denominator_multi": multi,
             "counts": {str(k): v for k, v in sizes.counts.items()},
-            "multi_share": fraction_payload(sizes.multi_fraction_of_all, percent=True),
-            "shares_of_all": {
-                str(k): fraction_payload(sizes.fraction_of_all(k), percent=True)
-                for k in sizes.counts
-            },
+            "multi_share": ratio_payload(multi, mapped, percent=True),
+            "shares_of_all": {str(k): ratio_payload(v, mapped, percent=True) for k, v in sizes.counts.items()},
+            # A size of 2 or more exists only when multi > 0.
             "shares_of_multi": {
-                str(k): fraction_payload(sizes.fraction_of_multi(k), percent=True)
-                for k in sizes.counts
-                if k >= 2
+                str(k): ratio_payload(v, multi, percent=True) for k, v in sizes.counts.items() if k >= 2
             },
         },
         "patterns": {
@@ -97,15 +114,52 @@ def build_report(
                 for row in patterns.rows
             ],
         },
-        "graphs": {
-            "cooccurrence": {"nodes": codoc["nodes"], "edges": codoc["edges"]},
-            "conditional": {"min_support": conddoc["min_support"], "edges": conddoc["edges"]},
-        },
     }
 
 
 def report_to_json(report: dict) -> str:
-    return json_text(report)
+    """``render.json_text`` of a ``build_report`` document. Its pattern rows and
+    conditional edges, most of its lines, are filled into templates memoised
+    per pattern and per strategy pair, as ``evidence.py`` writes its rows."""
+    patterns, graphs = report["patterns"], report["graphs"]
+    conditional = graphs["conditional"]
+    return json_text({
+        **report,
+        "patterns": {**patterns, "rows": [_pattern_row(row) for row in patterns["rows"]]},
+        "graphs": {**graphs, "conditional": {**conditional, "edges": [_edge(e) for e in conditional["edges"]]}},
+    })
+
+
+@cache
+def _pattern_head(strategies: tuple[str, ...]) -> str:
+    return '{\n        "strategies": ' + json_block(list(strategies), 4) + ',\n        "exact": '
+
+
+def _pattern_row(row: dict) -> Rendered:
+    head = _pattern_head(tuple(row["strategies"]))
+    return Rendered(f'{head}{row["exact"]},\n        "containment": {row["containment"]}\n      }}')
+
+
+@cache
+def _edge_head(source: str, target: str) -> str:
+    return (
+        f'{{\n          "source": {encode_basestring(source)},\n'
+        f'          "target": {encode_basestring(target)},\n          "joint_count": '
+    )
+
+
+def _edge(edge: dict) -> Rendered:
+    p = edge["probability"]
+    return Rendered(
+        f'{_edge_head(edge["source"], edge["target"])}{edge["joint_count"]},\n'
+        f'          "source_count": {edge["source_count"]},\n'
+        f'          "probability": {{\n'
+        f'            "numerator": {p["numerator"]},\n'
+        f'            "denominator": {p["denominator"]},\n'
+        f'            "value": "{p["value"]}"\n'
+        f'          }}\n'
+        f'        }}'
+    )
 
 
 def report_to_text(report: dict) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 from .corpus import Corpus, Incident, IngestionReport, scan_corpus, technique_table
@@ -255,8 +255,12 @@ def _check_technique(taxonomy: Taxonomy, where: str, strategy_id: str, role: str
         )
 
 
+@lru_cache(maxsize=16)
 def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
     """Parse a catalog JSON document and verify it against the taxonomy.
+
+    One shared catalog per (text, taxonomy), the taxonomy compared by value;
+    an error is not cached.
 
     Raises UnknownTechnique for unresolvable references, PhaseViolation when
     an execution technique is outside the Execute phase or a preparation

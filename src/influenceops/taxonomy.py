@@ -5,13 +5,15 @@ a versioned JSON document. The loader is the one place that checks a
 document, so a `Taxonomy` obtained from `load_taxonomy` is always valid and
 nothing re-checks it; `validate_taxonomy` also checks hand-built objects and
 returns violations as data instead of raising. Instances are immutable and
-safe for concurrent reads.
+safe for concurrent reads, so ``loads_taxonomy`` parses each document text
+once per process and returns the same object for it; ``load_taxonomy``
+reads the file on every call, and an invalid document raises every time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .documents import parse_json, read_text
@@ -228,8 +230,10 @@ def _child(cls):
     return lambda e, w: cls(_str_field(e, "id", w), _str_field(e, "name", w), _str_field(e, "parent_id", w))
 
 
+@lru_cache(maxsize=16)
 def loads_taxonomy(text: str) -> Taxonomy:
-    """Parse a taxonomy JSON document and return a validated Taxonomy."""
+    """Parse a taxonomy JSON document and return a validated Taxonomy, one
+    shared object per text (an error is not cached)."""
     doc = parse_json(text, "taxonomy document")
     if not isinstance(doc, dict):
         raise SchemaError("taxonomy document must be a JSON object")

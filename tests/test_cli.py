@@ -399,6 +399,47 @@ def test_min_support_with_a_cooccurrence_graph_is_a_usage_error(tmp_path, hand_c
     assert "NegativeSupport" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["json", "pretty"])
+def test_stats_checks_min_support_after_the_corpus_with_or_without_graphs(tmp_path, hand_corpus_csv, capsys, pretty):
+    """--pretty builds no graph, yet refuses a negative --min-support as the
+    report does, and only once the corpus has a mapped incident."""
+    assert main(["stats", *pretty, "--min-support", "-5", "--corpus", hand_corpus_csv]) == 1
+    assert capsys.readouterr().err == "NegativeSupport: min_support must be >= 0, got -5\n"
+    unmapped = tmp_path / "unmapped.csv"
+    unmapped.write_text("incident_id,title,year,targets,techniques\nU-1,x,2020,,T0003\n", encoding="utf-8")
+    assert main(["stats", *pretty, "--min-support", "-5", "--corpus", str(unmapped)]) == 1
+    assert capsys.readouterr().err.startswith("EmptyCorpus: ")
+
+
+def test_each_call_reads_the_taxonomy_and_catalog_files_again(tmp_path, hand_corpus_csv, capsys):
+    """Parsed documents are shared per text, so a file rewritten at the same
+    path between two calls in one process is seen by the second."""
+    taxonomy, catalog = tmp_path / "taxonomy.json", tmp_path / "catalog.json"
+    taxonomy_text = bundled_data_path("taxonomy.json").read_text(encoding="utf-8")
+    catalog_doc = json.loads(bundled_data_path("catalog.json").read_text(encoding="utf-8"))
+    nr = next(s for s in catalog_doc["strategies"] if s["id"] == "NR")
+    catalog.write_text(json.dumps(catalog_doc), encoding="utf-8")
+    argv = ["stats", "--pretty", "--taxonomy", str(taxonomy), "--catalog", str(catalog), "--corpus", hand_corpus_csv]
+
+    taxonomy.write_text(taxonomy_text, encoding="utf-8")
+    assert main(argv) == 0
+    assert f"  NR   {nr['name']:<26}" in capsys.readouterr().out
+    without = json.loads(taxonomy_text)
+    without["techniques"] = [t for t in without["techniques"] if t["id"] != nr["execution_technique"]]
+    taxonomy.write_text(json.dumps(without), encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("UnknownTechnique: ")
+    taxonomy.write_text(taxonomy_text, encoding="utf-8")
+
+    nr["name"] = "Renamed release"
+    catalog.write_text(json.dumps(catalog_doc), encoding="utf-8")
+    assert main(argv) == 0
+    assert f"  NR   {'Renamed release':<26}" in capsys.readouterr().out
+    catalog.write_text("{", encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("ParseError: ")
+
+
 def test_parser_is_not_built_at_import():
     import subprocess
     import sys
@@ -414,14 +455,15 @@ def test_parser_is_not_built_at_import():
 # --- a corpus path that is not UTF-8 ----------------------------------------
 
 
-def run_cli(argv, cwd, **kwargs):
-    """The CLI in a process of its own, whose stdout bytes are what it wrote."""
+def run_cli(argv, cwd, env=None, **kwargs):
+    """The CLI in a process of its own, whose stdout bytes are what it wrote;
+    ``env`` adds to the environment."""
     import subprocess
     import sys
 
     import influenceops
 
-    env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1]), **(env or {})}
     return subprocess.run([sys.executable, "-m", "influenceops.cli", *argv], cwd=cwd, capture_output=True, env=env,
                           **kwargs)
 
@@ -449,6 +491,49 @@ def test_stats_out_of_a_non_utf8_corpus_path_is_the_stdout_bytes(tmp_path, non_u
     written = run_cli(["stats", "--corpus", non_utf8_corpus, "--out", "out.json"], tmp_path)
     assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
     assert (tmp_path / "out.json").read_bytes() == printed.stdout
+
+
+# --- stdout ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-8"])
+def test_stdout_is_utf8_whatever_its_encoding(tmp_path, encoding):
+    golden = Path(__file__).parent / "golden"
+    env = {"PYTHONIOENCODING": encoding}
+    result = run_cli(["classify", "--pretty", "--corpus", str(golden / "escaped_ids.json")], tmp_path, env)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (golden / "classify_escaped_ids_pretty.txt").read_bytes()
+    corpus = "incident_id,title,year,targets,techniques\nÉTÉ-1,x,2020,,T0115|Xé9\n"
+    (tmp_path / "c.csv").write_text(corpus, encoding="utf-8")
+    result = run_cli(["validate", "--lenient", "--corpus", "c.csv"], tmp_path, env)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.decode("utf-8") == (
+        "taxonomy: ok\ncatalog: ok\ncorpus: ok (1 incidents)\n"
+        "corpus: warning: incident 'ÉTÉ-1': dropped unknown technique 'Xé9'\n"
+    )
+    (tmp_path / "é.csv").write_bytes((golden / "fixture_corpus.csv").read_bytes())
+    result = run_cli(["stats", "--corpus", "é.csv"], tmp_path, env)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert run_cli(["stats", "--corpus", "é.csv", "--out", "stats.json"], tmp_path, env).returncode == 0
+    assert result.stdout == (tmp_path / "stats.json").read_bytes()
+    assert json.loads(result.stdout.decode("utf-8"))["config"]["corpus_source"] == "é.csv"
+
+
+CLOSED_STDOUT = f"I/O error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+
+
+def test_a_closed_stdout_is_an_io_error(tmp_path):
+    result = run_cli(["validate"], tmp_path, preexec_fn=lambda: os.close(1))  # as the shell's >&- does
+    assert (result.returncode, result.stdout, result.stderr) == (2, b"", CLOSED_STDOUT.encode())
+
+
+@pytest.mark.parametrize("command", [["validate"], ["classify"], ["stats"], ["stats", "--pretty"],
+                                     ["graph", "--kind", "cooccurrence"]], ids=" ".join)
+def test_every_command_refuses_a_missing_stdout(hand_corpus_csv, monkeypatch, capsys, command):
+    argv = command if command == ["validate"] else [*command, "--corpus", hand_corpus_csv]
+    monkeypatch.setattr("sys.stdout", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == CLOSED_STDOUT
 
 
 def test_report_escapes_a_lone_surrogate_in_its_source(catalog):
@@ -541,7 +626,8 @@ def flag_files(tmp_path_factory, fixture_corpus_csv):
     garbage = root / "garbage.json"
     garbage.write_bytes(b'{"version": [\xff')
     hostile = [os.devnull, "", str(root), str(root / "missing.json"), str(garbage), os.fsdecode(b"m\xff.json")]
-    corpora = [*(str(golden / name) for name in ("prep_corpus.csv", "fixture_corpus.json", "lenient_corpus.csv")),
+    corpora = [*(str(golden / name) for name in ("prep_corpus.csv", "fixture_corpus.json", "lenient_corpus.csv",
+                                                 "escaped_ids.json")),
                fixture_corpus_csv]
     surrogate = root / os.fsdecode(b"c\xff.csv")
     try:
@@ -607,14 +693,19 @@ def argvs(draw, files):
 @given(data=st.data())
 def test_every_flag_exits_with_a_code_and_no_traceback(flag_files, data):
     """Each subcommand and flag of the parser, with valid, boundary and hostile
-    values, exits 0, 1 or 2, prints UTF-8 and no traceback, and on failure
-    leaves the --out directory as it was."""
+    values, exits 0, 1 or 2, prints UTF-8 to a stdout of any encoding and no
+    traceback, and on failure leaves the --out directory as it was. Now and
+    then stdout is closed, as Python leaves it for a process started with
+    ``>&-``."""
     out_dir = flag_files["out_dir"]
     for path in out_dir.iterdir():
         path.unlink()
     (out_dir / "existing.json").write_bytes(b"old\n")
     argv = data.draw(argvs(flag_files), label="argv")
-    stdout, stderr = io.StringIO(), io.StringIO()
+    # The stdout that PYTHONIOENCODING gives the process.
+    encoding = data.draw(st.sampled_from(["ascii", "latin-1", "utf-8"]), label="PYTHONIOENCODING")
+    closed = data.draw(st.integers(0, 19), label="stdout closed") == 19
+    stdout, stderr = None if closed else io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
     cwd = os.getcwd()
     os.chdir(out_dir)  # --out values are relative to it
     try:
@@ -627,7 +718,9 @@ def test_every_flag_exits_with_a_code_and_no_traceback(flag_files, data):
         os.chdir(cwd)
     assert rc in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
-    stdout.getvalue().encode("utf-8")  # raises unless stdout is valid UTF-8
+    if stdout is not None:
+        stdout.flush()
+        stdout.buffer.getvalue().decode("utf-8")  # raises unless stdout is valid UTF-8
     assert not [p for p in out_dir.iterdir() if p.suffix == ".tmp"]
     if rc:
         assert sorted(p.name for p in out_dir.iterdir()) == ["existing.json"]

@@ -1,13 +1,15 @@
 """The strategy-mask histogram and the profiles against the set-based
 reference rule (`reference_ingest.classify_incident`) and the oracle."""
 
+import json
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influenceops import StrategyCatalog, classify_corpus, classify_incident
-from influenceops.report import build_report
+from influenceops import StrategyCatalog, classify_corpus, classify_incident, pattern_frequencies
+from influenceops.report import build_report, report_to_json
+from influenceops.strategies import STRATEGY_ORDER, ClassifiedCorpus
 
 import oracle
 import reference_ingest
@@ -114,3 +116,47 @@ def test_stats_path_builds_no_profiles(catalog):
     build_report(cc)
     assert "profiles" not in vars(cc)
     assert len(cc.profiles) == 2
+
+
+def drawn_catalog(catalog, which):
+    return {
+        "bundled": catalog,
+        "reversed": StrategyCatalog(catalog.strategies[::-1], catalog.taxonomy_version),
+        "four": four_strategy_catalog(catalog),
+        "every-other": StrategyCatalog(catalog.strategies[::2], catalog.taxonomy_version),
+    }[which]
+
+
+CATALOGS = st.sampled_from(["bundled", "reversed", "four", "every-other"])
+
+
+def histograms(catalog, counts=st.integers(1, 4)):
+    """Drawn {mask: count} with a mapped mask; small counts by default, for many ties."""
+    masks = st.integers(1, 2 ** len(catalog.strategies) - 1)
+    return st.tuples(st.dictionaries(masks, counts, min_size=1), st.integers(0, 2)).map(lambda h: {**h[0], 0: h[1]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), which=CATALOGS)
+def test_pattern_rows_are_in_the_enumeration_order_of_their_members(catalog, data, which):
+    """Rows sort by exact count descending, size, then the members' positions
+    in STRATEGY_ORDER, read from each mask's bit positions."""
+    catalog = drawn_catalog(catalog, which)
+    histogram = data.draw(histograms(catalog))
+    rows = pattern_frequencies(ClassifiedCorpus(catalog, histogram, sum(histogram.values()), "drawn")).rows
+    assert {mask_of(catalog, row.strategies): row.exact_count for row in rows} == {m: c for m, c in histogram.items() if m}
+    assert list(rows) == sorted(
+        rows, key=lambda r: (-r.exact_count, len(r.strategies), tuple(STRATEGY_ORDER.index(s) for s in r.strategies))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), which=CATALOGS, source=st.text(), strict_prep=st.booleans(),
+       min_support=st.integers(0, 12) | st.integers(0, 10**7))
+def test_report_json_is_json_dumps_of_the_report(catalog, data, which, source, strict_prep, min_support):
+    """The report's row templates write what json.dumps(indent=2) writes."""
+    catalog = drawn_catalog(catalog, which)
+    histogram = data.draw(histograms(catalog, st.integers(1, 4) | st.integers(1, 10**6)))
+    cc = ClassifiedCorpus(catalog, histogram, sum(histogram.values()), source, strict_prep)
+    report = build_report(cc, data.draw(st.sampled_from(["strict", "lenient"])), min_support)
+    assert report_to_json(report) == json.dumps(report, indent=2, ensure_ascii=False) + "\n"

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influenceops.render import decimal_string, json_block, json_text, percent_string
+from influenceops.render import (
+    decimal_string,
+    fraction_payload,
+    json_block,
+    json_text,
+    percent_string,
+    ratio_payload,
+)
 
 # Text that json.dumps escapes, and text it must leave alone with ensure_ascii=False.
 TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\b\f\n\r\t  é\U0001f600\ud800 ')) | st.text()
@@ -69,3 +76,18 @@ def test_decimal_string_rounds_ties_to_even():
 def test_decimal_string_rejects_negative_places():
     with pytest.raises(ValueError):
         decimal_string(Fraction(1, 3), -1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(INTS, INTS.filter(bool), st.booleans())
+def test_ratio_payload_is_the_payload_of_the_fraction(numerator, denominator, percent):
+    value = Fraction(numerator, denominator)
+    text = ("percent", percent_string(value, 1)) if percent else ("value", decimal_string(value, 4))
+    expected = [("numerator", value.numerator), ("denominator", value.denominator), text]
+    assert list(ratio_payload(numerator, denominator, percent).items()) == expected
+    assert list(fraction_payload(value, percent).items()) == expected
+
+
+def test_ratio_payload_of_a_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        ratio_payload(1, 0)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ from influenceops import (
     conditional_probabilities,
     cooccurrence,
     loads_strategy_catalog,
+    loads_taxonomy,
+    serialize_taxonomy,
 )
 from influenceops.graphexport import GRAPH_FORMATS, export_graph
 from influenceops.report import build_report, report_to_json, report_to_text
@@ -84,6 +87,21 @@ def test_unknown_technique_reference(taxonomy):
     strategy_entry(doc, "TD")["preparation_techniques"].append("T4242")
     with pytest.raises(UnknownTechnique):
         loads_strategy_catalog(json.dumps(doc), taxonomy)
+
+
+def test_a_catalog_text_is_parsed_once_per_taxonomy_and_an_error_every_time(taxonomy):
+    text = json.dumps(catalog_doc())
+    first = loads_strategy_catalog(text, taxonomy)
+    other = loads_taxonomy(serialize_taxonomy(taxonomy) + " ")  # another text, an equal taxonomy
+    assert other == taxonomy and other is not taxonomy
+    assert loads_strategy_catalog(text, other) is first
+    # A taxonomy without NR's execution technique gets its own result, an error, on every call.
+    missing = strategy_entry(catalog_doc(), "NR")["execution_technique"]
+    smaller = replace(taxonomy, techniques=tuple(t for t in taxonomy.techniques if t.id != missing))
+    for _ in range(2):
+        with pytest.raises(UnknownTechnique):
+            loads_strategy_catalog(text, smaller)
+    assert loads_strategy_catalog(text, taxonomy) is first
 
 
 def test_lone_surrogate_escape_is_parse_error(taxonomy):

@@ -86,6 +86,15 @@ def test_malformed_document_is_parse_error():
         loads_taxonomy("{not json")
 
 
+def test_a_document_is_parsed_once_per_text_and_an_error_every_time():
+    text = json.dumps(bundled_doc())
+    assert loads_taxonomy(text) is loads_taxonomy(text)
+    assert loads_taxonomy(text + "\n") == loads_taxonomy(text)
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            loads_taxonomy("{not json")
+
+
 def test_lone_surrogate_escape_is_parse_error():
     doc = bundled_doc()
     doc["techniques"][0]["name"] = "Narrative \ud800 Release"
