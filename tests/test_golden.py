@@ -14,7 +14,9 @@ and with `--seed 8` it generates `generate_fixture_seed8.*`.
 `generate_escaped_prep.*` is generated from `escaped_prep_spec.json` over
 `escaped_taxonomy.json` and `escaped_catalog.json`, whose technique ids need
 CSV quoting (commas, double quotes) and JSON escaping (non-ASCII text, double
-quotes, backslashes).
+quotes, backslashes). `generate_unpinned.*` is generated from
+`unpinned_spec.json`, the fixture spec's targets times 3 with nothing pinned:
+the one golden whose patterns the solver's seeded tie-break decides.
 """
 
 from pathlib import Path
@@ -33,6 +35,7 @@ LENIENT = "golden/lenient_corpus"
 ESCAPED = "golden/escaped_ids.json"
 FIXTURE_SPEC = str(bundled_data_path("fixture_spec.json"))
 EXACT_PREP_SPEC = "golden/exact_prep_spec.json"
+UNPINNED_SPEC = "golden/unpinned_spec.json"
 ESCAPED_PREP = [
     "--spec", "golden/escaped_prep_spec.json",
     "--taxonomy", "golden/escaped_taxonomy.json", "--catalog", "golden/escaped_catalog.json",
@@ -92,6 +95,10 @@ CASES = {
     },
     **{
         f"generate_fixture_seed8.{fmt}": ["generate", "--spec", FIXTURE_SPEC, "--seed", "8", "--corpus-format", fmt]
+        for fmt in ("csv", "json")
+    },
+    **{
+        f"generate_unpinned.{fmt}": ["generate", "--spec", UNPINNED_SPEC, "--corpus-format", fmt]
         for fmt in ("csv", "json")
     },
     **{
