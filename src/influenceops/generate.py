@@ -18,7 +18,11 @@ requested patterns; ``include_preparation`` adds each strategy's full
 pipeline. Identical spec + seed produces a byte-identical corpus: the seed
 drives only the greedy's tie-breaking and the synthetic metadata (ordering,
 years). Work is per distinct pattern except for the layout: one shuffle of
-the incidents and one year drawn per incident.
+the incidents and one year drawn per incident. The draws are random.py's
+(``Random.shuffle`` and ``Random.randrange``), inlined over ``getrandbits``
+in ``_shuffle`` and ``_randranges`` so that no Python-level call is made per
+number drawn; ``test_inlined_draws_are_the_draws_of_random_py`` holds both to
+``random.Random``, results and generator state.
 
 ``_layout`` checks the spec and gives each incident's technique set and year.
 ``generate_corpus`` builds its Corpus from it; the ``generate`` command writes
@@ -29,7 +33,10 @@ Incident (``_layout_csv``, ``_layout_json``), from one hand-written row template
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from .corpus import CSV_HEADER, Corpus, Incident, _csv_field
@@ -248,6 +255,35 @@ def _class_patterns(takes: list[int], c: int, order: list[int]) -> list[tuple[li
     ]
 
 
+def _shuffle(items: list, getrandbits) -> None:
+    """``random.Random.shuffle(items)`` for the Random whose ``getrandbits``
+    this is, drawing the same bits: Durstenfeld's (1964) Fisher-Yates with
+    random.py's ``_randbelow_with_getrandbits`` inlined. Position i swaps
+    with a draw of (i + 1).bit_length() bits, redrawn while it exceeds i."""
+    top = len(items) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        bottom = (1 << (bits - 1)) - 1  # the least i with (i + 1).bit_length() == bits
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        top = bottom - 1
+
+
+def _randranges(getrandbits, start: int, stop: int, count: int) -> Iterator[int]:
+    """``random.Random.randrange(start, stop)`` drawn count times, for the
+    Random whose ``getrandbits`` this is and start < stop, drawing the same
+    bits: random.py draws width.bit_length() bits until a draw falls below
+    width = stop - start. One chain of C-level iterators, which stops after
+    the last accepted draw."""
+    width = stop - start
+    # getrandbits never returns the sentinel -1, so the draws never end.
+    draws = filter(width.__gt__, iter(partial(getrandbits, width.bit_length()), -1))
+    return map(start.__add__, islice(draws, count))
+
+
 def _solve_pattern_counts(
     spec: GeneratorSpec, catalog: StrategyCatalog, rng: random.Random
 ) -> dict[frozenset[str], int]:
@@ -314,7 +350,7 @@ def _solve_pattern_counts(
         if not c:
             continue
         order = list(range(n))
-        rng.shuffle(order)
+        _shuffle(order, rng.getrandbits)
         takes = _class_takes(residual, k, c, order)
         for j, taken in enumerate(takes):
             residual[j] -= taken
@@ -326,7 +362,11 @@ def _solve_pattern_counts(
 
 def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozenset[str], int]]:
     """Every check of the spec, then the technique set (one per pattern,
-    shared) and year of each incident in output order, numbered from 1."""
+    shared) and year of each incident in output order, numbered from 1.
+
+    The seeded draws are those of ``rng.shuffle(technique_sets)`` and of
+    ``rng.randrange(2014, 2025)`` per incident, inlined (``_shuffle``,
+    ``_randranges``) and held to ``random.Random`` by a named test."""
     _check_strategy_ids(spec, catalog)
 
     # The spec file's rule, also for a seed set by the CLI or the library:
@@ -356,10 +396,10 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
         technique_sets += [frozenset(techniques)] * counts[pattern]
     technique_sets += [frozenset()] * spec.unmapped_count
 
-    rng.shuffle(technique_sets)
-    randrange = rng.randrange
+    _shuffle(technique_sets, rng.getrandbits)
     first_year, last_year = _YEAR_RANGE
-    return [(techniques, randrange(first_year, last_year + 1)) for techniques in technique_sets]
+    years = _randranges(rng.getrandbits, first_year, last_year + 1, len(technique_sets))
+    return list(zip(technique_sets, years))
 
 
 def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None) -> Corpus:

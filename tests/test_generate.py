@@ -31,7 +31,7 @@ from influenceops import (
 
 import oracle
 from influenceops.cli import main
-from influenceops.generate import MAX_INCIDENTS
+from influenceops.generate import MAX_INCIDENTS, _YEAR_RANGE, _randranges, _shuffle
 
 SOLVER_TARGETS_DOC = """
 {
@@ -522,3 +522,33 @@ def test_generate_errors_match_the_library(catalog, scratch, capsys):
         assert capsys.readouterr().err == f"{type(caught.value).__name__}: {caught.value}\n"
         assert not out.exists()
     assert kinds == {ZeroIncidents, SchemaError, InfeasibleSpec}
+
+
+# Lengths and widths on either side of each power of two, where the number of
+# bits drawn per number changes.
+_EDGE_SIZES = sorted({0, 1, 2} | {2**p + d for p in range(1, 12) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    length=st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(0, 3000)),
+    width=st.one_of(st.just(_YEAR_RANGE[1] + 1 - _YEAR_RANGE[0]), st.sampled_from(_EDGE_SIZES[1:]),
+                    st.integers(1, 2**70)),
+    first=st.one_of(st.just(_YEAR_RANGE[0]), st.integers(-(2**40), 2**40)),
+)
+def test_inlined_draws_are_the_draws_of_random_py(seed, length, width, first):
+    """generate's shuffle and year draws, held to random.Random on every Python
+    the package supports: the same results and the same generator state."""
+    a, b = random.Random(seed), random.Random(seed)
+    items = list(range(length))
+    expected = items[:]
+    a.shuffle(expected)
+    _shuffle(items, b.getrandbits)
+    assert items == expected
+    assert a.getstate() == b.getstate()
+
+    last = first + width - 1
+    expected = [a.randrange(first, last + 1) for _ in range(length)]
+    assert list(_randranges(b.getrandbits, first, last + 1, length)) == expected
+    assert a.getstate() == b.getstate()
