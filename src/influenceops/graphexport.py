@@ -5,15 +5,17 @@ library versions: nodes are emitted in strategy enumeration order and edges
 in (source, target) enumeration order. There is one writer per format, for
 both graph kinds. The JSON view is ``graph_document``, the node/edge document
 whose parts the report's ``graphs`` block also embeds; a conditional edge's
-probability there is a ``render.ratio_payload`` of its two counts. No
-plotting here; these documents feed external renderers.
+probability there is a ``render.ratio_payload`` of its two counts, and in
+DOT and GraphML labels the decimal of the same two counts, with no
+``Fraction`` built. No plotting here; these documents feed external
+renderers.
 """
 
 from __future__ import annotations
 
 from .analytics import ConditionalGraph, CooccurrenceGraph
 from .errors import UnknownFormat
-from .render import decimal_string, json_text, ratio_payload
+from .render import _decimal, json_text, ratio_payload
 
 
 def _xml_escape(text: str) -> str:
@@ -72,7 +74,7 @@ def _dot(graph: CooccurrenceGraph | ConditionalGraph) -> str:
         lines.append(f"  {node.strategy_id} [label={_dot_quote(label)}];")
     for edge in graph.edges:
         if directed:
-            label = f"{edge.joint_count}/{edge.source_count} = {decimal_string(edge.probability, 4)}"
+            label = f"{edge.joint_count}/{edge.source_count} = {_decimal(edge.joint_count, edge.source_count, 4)}"
             lines.append(f"  {edge.source} -> {edge.target} [label={_dot_quote(label)}];")
         else:
             lines.append(f"  {edge.a} -- {edge.b} [label={_dot_quote(str(edge.weight))}, weight={edge.weight}];")
@@ -105,7 +107,7 @@ def _graphml(graph: CooccurrenceGraph | ConditionalGraph) -> str:
     for edge in graph.edges:
         if directed:
             source, target = edge.source, edge.target
-            values = (decimal_string(edge.probability, 6), edge.joint_count, edge.source_count)
+            values = (_decimal(edge.joint_count, edge.source_count, 6), edge.joint_count, edge.source_count)
         else:
             source, target, values = edge.a, edge.b, (edge.weight,)
         data = "".join(f'<data key="{key}">{value}</data>' for (key, _), value in zip(edge_keys, values))

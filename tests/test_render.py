@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influenceops.render import (
+    _decimal,
     decimal_string,
     fraction_payload,
     json_block,
@@ -64,6 +65,14 @@ FRACTIONS = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 1
 def test_decimal_string_matches_decimal_module(value, places):
     assert decimal_string(value, places) == reference_decimal(value, places)
     assert percent_string(value, places) == reference_decimal(value * 100, places)
+
+
+@settings(max_examples=500, deadline=None)
+@given(FRACTIONS, st.integers(1, 10**6), st.integers(0, 8))
+def test_decimal_of_an_unreduced_pair_is_the_decimal_of_its_ratio(value, common, places):
+    """DOT and GraphML label conditional edges from their two counts, unreduced."""
+    numerator, denominator = value.numerator * common, value.denominator * common
+    assert _decimal(numerator, denominator, places) == reference_decimal(value, places)
 
 
 def test_decimal_string_rounds_ties_to_even():
