@@ -548,7 +548,7 @@ def test_inlined_draws_are_the_draws_of_random_py(seed, length, width, first):
     assert items == expected
     assert a.getstate() == b.getstate()
 
-    last = first + width - 1
-    expected = [a.randrange(first, last + 1) for _ in range(length)]
-    assert list(_randranges(b.getrandbits, first, last + 1, length)) == expected
+    stop = first + width
+    expected = [a.randrange(first, stop) for _ in range(length)]
+    assert list(_randranges(b.getrandbits, first, stop, length)) == expected
     assert a.getstate() == b.getstate()
