@@ -357,6 +357,10 @@ def assert_matches_oracle(cc, ids):
     for row in table.rows:
         assert row.exact_count == oracle.exact_count(profiles, row.strategies)
         assert row.containment_count == oracle.containment_count(profiles, row.strategies)
+    # Every subset, the empty set and the sets without a row included.
+    for pattern in (p for k in range(len(ids) + 1) for p in combinations(ids, k)):
+        assert table.exact_count(pattern) == oracle.exact_count(profiles, pattern)
+        assert table.containment_count(pattern) == oracle.containment_count(profiles, pattern)
 
     graph = cooccurrence(cc)
     cond = conditional_probabilities(cc)
@@ -364,6 +368,16 @@ def assert_matches_oracle(cc, ids):
         assert graph.edge_weight(a, b) == oracle.cooc_count(profiles, a, b)
     for edge in cond.edges:
         assert edge.probability == oracle.conditional(profiles, edge.source, edge.target)
+    for a in ids:
+        assert graph.node_weight(a) == oracle.strategy_count(profiles, a)
+        for b in ids:
+            # No self-loops: a strategy's weight with itself is 0.
+            assert graph.edge_weight(a, b) == (oracle.cooc_count(profiles, a, b) if a != b else 0)
+            if oracle.strategy_count(profiles, a):
+                assert cond.probability(a, b) == oracle.conditional(profiles, a, b)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    cond.probability(a, b)
 
 
 def test_oracle_equivalence_exhaustive_small_four_strategy(catalog):
@@ -409,11 +423,16 @@ def test_accessors_on_unknown_ids(hand_cc):
     with pytest.raises(KeyError):
         graph.node_weight("XX")
     assert graph.edge_weight("NR", "XX") == graph.edge_weight("XX", "NR") == 0
+    assert pattern_frequencies(hand_cc).containment_count({"NR", "XX"}) == 0
     cond = conditional_probabilities(hand_cc)
     with pytest.raises(KeyError):
         cond.probability("XX", "NR")
     with pytest.raises(KeyError):
         cond.probability("NR", "XX")
+    with pytest.raises(KeyError):
+        cond.probability("XX", "XX")
+    with pytest.raises(ZeroDivisionError):
+        cond.probability("NS", "XX")  # the source's count is checked first
 
 
 def test_accessor_lookups_on_known_ids(hand_cc):
@@ -421,12 +440,19 @@ def test_accessor_lookups_on_known_ids(hand_cc):
     assert table.row(["IP", "NR"]).strategies == ("NR", "IP")
     assert table.exact_count({"NS"}) == 0
     assert table.containment_count({"NR", "NM"}) == 1
+    assert table.containment_count(set()) == 4  # the mapped total
+    assert table.exact_count(set()) == 0
+    with pytest.raises(KeyError) as err:
+        table.row(set())
+    assert err.value.args == ([],)
     graph = cooccurrence(hand_cc)
     assert graph.edge_weight("NS", "NR") == 0  # both nodes, no edge
     assert graph.edge_weight("IP", "NR") == graph.edge_weight("NR", "IP") == 2
+    assert graph.edge_weight("NR", "NR") == 0  # no self-loops
     cond = conditional_probabilities(hand_cc, min_support=3)
     assert cond.probability("NR", "IP") == Fraction(2, 3)
     with pytest.raises(KeyError):
         cond.probability("IP", "NR")  # count(IP) = 2 < min_support
+    assert cond.probability("IP", "IP") == 1  # below min_support, but P(s | s) is 1
     with pytest.raises(ZeroDivisionError):
         cond.probability("NS", "NR")  # a node that occurs in no incident
