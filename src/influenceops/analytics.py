@@ -12,15 +12,19 @@ Strategy, pair and pattern containment counts all come from one table: the
 superset-sum (zeta) transform of the histogram over the subset lattice
 (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), which
 takes n * 2**(n-1) additions. It is ``ClassifiedCorpus.superset_sums``,
-computed once per classified corpus.
+computed once per classified corpus. The builders read ``table[1 << i]``
+and ``table[1 << i | 1 << j]``, and the accessors read the same table: each
+result holds its classified corpus, and looks up ``table[catalog.mask_of(ids)]``,
+or the histogram for an exact count, with no lookup of its own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -28,25 +32,31 @@ from .errors import EmptyCorpus, InvalidRange, NegativeSupport
 from .strategies import ClassifiedCorpus
 
 
+def _containment(cc: ClassifiedCorpus, ids) -> int:
+    """Mapped incidents whose strategy set contains ids; KeyError on an unknown id."""
+    return cc.superset_sums[cc.catalog.mask_of(ids)]
+
+
 @dataclass(frozen=True)
 class PrevalenceEntry:
     strategy_id: str
     name: str
     count: int
-    fraction: Fraction
+    denominator: int
+
+    @property
+    def fraction(self) -> Fraction:
+        return Fraction(self.count, self.denominator)
 
 
 @dataclass(frozen=True)
 class PrevalenceReport:
     entries: tuple[PrevalenceEntry, ...]
     denominator: int
-
-    @cached_property
-    def _counts(self) -> dict[str, int]:
-        return {entry.strategy_id: entry.count for entry in self.entries}
+    classified: ClassifiedCorpus = field(compare=False, repr=False)
 
     def count(self, strategy_id: str) -> int:
-        return self._counts[strategy_id]
+        return _containment(self.classified, (strategy_id,))
 
     def fraction(self, strategy_id: str) -> Fraction:
         return Fraction(self.count(strategy_id), self.denominator)
@@ -81,21 +91,21 @@ class PatternRow:
 @dataclass(frozen=True)
 class PatternTable:
     rows: tuple[PatternRow, ...]
+    classified: ClassifiedCorpus = field(compare=False, repr=False)
 
     @property
     def distinct_pattern_count(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def _rows_by_set(self) -> dict[frozenset[str], PatternRow]:
-        return {frozenset(row.strategies): row for row in self.rows}
-
     def row(self, strategies) -> PatternRow:
         wanted = frozenset(strategies)
-        try:
-            return self._rows_by_set[wanted]
-        except KeyError:
-            raise KeyError(sorted(wanted)) from None
+        cc = self.classified
+        with suppress(KeyError):
+            mask = cc.catalog.mask_of(wanted)
+            # Mask 0 is the unmapped bin, which has no row.
+            if mask and mask in cc.histogram:
+                return PatternRow(cc.catalog.ids_of_mask(mask), cc.histogram[mask], cc.superset_sums[mask])
+        raise KeyError(sorted(wanted))
 
     def exact_count(self, strategies) -> int:
         try:
@@ -104,13 +114,9 @@ class PatternTable:
             return 0
 
     def containment_count(self, strategies) -> int:
-        try:
-            return self.row(strategies).containment_count
-        except KeyError:
-            wanted = frozenset(strategies)
-            return sum(
-                row.exact_count for row in self.rows if wanted <= frozenset(row.strategies)
-            )
+        with suppress(KeyError):
+            return _containment(self.classified, strategies)
+        return 0
 
 
 @dataclass(frozen=True)
@@ -131,22 +137,17 @@ class CooccurrenceEdge:
 class CooccurrenceGraph:
     nodes: tuple[CooccurrenceNode, ...]
     edges: tuple[CooccurrenceEdge, ...]
-
-    @cached_property
-    def _node_counts(self) -> dict[str, int]:
-        return {node.strategy_id: node.count for node in self.nodes}
-
-    @cached_property
-    def _edge_weights(self) -> dict[tuple[str, str], int]:
-        weights = {(edge.a, edge.b): edge.weight for edge in self.edges}
-        weights.update({(b, a): w for (a, b), w in weights.items()})
-        return weights
+    classified: ClassifiedCorpus = field(compare=False, repr=False)
 
     def node_weight(self, strategy_id: str) -> int:
-        return self._node_counts[strategy_id]
+        return _containment(self.classified, (strategy_id,))
 
     def edge_weight(self, a: str, b: str) -> int:
-        return self._edge_weights.get((a, b), 0)
+        """Joint count of a and b; 0 for a == b (no self-loops) or an unknown id."""
+        if a != b:
+            with suppress(KeyError):
+                return _containment(self.classified, (a, b))
+        return 0
 
 
 @dataclass(frozen=True)
@@ -168,29 +169,26 @@ class ConditionalGraph:
     nodes: tuple[CooccurrenceNode, ...]
     edges: tuple[ConditionalEdge, ...]
     min_support: int
-
-    @cached_property
-    def _node_counts(self) -> dict[str, int]:
-        return {node.strategy_id: node.count for node in self.nodes}
-
-    @cached_property
-    def _edges_by_pair(self) -> dict[tuple[str, str], ConditionalEdge]:
-        return {(edge.source, edge.target): edge for edge in self.edges}
+    classified: ClassifiedCorpus = field(compare=False, repr=False)
 
     def probability(self, source: str, target: str) -> Fraction:
         """P(target | source), defined for any pair including source==target.
 
         Raises KeyError for a source that is not a node, or for a pair
-        without an edge (a source below min_support, or an unknown target).
+        without an edge (a source below min_support, or an unknown target),
+        and ZeroDivisionError for a source in no mapped incident, whatever
+        the target. P(source | source) is 1 even for a source below
+        min_support.
         """
-        if self._node_counts[source] == 0:
+        count = _containment(self.classified, (source,))
+        if count == 0:
             raise ZeroDivisionError(f"strategy {source!r} occurs in no mapped incident")
         if source == target:
             return Fraction(1)
-        try:
-            return self._edges_by_pair[(source, target)].probability
-        except KeyError:
-            raise KeyError((source, target)) from None
+        if count >= support_threshold(self.min_support):
+            with suppress(KeyError):
+                return Fraction(_containment(self.classified, (source, target)), count)
+        raise KeyError((source, target))
 
 
 @dataclass(frozen=True)
@@ -203,35 +201,16 @@ class MappingCoverage:
         return Fraction(self.mapped, self.total)
 
 
-def _strategy_counts(cc: ClassifiedCorpus, table: tuple[int, ...]) -> dict[str, int]:
-    return {s.id: table[1 << i] for i, s in enumerate(cc.catalog.strategies)}
-
-
-def _joint_counts(cc: ClassifiedCorpus, table: tuple[int, ...]) -> dict[tuple[str, str], int]:
-    """Joint incident count of every ordered pair of distinct strategies."""
-    strategies = cc.catalog.strategies
-    return {
-        (a.id, b.id): table[1 << i | 1 << j]
-        for i, a in enumerate(strategies)
-        for j, b in enumerate(strategies)
-        if i != j
-    }
-
-
 def prevalence(cc: ClassifiedCorpus) -> PrevalenceReport:
     """Per-strategy incident counts over mapped incidents only.
 
     Entries are sorted by count descending, ties by enumeration order.
     """
     table = cc.superset_sums
-    counts = _strategy_counts(cc, table)
     denominator = table[0]
-    entries = tuple(
-        PrevalenceEntry(s.id, s.name, counts[s.id], Fraction(counts[s.id], denominator))
-        # A stable sort of the catalog, which is in enumeration order.
-        for s in sorted(cc.catalog.strategies, key=lambda s: -counts[s.id])
-    )
-    return PrevalenceReport(entries, denominator)
+    entries = (PrevalenceEntry(s.id, s.name, table[1 << i], denominator) for i, s in enumerate(cc.catalog.strategies))
+    # A stable sort of entries in enumeration order.
+    return PrevalenceReport(tuple(sorted(entries, key=lambda e: -e.count)), denominator, cc)
 
 
 def size_distribution(cc: ClassifiedCorpus) -> SizeDistribution:
@@ -256,7 +235,7 @@ def pattern_frequencies(cc: ClassifiedCorpus) -> PatternTable:
     histogram = cc.histogram
     masks = sorted((mask for mask in histogram if mask), key=lambda mask: (-histogram[mask], _mask_order(mask)))
     return PatternTable(
-        tuple(PatternRow(cc.catalog.ids_of_mask(mask), histogram[mask], table[mask]) for mask in masks)
+        tuple(PatternRow(cc.catalog.ids_of_mask(mask), histogram[mask], table[mask]) for mask in masks), cc
     )
 
 
@@ -267,10 +246,9 @@ def _mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
     return mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _nodes(cc: ClassifiedCorpus, counts: dict[str, int]) -> tuple[CooccurrenceNode, ...]:
-    return tuple(
-        CooccurrenceNode(s.id, s.name, counts[s.id]) for s in cc.catalog.strategies
-    )
+def _nodes(cc: ClassifiedCorpus) -> tuple[CooccurrenceNode, ...]:
+    table = cc.superset_sums
+    return tuple(CooccurrenceNode(s.id, s.name, table[1 << i]) for i, s in enumerate(cc.catalog.strategies))
 
 
 def cooccurrence(cc: ClassifiedCorpus) -> CooccurrenceGraph:
@@ -280,13 +258,13 @@ def cooccurrence(cc: ClassifiedCorpus) -> CooccurrenceGraph:
     are omitted. Emission order follows the strategy enumeration.
     """
     table = cc.superset_sums
-    joint = _joint_counts(cc, table)
+    ids = cc.catalog.ids()
     edges = tuple(
-        CooccurrenceEdge(a, b, joint[(a, b)])
-        for a, b in combinations(cc.catalog.ids(), 2)
-        if joint[(a, b)] > 0
+        CooccurrenceEdge(ids[i], ids[j], table[1 << i | 1 << j])
+        for i, j in combinations(range(len(ids)), 2)
+        if table[1 << i | 1 << j] > 0
     )
-    return CooccurrenceGraph(_nodes(cc, _strategy_counts(cc, table)), edges)
+    return CooccurrenceGraph(_nodes(cc), edges, cc)
 
 
 def support_threshold(min_support: int) -> int:
@@ -306,16 +284,15 @@ def conditional_probabilities(cc: ClassifiedCorpus, min_support: int = 1) -> Con
     """
     threshold = support_threshold(min_support)
     table = cc.superset_sums
-    counts = _strategy_counts(cc, table)
-    joint = _joint_counts(cc, table)
     ids = cc.catalog.ids()
     edges = tuple(
-        ConditionalEdge(source, target, joint[(source, target)], counts[source])
-        for source in ids
-        for target in ids
-        if source != target and counts[source] >= threshold
+        ConditionalEdge(ids[i], ids[j], table[1 << i | 1 << j], table[1 << i])
+        for i in range(len(ids))
+        if table[1 << i] >= threshold
+        for j in range(len(ids))
+        if i != j
     )
-    return ConditionalGraph(_nodes(cc, counts), edges, min_support)
+    return ConditionalGraph(_nodes(cc), edges, min_support, cc)
 
 
 def possible_combination_count(n_strategies: int, min_size: int) -> int:

@@ -91,6 +91,18 @@ class StrategyCatalog:
         return tuple(s.id for i, s in enumerate(self.strategies) if mask >> i & 1)
 
     @cached_property
+    def _bits(self) -> dict[str, int]:
+        return {s.id: 1 << i for i, s in enumerate(self.strategies)}
+
+    def mask_of(self, ids: Iterable[str]) -> int:
+        """The strategy mask of ids, the inverse of ``ids_of_mask``; raises
+        KeyError on an id the catalog lacks."""
+        mask = 0
+        for strategy_id in ids:
+            mask |= self._bits[strategy_id]
+        return mask
+
+    @cached_property
     def technique_bits(self) -> dict[str, int]:
         """Technique id -> its bits in a technique mask. For n strategies, strategy
         i's execution technique sets bit i, and each of its preparation techniques
