@@ -1,11 +1,12 @@
 """Exact-to-text rendering of rational values, and the indent-2 JSON writer.
 
-Statistics are held as `fractions.Fraction`; turning them into decimal text
-is a report-layer concern. Rounding is round-half-even, computed in integers
-on the numerator and denominator, so no float ever enters the pipeline.
-``ratio_payload`` builds the JSON view of a ratio from its two integers, as
-the report and the conditional-graph document do from the counts they hold;
-``fraction_payload`` is the same view of a ``Fraction``.
+Statistics are exact ratios of two counts; turning them into decimal text
+is a report-layer concern. ``_decimal`` rounds round-half-even, computed in
+integers on the numerator and denominator, so no float ever enters the
+pipeline. ``ratio_payload`` builds the JSON view of a ratio from its two
+integers, as the report and the conditional-graph document do from the
+counts they hold; the DOT and GraphML writers label edges with ``_decimal``
+of the same two counts.
 
 ``json_block`` is the package's one statement of the JSON layout: the bytes
 of ``json.dumps(value, indent=2, ensure_ascii=False)`` for values of str, int,
@@ -20,12 +21,13 @@ pattern rows and conditional edges are templates too (``report.py``), which
 
 from __future__ import annotations
 
-from fractions import Fraction
 from json.encoder import encode_basestring
 from math import gcd
 
 
 def _decimal(numerator: int, denominator: int, places: int) -> str:
+    """Fixed-point decimal text of numerator/denominator, denominator > 0, to
+    ``places`` places, round-half-even; the pair need not be reduced."""
     if places < 0:
         raise ValueError("places must be >= 0")
     whole, remainder = divmod(abs(numerator) * 10**places, denominator)
@@ -39,24 +41,10 @@ def _decimal(numerator: int, denominator: int, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def decimal_string(value: Fraction, places: int) -> str:
-    """Fixed-point decimal text of an exact rational, round-half-even."""
-    return _decimal(value.numerator, value.denominator, places)
-
-
-def percent_string(value: Fraction, places: int = 1) -> str:
-    """Percentage text (no % sign) of an exact rational, round-half-even."""
-    return _decimal(value.numerator * 100, value.denominator, places)
-
-
-def fraction_payload(value: Fraction, percent: bool = False) -> dict:
-    """JSON-friendly view: exact integer pair plus a decimal rendering."""
-    return ratio_payload(value.numerator, value.denominator, percent)
-
-
 def ratio_payload(numerator: int, denominator: int, percent: bool = False) -> dict:
-    """``fraction_payload(Fraction(numerator, denominator), percent)``, built
-    without a Fraction. Raises ZeroDivisionError on a zero denominator."""
+    """JSON view of numerator/denominator: the reduced integer pair, then its
+    decimal to 4 places or, with ``percent``, its percentage to 1 place,
+    round-half-even. Raises ZeroDivisionError on a zero denominator."""
     if denominator < 0:
         numerator, denominator = -numerator, -denominator
     common = gcd(numerator, denominator)
