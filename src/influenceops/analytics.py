@@ -24,12 +24,11 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb
 
 from .errors import EmptyCorpus, InvalidRange, NegativeSupport
-from .strategies import ClassifiedCorpus
+from .strategies import ClassifiedCorpus, pattern_order
 
 
 def _containment(cc: ClassifiedCorpus, ids) -> int:
@@ -233,17 +232,10 @@ def pattern_frequencies(cc: ClassifiedCorpus) -> PatternTable:
     """
     table = cc.superset_sums
     histogram = cc.histogram
-    masks = sorted((mask for mask in histogram if mask), key=lambda mask: (-histogram[mask], _mask_order(mask)))
+    masks = sorted((mask for mask in histogram if mask), key=lambda mask: (-histogram[mask], pattern_order(mask)))
     return PatternTable(
         tuple(PatternRow(cc.catalog.ids_of_mask(mask), histogram[mask], table[mask]) for mask in masks), cc
     )
-
-
-@cache
-def _mask_order(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Size, then member bit positions. The catalog is in enumeration order, so
-    bit positions compare as the members' enumeration positions do."""
-    return mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _nodes(cc: ClassifiedCorpus) -> tuple[CooccurrenceNode, ...]:

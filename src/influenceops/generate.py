@@ -8,16 +8,19 @@ Two modes:
   (marginals), a profile-size distribution, and optional pinned patterns
   with minimum counts. Once the pinned minimums are taken out, the rest is
   the bipartite degree-sequence problem. The Gale-Ryser test decides it, and
-  when it holds Ryser's greedy builds a pattern -> count table meeting every
+  when it holds Ryser's greedy builds a mask -> count table meeting every
   target exactly, with no search; when it fails, ``InfeasibleSpec`` names
   the violated inequality.
 
-Synthetic incidents carry only the execution techniques of their pattern's
-strategies (minimal witnesses), so classifying the output recovers the
-requested patterns; ``include_preparation`` adds each strategy's full
-pipeline. Identical spec + seed produces a byte-identical corpus: the seed
+Past the spec parser a pattern is a strategy mask; mask 0 is unmapped. The
+incidents of mask m carry the techniques whose ``catalog.technique_bits``
+meet m, its strategies' execution techniques (minimal witnesses), or meet
+``m | m << n`` under ``include_preparation``, adding their preparation
+techniques. That inverts ``strategies.strategy_mask``, so classifying the
+output gives back the masks. Identical spec + seed produces a
+byte-identical corpus, and no error depends on the hash seed: the seed
 drives only the greedy's tie-breaking and the synthetic metadata (ordering,
-years). Work is per distinct pattern except for the layout: one shuffle of
+years). Work is per distinct mask except for the layout: one shuffle of
 the incidents and one year drawn per incident. The draws are random.py's
 (``Random.shuffle`` and ``Random.randrange``), inlined over ``getrandbits``
 in ``_shuffle`` and ``_randranges`` so that no Python-level call is made per
@@ -33,6 +36,7 @@ Incident (``_layout_csv``, ``_layout_json``), from one hand-written row template
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -43,7 +47,7 @@ from .corpus import CSV_HEADER, Corpus, Incident, _csv_field
 from .documents import parse_json, read_text
 from .errors import InfeasibleSpec, SchemaError, ZeroIncidents
 from .render import json_block
-from .strategies import StrategyCatalog
+from .strategies import StrategyCatalog, pattern_order
 
 EXACT_MODE = "exact-patterns"
 SOLVER_MODE = "marginal-solver"
@@ -162,11 +166,9 @@ def load_generator_spec(path: str | Path) -> GeneratorSpec:
     return loads_generator_spec(read_text(path, "generator spec file"))
 
 
-def _canonical_pattern_key(catalog: StrategyCatalog):
-    def key(pattern: frozenset[str]) -> tuple:
-        return (-len(pattern), tuple(sorted(map(catalog.order_index, pattern))))
-
-    return key
+def _largest_first(mask: int) -> tuple:
+    """Strategy masks by size descending, then in the canonical pattern order."""
+    return -mask.bit_count(), pattern_order(mask)
 
 
 def _check_strategy_ids(spec: GeneratorSpec, catalog: StrategyCatalog) -> None:
@@ -231,8 +233,8 @@ def _class_takes(residual: list[int], k: int, c: int, order: list[int]) -> list[
     return takes
 
 
-def _class_patterns(takes: list[int], c: int, order: list[int]) -> list[tuple[list[int], int]]:
-    """c incidents in which strategy j occurs takes[j] <= c times, as (members, count) runs.
+def _class_patterns(takes: list[int], c: int, order: list[int]) -> list[tuple[int, int]]:
+    """c incidents in which strategy j occurs takes[j] <= c times, as (mask, count) runs.
 
     McNaughton's wrap-around rule: lay the strategies end to end, in
     ``order``, over the incidents taken cyclically. No strategy wraps onto an
@@ -250,7 +252,7 @@ def _class_patterns(takes: list[int], c: int, order: list[int]) -> list[tuple[li
             cuts.add(start)
     bounds = sorted(cuts)
     return [
-        (sorted(j for j, first, length in arcs if (a - first) % c < length), b - a)
+        (sum(1 << j for j, first, length in arcs if (a - first) % c < length), b - a)
         for a, b in zip(bounds, bounds[1:] + [c])
     ]
 
@@ -285,9 +287,10 @@ def _randranges(getrandbits, start: int, stop: int, count: int) -> Iterator[int]
 
 
 def _solve_pattern_counts(
-    spec: GeneratorSpec, catalog: StrategyCatalog, rng: random.Random
-) -> dict[frozenset[str], int]:
-    """A pattern -> count table meeting every target of a marginal-solver spec exactly.
+    spec: GeneratorSpec, pinned: dict[int, int], catalog: StrategyCatalog, rng: random.Random
+) -> Counter[int]:
+    """A strategy mask -> count table meeting every target of a marginal-solver
+    spec exactly, with ``pinned`` the spec's pinned minimums by mask.
 
     After the pinned minimums are taken out, what is left is the bipartite
     degree-sequence problem: incidents of given sizes against strategies of
@@ -299,7 +302,6 @@ def _solve_pattern_counts(
     pinned.
     """
     ids = catalog.ids()
-    index = {s: i for i, s in enumerate(ids)}
     n = len(ids)
 
     residual = [spec.marginals.get(s, 0) for s in ids]
@@ -317,24 +319,23 @@ def _solve_pattern_counts(
             raise InfeasibleSpec(f"size_distribution requests profiles of size {k} > {n} strategies")
 
     # Pinned patterns take their minimum counts out of the targets.
-    counts: dict[frozenset[str], int] = {}
-    for pattern in sorted(spec.pinned_patterns, key=_canonical_pattern_key(catalog)):
-        count = spec.pinned_patterns[pattern]
-        size = len(pattern)
+    counts = Counter(pinned)
+    for mask in sorted(pinned, key=_largest_first):
+        count = pinned[mask]
+        size = mask.bit_count()
         slots[size] = slots.get(size, 0) - count
         if slots[size] < 0:
             raise InfeasibleSpec(
                 f"pinned patterns need {-slots[size]} more incidents of size {size} "
                 "than the size distribution provides"
             )
-        for s in pattern:
-            residual[index[s]] -= count
-            if residual[index[s]] < 0:
-                raise InfeasibleSpec(
-                    f"pinned patterns consume more of strategy {s!r} than its marginal allows"
-                )
-        if count:
-            counts[pattern] = count
+        for j in range(n):
+            if mask >> j & 1:
+                residual[j] -= count
+                if residual[j] < 0:
+                    raise InfeasibleSpec(
+                        f"pinned patterns consume more of strategy {ids[j]!r} than its marginal allows"
+                    )
 
     incidents_left = sum(slots.values())
     for i, r in enumerate(residual):
@@ -354,30 +355,32 @@ def _solve_pattern_counts(
         takes = _class_takes(residual, k, c, order)
         for j, taken in enumerate(takes):
             residual[j] -= taken
-        for members, count in _class_patterns(takes, c, order):
-            pattern = frozenset(ids[j] for j in members)
-            counts[pattern] = counts.get(pattern, 0) + count
+        for mask, count in _class_patterns(takes, c, order):
+            counts[mask] += count
     return counts
 
 
 def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozenset[str], int]]:
-    """Every check of the spec, then the technique set (one per pattern,
+    """Every check of the spec, then the technique set (one per strategy mask,
     shared) and year of each incident in output order, numbered from 1.
 
     The seeded draws are those of ``rng.shuffle(technique_sets)`` and of
     ``rng.randrange(2014, 2025)`` per incident, inlined (``_shuffle``,
     ``_randranges``) and held to ``random.Random`` by a named test."""
     _check_strategy_ids(spec, catalog)
+    exact = spec.mode == EXACT_MODE
+    patterns = spec.pattern_counts if exact else spec.pinned_patterns
+    counts = Counter({catalog.mask_of(pattern): count for pattern, count in patterns.items()})
 
     # The spec file's rule, also for a seed set by the CLI or the library:
     # random.Random would seed -3 like 3.
     rng = random.Random(_non_negative_int(spec.seed, "seed"))
-    if spec.mode == EXACT_MODE:
-        counts = spec.pattern_counts
-    else:
-        counts = _solve_pattern_counts(spec, catalog, rng)
+    if not exact:
+        counts = _solve_pattern_counts(spec, counts, catalog, rng)
+    # Mask 0 is the unmapped incidents, and an empty pattern of a hand-built spec.
+    counts[0] += spec.unmapped_count
 
-    total = sum(counts.values()) + spec.unmapped_count
+    total = sum(counts.values())
     if total == 0:
         raise ZeroIncidents("generator spec describes zero incidents")
     if total > MAX_INCIDENTS:
@@ -385,16 +388,12 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
             f"generator spec describes {total} incidents; at most {MAX_INCIDENTS} can be generated"
         )
 
+    n, bits = len(catalog.strategies), catalog.technique_bits.items()
     technique_sets: list[frozenset[str]] = []
-    for pattern in sorted(counts, key=_canonical_pattern_key(catalog)):
-        techniques: set[str] = set()
-        for strategy_id in pattern:
-            strategy = catalog.by_id(strategy_id)
-            techniques.add(strategy.execution_technique)
-            if spec.include_preparation:
-                techniques |= strategy.preparation_techniques
-        technique_sets += [frozenset(techniques)] * counts[pattern]
-    technique_sets += [frozenset()] * spec.unmapped_count
+    for mask in sorted(counts, key=_largest_first):
+        # Bit i is strategy i's execution technique, bit n + i its preparation techniques.
+        wanted = mask | mask << n if spec.include_preparation else mask
+        technique_sets += [frozenset(t for t, b in bits if b & wanted)] * counts[mask]
 
     _shuffle(technique_sets, rng.getrandbits)
     first_year, last_year = _YEAR_RANGE

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from pathlib import Path
 
 from .corpus import Corpus, Incident, IngestionReport, scan_corpus, technique_table
@@ -82,9 +82,6 @@ class StrategyCatalog:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.strategies)
-
-    def order_index(self, strategy_id: str) -> int:
-        return STRATEGY_ORDER.index(strategy_id)
 
     def ids_of_mask(self, mask: int) -> tuple[str, ...]:
         """Canonically ordered ids of the strategies whose bits are set in mask."""
@@ -193,6 +190,14 @@ class ClassifiedCorpus:
     @property
     def mapped_count(self) -> int:
         return self.total_count - self.histogram.get(0, 0)
+
+
+@cache
+def pattern_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The canonical order of strategy masks: size, then member bit positions. A
+    catalog is in enumeration order, so bit positions compare as the members'
+    enumeration positions do."""
+    return mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def strategy_mask(m: int, n: int, strict_prep: bool) -> int:

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +32,7 @@ from influenceops import (
     size_distribution,
 )
 
+import influenceops
 import oracle
 from influenceops.cli import main
 from influenceops.generate import MAX_INCIDENTS, _YEAR_RANGE, _randranges, _shuffle
@@ -95,6 +99,36 @@ def test_include_preparation_adds_pipelines_without_changing_classification(cata
         | td.preparation_techniques
     )
     assert mapped_profiles(bare, catalog) == mapped_profiles(full, catalog)
+
+
+def _rows(*rows):
+    return "".join(f"{row}\n" for row in ("incident_id,title,year,targets,techniques", *rows))
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (
+        GeneratorSpec(mode="exact-patterns", pattern_counts={frozenset(): 2, frozenset({"NR"}): 1},
+                      unmapped_count=3, seed=4),
+        _rows("SYN-0001,Synthetic incident 0001,2021,,", "SYN-0002,Synthetic incident 0002,2016,,",
+              "SYN-0003,Synthetic incident 0003,2015,,", "SYN-0004,Synthetic incident 0004,2015,,T0115",
+              "SYN-0005,Synthetic incident 0005,2014,,", "SYN-0006,Synthetic incident 0006,2020,,"),
+    ),
+    (
+        GeneratorSpec(mode="marginal-solver", marginals={"NR": 1}, size_distribution={0: 2, 1: 1},
+                      unmapped_count=3, seed=4),
+        _rows("SYN-0001,Synthetic incident 0001,2015,,", "SYN-0002,Synthetic incident 0002,2018,,",
+              "SYN-0003,Synthetic incident 0003,2017,,", "SYN-0004,Synthetic incident 0004,2014,,",
+              "SYN-0005,Synthetic incident 0005,2024,,", "SYN-0006,Synthetic incident 0006,2018,,T0115"),
+    ),
+], ids=["exact", "solver"])
+def test_empty_patterns_of_a_hand_built_spec_add_to_the_unmapped(catalog, spec, expected):
+    """The spec parser refuses an empty pattern and a size of 0, but a hand-built
+    spec can hold either. Its incidents are unmapped, and they join the spec's
+    unmapped incidents rather than replace them."""
+    corpus = generate_corpus(spec, catalog)
+    cc = classify_corpus(corpus, catalog)
+    assert (cc.total_count, cc.total_count - cc.mapped_count) == (6, 5)
+    assert corpus_to_csv(corpus) == expected
 
 
 # --- solver mode ---------------------------------------------------------------
@@ -522,6 +556,29 @@ def test_generate_errors_match_the_library(catalog, scratch, capsys):
         assert capsys.readouterr().err == f"{type(caught.value).__name__}: {caught.value}\n"
         assert not out.exists()
     assert kinds == {ZeroIncidents, SchemaError, InfeasibleSpec}
+
+
+def test_solver_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    """An over-pinned spec names the strategy that runs out first in catalog
+    order, in a fresh process under each hash seed."""
+    doc = {
+        "mode": "marginal-solver",
+        "marginals": {"NR": 1, "NS": 1, "NA": 1, "CNR": 1},
+        "size_distribution": {"2": 2},
+        "pinned_patterns": [{"strategies": ["NR", "NS"], "min_count": 2}],
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(influenceops.__file__).parents[1])
+    errors = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        result = subprocess.run([sys.executable, "-m", "influenceops.cli", "generate", "--spec", str(spec)],
+                                capture_output=True, env=env)
+        errors.add((result.returncode, result.stdout, result.stderr))
+    assert errors == {
+        (1, b"", b"InfeasibleSpec: pinned patterns consume more of strategy 'NR' than its marginal allows\n")
+    }
 
 
 # Lengths and widths on either side of each power of two, where the number of
