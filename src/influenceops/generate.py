@@ -44,7 +44,7 @@ from itertools import islice
 from pathlib import Path
 
 from .corpus import CSV_HEADER, Corpus, Incident, _csv_field
-from .documents import parse_json, read_text
+from .documents import natural, objects, parse_object, read_text, require, strings, typed
 from .errors import InfeasibleSpec, SchemaError, ZeroIncidents
 from .render import json_block
 from .strategies import StrategyCatalog, pattern_order
@@ -73,91 +73,62 @@ class GeneratorSpec:
     include_preparation: bool = False
 
 
-def _parse_pattern_entries(entries: object, count_key: str, where: str) -> dict[frozenset[str], int]:
-    if not isinstance(entries, list):
-        raise SchemaError(f"{where}: must be an array of pattern objects")
-    patterns: dict[frozenset[str], int] = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}[{i}]: must be an object")
-        ids = entry.get("strategies")
-        if not isinstance(ids, list) or not ids or not all(isinstance(s, str) for s in ids):
-            raise SchemaError(f"{where}[{i}]: 'strategies' must be a non-empty array of ids")
+def _patterns(doc: dict, key: str, count_key: str) -> dict[frozenset[str], int]:
+    """The spec's array of pattern objects ``key``, as pattern -> count: a
+    pattern names at least one strategy, none twice, and no two entries name
+    one pattern."""
+    seen: set[frozenset[str]] = set()
+
+    def entry(e: dict, where: str) -> tuple[frozenset[str], int]:
+        ids = strings(e, "strategies", where)
+        if not ids:
+            raise SchemaError(f"{where}: field 'strategies' must not be empty")
         pattern = frozenset(ids)
         if len(pattern) != len(ids):
-            raise SchemaError(f"{where}[{i}]: repeated strategy id in pattern {sorted(ids)}")
-        count = entry.get(count_key)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise SchemaError(f"{where}[{i}]: {count_key!r} must be a non-negative integer")
-        if pattern in patterns:
-            raise SchemaError(f"{where}[{i}]: duplicate pattern {sorted(ids)}")
-        patterns[pattern] = count
-    return patterns
+            raise SchemaError(f"{where}: repeated strategy id in pattern {sorted(ids)}")
+        count = natural(require(e, count_key, where), count_key, where)
+        if pattern in seen:
+            raise SchemaError(f"{where}: duplicate pattern {sorted(ids)}")
+        seen.add(pattern)
+        return pattern, count
 
-
-def _non_negative_int(value: object, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise SchemaError(f"{where}: must be a non-negative integer")
-    return value
-
-
-def _object_without_repeated_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen: set[str] = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise SchemaError(f"generator spec: key {key!r} appears twice in one object")
-            seen.add(key)
-    return obj
+    return dict(objects(doc, key, "generator spec", entry, ()))
 
 
 def loads_generator_spec(text: str) -> GeneratorSpec:
-    doc = parse_json(text, "generator spec", object_pairs_hook=_object_without_repeated_keys)
-    if not isinstance(doc, dict):
-        raise SchemaError("generator spec must be a JSON object")
-
-    mode = doc.get("mode")
+    doc = parse_object(text, "generator spec")
+    mode = typed(doc, "mode", "generator spec", str)
     if mode not in (EXACT_MODE, SOLVER_MODE):
-        raise SchemaError(f"generator spec: mode must be {EXACT_MODE!r} or {SOLVER_MODE!r}")
+        raise SchemaError(f"generator spec: field 'mode' must be {EXACT_MODE!r} or {SOLVER_MODE!r}, not {mode!r}")
 
-    marginals: dict[str, int] = {}
-    if "marginals" in doc:
-        if not isinstance(doc["marginals"], dict):
-            raise SchemaError("generator spec: 'marginals' must be an object")
-        for key, value in doc["marginals"].items():
-            marginals[key] = _non_negative_int(value, f"marginals[{key!r}]")
-
+    marginals = {
+        name: natural(value, name, "marginals")
+        for name, value in typed(doc, "marginals", "generator spec", dict, {}).items()
+    }
     size_distribution: dict[int, int] = {}
-    if "size_distribution" in doc:
-        if not isinstance(doc["size_distribution"], dict):
-            raise SchemaError("generator spec: 'size_distribution' must be an object")
-        for key, value in doc["size_distribution"].items():
-            # Canonical decimal only, so that no two keys name one size.
-            if not (key.isascii() and key.isdigit()) or (key[0] == "0" and key != "0"):
-                raise SchemaError(f"size_distribution: key {key!r} is not a size in canonical decimal")
-            try:
-                size = int(key)
-            except ValueError:  # more digits than int() converts
-                raise SchemaError(f"size_distribution: key {key!r} is too large") from None
-            if size < 1:
-                raise SchemaError(f"size_distribution: size {size} must be >= 1")
-            size_distribution[size] = _non_negative_int(value, f"size_distribution[{key!r}]")
+    for key, value in typed(doc, "size_distribution", "generator spec", dict, {}).items():
+        # Canonical decimal only, so that no two keys name one size.
+        if not (key.isascii() and key.isdigit()) or (key[0] == "0" and key != "0"):
+            raise SchemaError(f"size_distribution: key {key!r} is not a size in canonical decimal")
+        try:
+            size = int(key)
+        except ValueError:  # more digits than int() converts
+            raise SchemaError(f"size_distribution: key {key!r} is too large") from None
+        if size < 1:
+            raise SchemaError(f"size_distribution: size {size} must be >= 1")
+        size_distribution[size] = natural(value, key, "size_distribution")
 
-    include_preparation = doc.get("include_preparation", False)
-    if not isinstance(include_preparation, bool):
-        raise SchemaError("generator spec: 'include_preparation' must be true or false")
-    if not isinstance(doc.get("notes", ""), str):
-        raise SchemaError("generator spec: 'notes' must be a string")
+    include_preparation = typed(doc, "include_preparation", "generator spec", bool, False)
+    typed(doc, "notes", "generator spec", str, "")
 
     return GeneratorSpec(
         mode=mode,
-        pattern_counts=_parse_pattern_entries(doc.get("pattern_counts", []), "count", "pattern_counts"),
+        pattern_counts=_patterns(doc, "pattern_counts", "count"),
         marginals=marginals,
         size_distribution=size_distribution,
-        pinned_patterns=_parse_pattern_entries(doc.get("pinned_patterns", []), "min_count", "pinned_patterns"),
-        unmapped_count=_non_negative_int(doc.get("unmapped_count", 0), "unmapped_count"),
-        seed=_non_negative_int(doc.get("seed", 0), "seed"),
+        pinned_patterns=_patterns(doc, "pinned_patterns", "min_count"),
+        unmapped_count=natural(doc.get("unmapped_count", 0), "unmapped_count", "generator spec"),
+        seed=natural(doc.get("seed", 0), "seed", "generator spec"),
         include_preparation=include_preparation,
     )
 
@@ -179,6 +150,18 @@ def _check_strategy_ids(spec: GeneratorSpec, catalog: StrategyCatalog) -> None:
     unknown = sorted(referenced - known)
     if unknown:
         raise SchemaError(f"generator spec references unknown strategy ids: {', '.join(unknown)}")
+
+
+def _check_counts(spec: GeneratorSpec) -> None:
+    """The spec file's rule for the seed and every count, also for a spec made
+    by the CLI or the library: random.Random would seed -3 like 3, and a
+    negative count would offset the total that ``MAX_INCIDENTS`` bounds."""
+    natural(spec.seed, "seed", "generator spec")
+    natural(spec.unmapped_count, "unmapped_count", "generator spec")
+    for where, table in (("pattern_counts", spec.pattern_counts), ("pinned_patterns", spec.pinned_patterns),
+                         ("marginals", spec.marginals), ("size_distribution", spec.size_distribution)):
+        for key, count in table.items():
+            natural(count, sorted(key) if isinstance(key, frozenset) else key, where)
 
 
 def _gale_ryser(residual: list[int], slots: dict[int, int]) -> None:
@@ -368,13 +351,12 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
     ``rng.randrange(2014, 2025)`` per incident, inlined (``_shuffle``,
     ``_randranges``) and held to ``random.Random`` by a named test."""
     _check_strategy_ids(spec, catalog)
+    _check_counts(spec)
     exact = spec.mode == EXACT_MODE
     patterns = spec.pattern_counts if exact else spec.pinned_patterns
     counts = Counter({catalog.mask_of(pattern): count for pattern, count in patterns.items()})
 
-    # The spec file's rule, also for a seed set by the CLI or the library:
-    # random.Random would seed -3 like 3.
-    rng = random.Random(_non_negative_int(spec.seed, "seed"))
+    rng = random.Random(spec.seed)
     if not exact:
         counts = _solve_pattern_counts(spec, counts, catalog, rng)
     # Mask 0 is the unmapped incidents, and an empty pattern of a hand-built spec.

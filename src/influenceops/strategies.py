@@ -31,7 +31,7 @@ from functools import cache, cached_property, lru_cache, partial
 from pathlib import Path
 
 from .corpus import Corpus, Incident, IngestionReport, scan_corpus, technique_table
-from .documents import parse_json, read_text
+from .documents import nonempty_string, objects, parse_object, read_text, strings, typed
 from .errors import (
     DisjointnessViolation,
     EmptyCorpus,
@@ -284,44 +284,22 @@ def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
     technique outside the Prepare phase, and DisjointnessViolation when a
     technique appears in two pipelines.
     """
-    doc = parse_json(text, "catalog document")
-    if not isinstance(doc, dict) or not isinstance(doc.get("strategies"), list):
-        raise SchemaError("catalog document must be an object with a 'strategies' array")
-    taxonomy_version = doc.get("taxonomy_version")
-    if not isinstance(taxonomy_version, str):
-        raise SchemaError("catalog: missing or non-string 'taxonomy_version'")
+    doc = parse_object(text, "catalog document")
+    taxonomy_version = typed(doc, "taxonomy_version", "catalog", str)
 
-    strategies: list[StrategyDefinition] = []
-    for i, entry in enumerate(doc["strategies"]):
-        where = f"strategies[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: must be an object")
-        for key in ("id", "name", "execution_technique"):
-            if not isinstance(entry.get(key), str) or not entry.get(key):
-                raise SchemaError(f"{where}: missing or empty field {key!r}")
-        preps = entry.get("preparation_techniques")
-        if not isinstance(preps, list) or not all(isinstance(p, str) for p in preps):
-            raise SchemaError(f"{where}: 'preparation_techniques' must be an array of ids")
-        description = entry.get("description", "")
-        if not isinstance(description, str):
-            raise SchemaError(f"{where}: 'description' must be a string")
-        strategy_id = entry["id"]
-        exec_id = entry["execution_technique"]
+    def strategy(entry: dict, where: str) -> StrategyDefinition:
+        strategy_id, name, exec_id = (
+            nonempty_string(entry, key, where) for key in ("id", "name", "execution_technique")
+        )
+        preps = strings(entry, "preparation_techniques", where)
+        description = typed(entry, "description", where, str, "")
         _check_technique(taxonomy, where, strategy_id, "execution", exec_id, "Execute")
         for prep_id in preps:
             _check_technique(taxonomy, where, strategy_id, "preparation", prep_id, "Prepare")
+        return StrategyDefinition(strategy_id, name, exec_id, frozenset(preps), description)
 
-        strategies.append(
-            StrategyDefinition(
-                id=strategy_id,
-                name=entry["name"],
-                execution_technique=exec_id,
-                preparation_techniques=frozenset(preps),
-                description=description,
-            )
-        )
-
-    catalog = StrategyCatalog(tuple(strategies), taxonomy_version)
+    strategies = objects(doc, "strategies", "catalog", strategy)
+    catalog = StrategyCatalog(strategies, taxonomy_version)
     report = check_disjointness(catalog)
     if not report.ok:
         raise DisjointnessViolation(str(report))

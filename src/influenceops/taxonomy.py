@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
-from .documents import parse_json, read_text
+from .documents import nonempty_string, objects, parse_object, read_text, typed
 from .errors import AmbiguousName, NotFound, SchemaError
 from .render import json_text
 
@@ -197,69 +197,30 @@ def validate_taxonomy(taxonomy: Taxonomy) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _require(entry: dict, key: str, where: str) -> object:
-    if key not in entry:
-        raise SchemaError(f"{where}: missing required field {key!r}")
-    return entry[key]
-
-
-def _str_field(entry: dict, key: str, where: str) -> str:
-    value = _require(entry, key, where)
-    if not isinstance(value, str) or not value:
-        raise SchemaError(f"{where}: field {key!r} must be a non-empty string")
-    return value
-
-
-def _entries(doc: dict, key: str, build) -> tuple:
-    """The array ``doc[key]``, each entry an object built by ``build(entry, where)``."""
-    built = []
-    for i, entry in enumerate(doc[key]):
-        where = f"{key}[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: must be an object")
-        built.append(build(entry, where))
-    return tuple(built)
-
-
 def _phase(entry: dict, where: str) -> Phase:
-    return Phase(_str_field(entry, "id", where), _str_field(entry, "name", where))
+    return Phase(nonempty_string(entry, "id", where), nonempty_string(entry, "name", where))
 
 
 def _child(cls):
     """The builder of a tactic or technique entry, from its id, name and parent id."""
-    return lambda e, w: cls(_str_field(e, "id", w), _str_field(e, "name", w), _str_field(e, "parent_id", w))
+    return lambda e, w: cls(*(nonempty_string(e, key, w) for key in ("id", "name", "parent_id")))
 
 
 @lru_cache(maxsize=16)
 def loads_taxonomy(text: str) -> Taxonomy:
     """Parse a taxonomy JSON document and return a validated Taxonomy, one
     shared object per text (an error is not cached)."""
-    doc = parse_json(text, "taxonomy document")
-    if not isinstance(doc, dict):
-        raise SchemaError("taxonomy document must be a JSON object")
-
-    version = _str_field(doc, "version", "taxonomy")
-    for key in ("phases", "tactics", "techniques"):
-        if not isinstance(_require(doc, key, "taxonomy"), list):
-            raise SchemaError(f"taxonomy: field {key!r} must be an array")
-
-    profile = doc.get("profile")
-    if profile is not None and not isinstance(profile, str):
-        raise SchemaError("taxonomy: field 'profile' must be a string")
+    doc = parse_object(text, "taxonomy document")
+    version = nonempty_string(doc, "version", "taxonomy")
+    phases = objects(doc, "phases", "taxonomy", _phase)
+    tactics = objects(doc, "tactics", "taxonomy", _child(Tactic))
+    techniques = objects(doc, "techniques", "taxonomy", _child(Technique))
+    profile = typed(doc, "profile", "taxonomy", str, None)
     if profile not in (None, TABLE1_PROFILE):
         raise SchemaError(f"taxonomy: field 'profile' must be {TABLE1_PROFILE!r}, not {profile!r}")
-    provenance = doc.get("provenance")
-    if provenance is not None and not isinstance(provenance, str):
-        raise SchemaError("taxonomy: field 'provenance' must be a string")
+    provenance = typed(doc, "provenance", "taxonomy", str, None)
 
-    taxonomy = Taxonomy(
-        version=version,
-        phases=_entries(doc, "phases", _phase),
-        tactics=_entries(doc, "tactics", _child(Tactic)),
-        techniques=_entries(doc, "techniques", _child(Technique)),
-        profile=profile,
-        provenance=provenance,
-    )
+    taxonomy = Taxonomy(version, phases, tactics, techniques, profile, provenance)
     report = validate_taxonomy(taxonomy)
     if not report.ok:
         raise SchemaError(f"taxonomy document is invalid:\n{report}")

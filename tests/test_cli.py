@@ -271,13 +271,13 @@ def test_explicit_flag_beats_env_var(monkeypatch):
 def test_generate_rejects_a_negative_seed_like_the_spec(tmp_path, capsys):
     out = tmp_path / "neg.csv"
     assert main(["generate", "--spec", FIXTURE_SPEC, "--seed", "-3", "--out", str(out)]) == 1
-    assert "SchemaError: seed: must be a non-negative integer" in capsys.readouterr().err
+    assert "SchemaError: generator spec: field 'seed' must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
     spec = tmp_path / "neg_spec.json"
     doc = json.loads(bundled_data_path("fixture_spec.json").read_text(encoding="utf-8"))
     spec.write_text(json.dumps({**doc, "seed": -3}), encoding="utf-8")
     assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
-    assert "SchemaError: seed: must be a non-negative integer" in capsys.readouterr().err
+    assert "SchemaError: generator spec: field 'seed' must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
 
 

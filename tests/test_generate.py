@@ -421,9 +421,26 @@ def test_positive_count_size_above_strategy_count_is_refused(catalog):
 
 def test_negative_seed_is_refused_however_the_spec_was_made(catalog):
     spec = exact_spec({frozenset({"NR"}): 2})
-    with pytest.raises(SchemaError, match="seed: must be a non-negative integer"):
+    with pytest.raises(SchemaError, match="generator spec: field 'seed' must be a non-negative integer"):
         generate_corpus(replace(spec, seed=-3), catalog)
     assert len(generate_corpus(replace(spec, seed=0), catalog)) == 2
+
+
+def test_negative_counts_are_refused_however_the_spec_was_made(catalog):
+    # -2 unmapped used to offset the total: 3 incidents laid out after a check of 1.
+    spec = GeneratorSpec(mode="exact-patterns", pattern_counts={frozenset({"NR"}): 3}, unmapped_count=-2)
+    with pytest.raises(SchemaError, match="generator spec: field 'unmapped_count' must be a non-negative integer"):
+        generate_corpus(spec, catalog)
+    solver = GeneratorSpec(mode="marginal-solver", marginals={"NR": 1}, size_distribution={1: 1})
+    for edit, message in [
+        ({"pattern_counts": {frozenset({"NR", "NS"}): -1}}, r"pattern_counts: field \['NR', 'NS'\] must be"),
+        ({"pinned_patterns": {frozenset({"NR"}): -1}}, r"pinned_patterns: field \['NR'\] must be"),
+        ({"marginals": {"NR": 2, "NS": -1}}, "marginals: field 'NS' must be"),
+        ({"size_distribution": {1: 2, 2: -1}}, "size_distribution: field 2 must be"),
+        ({"unmapped_count": True}, "field 'unmapped_count' must be"),
+    ]:
+        with pytest.raises(SchemaError, match=message):
+            generate_corpus(replace(solver, **edit), catalog)
 
 
 # --- the generate command against the library ------------------------------------

@@ -741,13 +741,13 @@ EXTRA_TACTIC = {"id": "TA99", "name": "Extra tactic", "parent_id": "P01"}
 
 @pytest.mark.parametrize("flag, name, edit, message", [
     pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"][0].update(description={"not": "a string"}),
-                 "strategies[0]: 'description' must be a string", id="catalog-description"),
+                 "strategies[0]: field 'description' must be a string", id="catalog-description"),
     # A misspelt profile used to switch the Table 1 tactic counts off.
     pytest.param("--taxonomy", "taxonomy.json",
                  lambda doc: doc.update(profile="tabel1", tactics=[*doc["tactics"], EXTRA_TACTIC]),
                  "taxonomy: field 'profile' must be 'table1', not 'tabel1'", id="taxonomy-profile"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(notes=["not", "a string"]),
-                 "generator spec: 'notes' must be a string", id="spec-notes"),
+                 "generator spec: field 'notes' must be a string", id="spec-notes"),
     # Taxonomy loader: the document, its fields and its entries.
     pytest.param("--taxonomy", "taxonomy.json", ["not", "an object"],
                  "taxonomy document must be a JSON object", id="taxonomy-not-object"),
@@ -757,6 +757,9 @@ EXTRA_TACTIC = {"id": "TA99", "name": "Extra tactic", "parent_id": "P01"}
                  "taxonomy: field 'tactics' must be an array", id="taxonomy-tactics"),
     pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc.update(profile=1),
                  "taxonomy: field 'profile' must be a string", id="taxonomy-profile-type"),
+    # null used to read as an absent profile; the schema refuses it.
+    pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc.update(profile=None),
+                 "taxonomy: field 'profile' must be a string", id="taxonomy-profile-null"),
     pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc.update(provenance=["a", "b"]),
                  "taxonomy: field 'provenance' must be a string", id="taxonomy-provenance"),
     pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc["phases"].__setitem__(2, "Execute"),
@@ -766,40 +769,56 @@ EXTRA_TACTIC = {"id": "TA99", "name": "Extra tactic", "parent_id": "P01"}
     pytest.param("--taxonomy", "taxonomy.json", lambda doc: doc["phases"][3].update(id="P01"),
                  "taxonomy document is invalid:\n[duplicate-id] duplicate phase id 'P01'\n"
                  "[orphan-tactic] tactic 'TA12' references unknown phase 'P04'", id="taxonomy-invalid"),
+    # A key twice in one object: the last value used to win silently, except in a spec.
+    pytest.param("--taxonomy", "taxonomy.json", b'{"version": "1", "version": "2"}',
+                 "taxonomy document: key 'version' appears twice in one object", id="taxonomy-repeated-key"),
+    pytest.param("--catalog", "catalog.json",
+                 b'{"taxonomy_version": "2026.08", "strategies": [{"id": "NR", "name": "Narrative Release",'
+                 b' "execution_technique": "T0115", "execution_technique": "T0049"}]}',
+                 "catalog document: key 'execution_technique' appears twice in one object", id="catalog-repeated-key"),
+    pytest.param("--spec", "fixture_spec.json", b'{"mode": "exact-patterns", "seed": 1, "seed": 2}',
+                 "generator spec: key 'seed' appears twice in one object", id="spec-repeated-key"),
     # Catalog loader.
+    pytest.param("--catalog", "catalog.json", [{"taxonomy_version": "2026.08", "strategies": []}],
+                 "catalog document must be a JSON object", id="catalog-not-object"),
     pytest.param("--catalog", "catalog.json", lambda doc: doc.update(strategies={"NR": {}}),
-                 "catalog document must be an object with a 'strategies' array", id="catalog-no-strategies"),
+                 "catalog: field 'strategies' must be an array", id="catalog-no-strategies"),
     pytest.param("--catalog", "catalog.json", lambda doc: doc.update(taxonomy_version=2026.08),
-                 "catalog: missing or non-string 'taxonomy_version'", id="catalog-version"),
+                 "catalog: field 'taxonomy_version' must be a string", id="catalog-version"),
     pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"].__setitem__(1, "NS"),
                  "strategies[1]: must be an object", id="catalog-entry"),
     pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"][0].update(name=""),
-                 "strategies[0]: missing or empty field 'name'", id="catalog-name"),
+                 "strategies[0]: field 'name' must be a non-empty string", id="catalog-name"),
     pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"][2].update(preparation_techniques="T0085"),
-                 "strategies[2]: 'preparation_techniques' must be an array of ids", id="catalog-preparation"),
+                 "strategies[2]: field 'preparation_techniques' must be an array of strings", id="catalog-preparation"),
     pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"].append(doc["strategies"][0]),
                  "duplicate strategy ids in catalog: ['NR', 'NS', 'NA', 'CNR', 'NM', 'TD', 'IP', 'NR']",
                  id="catalog-duplicate-id"),
     # Generator-spec loader.
     pytest.param("--spec", "fixture_spec.json", "marginal-solver",
                  "generator spec must be a JSON object", id="spec-not-object"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(mode="marginal"),
+                 "generator spec: field 'mode' must be 'exact-patterns' or 'marginal-solver', not 'marginal'",
+                 id="spec-mode"),
+    pytest.param("--spec", "fixture_spec.json", lambda doc: doc["marginals"].update(NR=-1),
+                 "marginals: field 'NR' must be a non-negative integer", id="spec-marginal-value"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(pinned_patterns={"NR": 4}),
-                 "pinned_patterns: must be an array of pattern objects", id="spec-patterns"),
+                 "generator spec: field 'pinned_patterns' must be an array", id="spec-patterns"),
     pytest.param("--spec", "fixture_spec.json",
                  lambda doc: doc.update(pattern_counts=[{"strategies": ["NR"], "count": 1}, 7]),
                  "pattern_counts[1]: must be an object", id="spec-pattern-entry"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc["pinned_patterns"][0].update(strategies=[]),
-                 "pinned_patterns[0]: 'strategies' must be a non-empty array of ids", id="spec-pattern-strategies"),
+                 "pinned_patterns[0]: field 'strategies' must not be empty", id="spec-pattern-strategies"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc["pinned_patterns"][3].update(min_count=True),
-                 "pinned_patterns[3]: 'min_count' must be a non-negative integer", id="spec-pattern-count"),
+                 "pinned_patterns[3]: field 'min_count' must be a non-negative integer", id="spec-pattern-count"),
     pytest.param("--spec", "fixture_spec.json",
                  lambda doc: doc["pinned_patterns"][1].update(strategies=["NR", "IP", "NA", "NM", "TD", "NS", "CNR"]),
                  "pinned_patterns[1]: duplicate pattern ['CNR', 'IP', 'NA', 'NM', 'NR', 'NS', 'TD']",
                  id="spec-duplicate-pattern"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(marginals=[["NR", 78]]),
-                 "generator spec: 'marginals' must be an object", id="spec-marginals"),
+                 "generator spec: field 'marginals' must be an object", id="spec-marginals"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc.update(size_distribution=[6, 11]),
-                 "generator spec: 'size_distribution' must be an object", id="spec-size-distribution"),
+                 "generator spec: field 'size_distribution' must be an object", id="spec-size-distribution"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc["size_distribution"].update({"0": 1}),
                  "size_distribution: size 0 must be >= 1", id="spec-size-0"),
     pytest.param("--spec", "fixture_spec.json", lambda doc: doc["size_distribution"].update({"9" * 5000: 1}),
@@ -813,7 +832,10 @@ def test_a_schema_field_of_the_wrong_type_is_a_schema_error(tmp_path, capsys, fl
     else:  # the whole document
         doc = edit
     path = tmp_path / "document.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    if isinstance(doc, bytes):  # its text, which json.dumps could not give
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
     assert main(document_argv(flag, str(path), str(out))) == 1
     assert capsys.readouterr().err == f"SchemaError: {message}\n"
