@@ -6,7 +6,7 @@ StrategyProfile. Each checked row is reduced to a technique mask over
 ``catalog.technique_bits`` (bit i for strategy i's execution technique, bit
 n + i and an own bit from 2n up for each of its preparation techniques),
 and only (incident id, mask) pairs are kept for
-``strategies.match_strategies``, the matcher of the library's profiles. The
+``strategies.match_strategies``, the matcher of ``classify_incident``. The
 output is put together from pieces that incidents share: one evidence block
 per strategy and subset of its preparation techniques (42 for the bundled
 catalog), memoised by the matcher, and one strategy list per strategy mask,
@@ -20,7 +20,7 @@ The masks come from the same scan of the corpus file as ``ingest_corpus``
 the same technique ids are unknown. Strategies are rendered in catalog
 order, which is the canonical order. The output is the same text as
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the per-incident
-documents built from ``classify_corpus(...).profiles``, or the same
+documents built from ``classify_incident`` of each incident, or the same
 ``id: NR+NS`` lines with ``--pretty`` (ids as ``_pretty_id`` writes them).
 """
 

@@ -16,10 +16,10 @@ corpus statistic is a function of them.
 
 The rule is stated once, as ``strategy_mask``, over technique masks in the
 one bit layout of ``catalog.technique_bits``. ``match_strategies`` applies
-it per incident for ``classify_incident``, ``ClassifiedCorpus.profiles`` and
-the ``classify`` command (``evidence.py``). ``classify_corpus`` and
-``ingest_histogram`` (``validate``, ``stats``, ``graph``) apply it once per
-distinct mask. The tests hold every path to a set-based reference.
+it per incident for ``classify_incident`` and the ``classify`` command
+(``evidence.py``). ``classify_corpus`` and ``ingest_histogram``
+(``validate``, ``stats``, ``graph``) apply it once per distinct mask. The
+tests hold every path to a set-based reference.
 """
 
 from __future__ import annotations
@@ -135,33 +135,20 @@ class StrategyProfile:
 class ClassifiedCorpus:
     """A corpus classified against a catalog: incident count per strategy
     mask (bit i is ``catalog.strategies[i]``, mask 0 unmapped, only non-empty
-    bins). Profiles need the ``corpus``, which ``ingest_histogram`` leaves None.
+    bins). Per-incident profiles come from ``classify_incident``.
     """
 
     catalog: StrategyCatalog
     histogram: dict[int, int]
-    total_count: int
     source: str
     strict_prep: bool = False
-    corpus: Corpus | None = None
 
     def __len__(self) -> int:
         return self.total_count
 
-    @cached_property
-    def profiles(self) -> tuple[StrategyProfile, ...]:
-        """Per-incident strategies and evidence, in corpus order."""
-        if self.corpus is None:
-            raise ValueError("a corpus classified from a histogram has no profiles")
-        return tuple(_profiles(self.corpus.incidents, self.catalog, self.strict_prep))
-
     @property
-    def mapped_profiles(self) -> tuple[StrategyProfile, ...]:
-        return tuple(p for p in self.profiles if p.mapped)
-
-    @property
-    def unmapped_profiles(self) -> tuple[StrategyProfile, ...]:
-        return tuple(p for p in self.profiles if not p.mapped)
+    def total_count(self) -> int:
+        return sum(self.histogram.values())
 
     @cached_property
     def superset_sums(self) -> tuple[int, ...]:
@@ -225,8 +212,7 @@ def ingest_histogram(
 
     Same checks, errors and ingestion report as ``ingest_corpus`` followed by
     ``classify_corpus``, but no incident is built: memory is the incident-id
-    to mask table and the histogram, and for JSON the file's text. The
-    result has no profiles.
+    to mask table and the histogram, and for JSON the file's text.
     """
     path = Path(path)
     n = len(catalog.strategies)
@@ -235,7 +221,7 @@ def ingest_histogram(
     bits = {t: b & low for t, b in catalog.technique_bits.items()}
     masks, report = scan_corpus(path, technique_table(taxonomy, bits), mode)
     histogram = _histogram(masks.values(), n, strict_prep)
-    return ClassifiedCorpus(catalog, histogram, len(masks), str(path), strict_prep), report
+    return ClassifiedCorpus(catalog, histogram, str(path), strict_prep), report
 
 
 def check_disjointness(catalog: StrategyCatalog) -> ValidationReport:
@@ -292,6 +278,8 @@ def loads_strategy_catalog(text: str, taxonomy: Taxonomy) -> StrategyCatalog:
             nonempty_string(entry, key, where) for key in ("id", "name", "execution_technique")
         )
         preps = strings(entry, "preparation_techniques", where)
+        if len(set(preps)) != len(preps):
+            raise SchemaError(f"{where}: repeated preparation technique in {sorted(preps)}")
         description = typed(entry, "description", where, str, "")
         _check_technique(taxonomy, where, strategy_id, "execution", exec_id, "Execute")
         for prep_id in preps:
@@ -349,13 +337,6 @@ def _technique_masks(incidents: Iterable[Incident], catalog: StrategyCatalog) ->
         yield incident.incident_id, m
 
 
-def _profiles(incidents: Iterable[Incident], catalog: StrategyCatalog, strict_prep: bool) -> Iterator:
-    pairs = _technique_masks(incidents, catalog)
-    for incident_id, _, items in match_strategies(pairs, catalog, strict_prep, catalog.evidence_item):
-        evidence = dict(items)
-        yield StrategyProfile(incident_id, frozenset(evidence), evidence)
-
-
 def classify_incident(
     incident: Incident, catalog: StrategyCatalog, strict_prep: bool = False
 ) -> StrategyProfile:
@@ -366,19 +347,23 @@ def classify_incident(
     execution technique first, then any matched preparation techniques.
     Depends only on the incident's technique set and the catalog.
     """
-    return next(_profiles([incident], catalog, strict_prep))
+    pairs = _technique_masks([incident], catalog)
+    [(incident_id, _, items)] = match_strategies(pairs, catalog, strict_prep, catalog.evidence_item)
+    evidence = dict(items)
+    return StrategyProfile(incident_id, frozenset(evidence), evidence)
 
 
 def classify_corpus(
     corpus: Corpus, catalog: StrategyCatalog, strict_prep: bool = False
 ) -> ClassifiedCorpus:
-    """Classify every incident, preserving corpus order.
+    """Classify every incident into the corpus's mask histogram.
 
     Incidents with at least one strategy are "mapped", the rest "unmapped".
-    The mask histogram is counted here; the profiles on first use.
+    Only the mask histogram is kept; ``classify_incident`` gives an
+    incident's strategies with their evidence.
     """
     if not corpus.incidents:
         raise EmptyCorpus("cannot classify an empty corpus")
     masks = (m for _, m in _technique_masks(corpus.incidents, catalog))
     histogram = _histogram(masks, len(catalog.strategies), strict_prep)
-    return ClassifiedCorpus(catalog, histogram, len(corpus), corpus.source, strict_prep, corpus)
+    return ClassifiedCorpus(catalog, histogram, corpus.source, strict_prep)

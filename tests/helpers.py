@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from influenceops import Corpus, Incident, StrategyCatalog, classify_corpus
+from influenceops import Corpus, Incident, StrategyCatalog, classify_corpus, classify_incident
 
 
 def incident(n, techniques, year=2020, title=None, targets=()):
@@ -33,6 +33,11 @@ def corpus_from_profiles(catalog, profiles, source="test"):
 
 def classified_from_profiles(catalog, profiles, source="test"):
     return classify_corpus(corpus_from_profiles(catalog, profiles, source), catalog)
+
+
+def profiles_of(corpus, catalog, strict_prep=False):
+    """Each incident's strategies and evidence, in corpus order."""
+    return [classify_incident(i, catalog, strict_prep) for i in corpus.incidents]
 
 
 def non_disjoint_catalog(catalog):

@@ -37,7 +37,7 @@ from influenceops.resources import bundled_data_path
 from influenceops.strategies import StrategyCatalog, StrategyDefinition
 
 import oracle
-from helpers import classified_from_profiles
+from helpers import corpus_from_profiles, profiles_of
 
 _MODULE_T0 = time.perf_counter()
 
@@ -193,8 +193,9 @@ def test_c07_handshake_identity(fixture_cc, catalog):
     )
 
 
-def _assert_oracle_equivalence(cc, ids):
-    profiles = [set(p.strategies) for p in cc.mapped_profiles]
+def _assert_oracle_equivalence(corpus, catalog, ids):
+    cc = classify_corpus(corpus, catalog)
+    profiles = [set(p.strategies) for p in profiles_of(corpus, catalog) if p.mapped]
 
     rep = prevalence(cc)
     for strategy in ids:
@@ -223,13 +224,13 @@ def test_c08_oracle_equivalence(catalog):
     # exhaustive: every 1- and 2-incident pattern multiset over four strategies
     for p in four_patterns:
         if p:
-            _assert_oracle_equivalence(classified_from_profiles(catalog, [p]), FOUR)
+            _assert_oracle_equivalence(corpus_from_profiles(catalog, [p]), catalog, FOUR)
             checked += 1
     for i, p in enumerate(four_patterns):
         for q in four_patterns[i:]:
             if not p and not q:
                 continue
-            _assert_oracle_equivalence(classified_from_profiles(catalog, [p, q]), FOUR)
+            _assert_oracle_equivalence(corpus_from_profiles(catalog, [p, q]), catalog, FOUR)
             checked += 1
     # dense seeded sampling: 4-strategy corpora up to 10 incidents
     rng = random.Random(808)
@@ -238,7 +239,7 @@ def test_c08_oracle_equivalence(catalog):
         profiles = [tuple(rng.sample(FOUR, rng.randrange(0, 5))) for _ in range(n)]
         if not any(profiles):
             profiles.append(("NR",))
-        _assert_oracle_equivalence(classified_from_profiles(catalog, profiles), FOUR)
+        _assert_oracle_equivalence(corpus_from_profiles(catalog, profiles), catalog, FOUR)
         checked += 1
     # 500 random seven-strategy corpora
     for _ in range(500):
@@ -246,7 +247,7 @@ def test_c08_oracle_equivalence(catalog):
         profiles = [tuple(rng.sample(SEVEN, rng.randrange(0, 8))) for _ in range(n)]
         if not any(profiles):
             profiles.append(("NR",))
-        _assert_oracle_equivalence(classified_from_profiles(catalog, profiles), SEVEN)
+        _assert_oracle_equivalence(corpus_from_profiles(catalog, profiles), catalog, SEVEN)
         checked += 1
     report(
         f"criterion 8: prevalence, co-occurrence, conditional probabilities, "
@@ -254,21 +255,22 @@ def test_c08_oracle_equivalence(catalog):
     )
 
 
-def test_c09_conditional_graph_algebra(fixture_cc, catalog):
-    corpora = [fixture_cc]
+def test_c09_conditional_graph_algebra(fixture_corpus, catalog):
+    corpora = [fixture_corpus]
     rng = random.Random(909)
     for _ in range(200):
         n = rng.randrange(1, 16)
         profiles = [tuple(rng.sample(SEVEN, rng.randrange(0, 8))) for _ in range(n)]
         if not any(profiles):
             profiles.append(("IP",))
-        corpora.append(classified_from_profiles(catalog, profiles))
+        corpora.append(corpus_from_profiles(catalog, profiles))
 
     edges_checked = 0
-    for cc in corpora:
+    for corpus in corpora:
+        cc = classify_corpus(corpus, catalog)
         rep = prevalence(cc)
         graph = conditional_probabilities(cc)
-        profiles = [set(p.strategies) for p in cc.mapped_profiles]
+        profiles = [set(p.strategies) for p in profiles_of(corpus, catalog) if p.mapped]
         for edge in graph.edges:
             assert edge.probability * rep.count(edge.source) == oracle.cooc_count(
                 profiles, edge.source, edge.target

@@ -22,17 +22,17 @@ from influenceops import (
 )
 
 import oracle
-from helpers import classified_from_profiles, corpus_from_profiles
+from helpers import classified_from_profiles, corpus_from_profiles, profiles_of
 
 FOUR = ("NR", "NS", "NA", "CNR")
 SEVEN = ("NR", "NS", "NA", "CNR", "NM", "TD", "IP")
 
 
-def mapped_sets(cc):
-    return [set(p.strategies) for p in cc.mapped_profiles]
+def mapped_sets(corpus, catalog):
+    return [set(p.strategies) for p in profiles_of(corpus, catalog) if p.mapped]
 
 
-def random_cc(catalog, rng, ids=SEVEN, max_incidents=10, allow_empty_profiles=True):
+def random_corpus(catalog, rng, ids=SEVEN, max_incidents=10, allow_empty_profiles=True):
     n = rng.randrange(1, max_incidents + 1)
     profiles = []
     for _ in range(n):
@@ -40,7 +40,7 @@ def random_cc(catalog, rng, ids=SEVEN, max_incidents=10, allow_empty_profiles=Tr
         profiles.append(tuple(rng.sample(list(ids), k)))
     if not any(profiles):
         profiles[rng.randrange(n)] = (rng.choice(list(ids)),)
-    return classified_from_profiles(catalog, profiles)
+    return corpus_from_profiles(catalog, profiles)
 
 
 # --- prevalence ------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_no_multi_strategy_incident_gives_zero_fraction_of_multi(catalog):
     (mapping_coverage, {}, "empty corpus has no coverage"),
 ])
 def test_statistic_of_a_degenerate_corpus_is_empty_corpus(catalog, statistic, histogram, message):
-    cc = ClassifiedCorpus(catalog, histogram, sum(histogram.values()), "src")
+    cc = ClassifiedCorpus(catalog, histogram, "src")
     with pytest.raises(EmptyCorpus) as err:
         statistic(cc)
     assert str(err.value) == message
@@ -199,9 +199,9 @@ def test_fixture_cooccurrence_dominates_containment(fixture_cc):
 def test_cooccurrence_symmetry_and_bounds(catalog):
     rng = random.Random(11)
     for _ in range(50):
-        cc = random_cc(catalog, rng)
-        graph = cooccurrence(cc)
-        profiles = mapped_sets(cc)
+        corpus = random_corpus(catalog, rng)
+        graph = cooccurrence(classify_corpus(corpus, catalog))
+        profiles = mapped_sets(corpus, catalog)
         n = len(profiles)
         for a, b in combinations(SEVEN, 2):
             weight = graph.edge_weight(a, b)
@@ -230,9 +230,9 @@ def test_self_conditioning_is_one(fixture_cc, hand_cc):
 def test_conditional_edge_algebra_random(catalog):
     rng = random.Random(23)
     for _ in range(40):
-        cc = random_cc(catalog, rng)
-        graph = conditional_probabilities(cc)
-        profiles = mapped_sets(cc)
+        corpus = random_corpus(catalog, rng)
+        graph = conditional_probabilities(classify_corpus(corpus, catalog))
+        profiles = mapped_sets(corpus, catalog)
         for edge in graph.edges:
             assert edge.probability * edge.source_count == edge.joint_count
             assert edge.joint_count == oracle.cooc_count(profiles, edge.source, edge.target)
@@ -307,7 +307,7 @@ def test_handshake_identity(fixture_cc):
 def test_pattern_prevalence_consistency(catalog):
     rng = random.Random(37)
     for _ in range(30):
-        cc = random_cc(catalog, rng)
+        cc = classify_corpus(random_corpus(catalog, rng), catalog)
         report = prevalence(cc)
         table = pattern_frequencies(cc)
         for strategy in SEVEN:
@@ -342,8 +342,9 @@ def test_permutation_invariance(catalog, profiles, seed):
 # --- oracle equivalence --------------------------------------------------------------------
 
 
-def assert_matches_oracle(cc, ids):
-    profiles = mapped_sets(cc)
+def assert_matches_oracle(corpus, catalog, ids):
+    cc = classify_corpus(corpus, catalog)
+    profiles = mapped_sets(corpus, catalog)
 
     report = prevalence(cc)
     for strategy in ids:
@@ -387,26 +388,24 @@ def test_oracle_equivalence_exhaustive_small_four_strategy(catalog):
     ]
     for p in patterns:
         if p:
-            assert_matches_oracle(classified_from_profiles(catalog, [p]), FOUR)
+            assert_matches_oracle(corpus_from_profiles(catalog, [p]), catalog, FOUR)
     for i, p in enumerate(patterns):
         for q in patterns[i:]:
             if not p and not q:
                 continue
-            assert_matches_oracle(classified_from_profiles(catalog, [p, q]), FOUR)
+            assert_matches_oracle(corpus_from_profiles(catalog, [p, q]), catalog, FOUR)
 
 
 def test_oracle_equivalence_random_four_strategy(catalog):
     rng = random.Random(404)
     for _ in range(300):
-        cc = random_cc(catalog, rng, ids=FOUR, max_incidents=10)
-        assert_matches_oracle(cc, FOUR)
+        assert_matches_oracle(random_corpus(catalog, rng, ids=FOUR, max_incidents=10), catalog, FOUR)
 
 
 def test_oracle_equivalence_random_seven_strategy(catalog):
     rng = random.Random(707)
     for _ in range(300):
-        cc = random_cc(catalog, rng, ids=SEVEN, max_incidents=12)
-        assert_matches_oracle(cc, SEVEN)
+        assert_matches_oracle(random_corpus(catalog, rng, ids=SEVEN, max_incidents=12), catalog, SEVEN)
 
 
 # --- accessors on unknown ids --------------------------------------------------------------

@@ -541,7 +541,7 @@ def test_report_escapes_a_lone_surrogate_in_its_source(catalog):
     from influenceops.strategies import ClassifiedCorpus
 
     def source_of(source):
-        text = report_to_json(build_report(ClassifiedCorpus(catalog, {1: 1}, 1, source)))
+        text = report_to_json(build_report(ClassifiedCorpus(catalog, {1: 1}, source)))
         return json.loads(text.encode("utf-8"))["config"]["corpus_source"]
 
     assert source_of("c\ud800.csv") == "c\\ud800.csv"

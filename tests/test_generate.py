@@ -34,6 +34,7 @@ from influenceops import (
 
 import influenceops
 import oracle
+from helpers import profiles_of
 from influenceops.cli import main
 from influenceops.generate import MAX_INCIDENTS, _YEAR_RANGE, _randranges, _shuffle
 
@@ -58,8 +59,7 @@ def exact_spec(pattern_counts, seed=42, unmapped=0):
 
 
 def mapped_profiles(corpus, catalog):
-    cc = classify_corpus(corpus, catalog)
-    return [set(p.strategies) for p in cc.profiles if p.mapped]
+    return [set(p.strategies) for p in profiles_of(corpus, catalog) if p.mapped]
 
 
 # --- exact mode ----------------------------------------------------------------
@@ -265,7 +265,7 @@ def test_generate_fixture_marginals_times_fifty(catalog, taxonomy, tmp_path, fmt
     assert len(corpus) == 4050
     cc = classify_corpus(corpus, catalog)
     assert cc.total_count - cc.mapped_count == doc["unmapped_count"]
-    profiles = [set(p.strategies) for p in cc.profiles if p.mapped]
+    profiles = mapped_profiles(corpus, catalog)
     assert oracle.size_counts(profiles) == {int(k): c for k, c in doc["size_distribution"].items()}
     for strategy_id, wanted in doc["marginals"].items():
         assert oracle.strategy_count(profiles, strategy_id) == wanted

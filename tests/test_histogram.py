@@ -92,7 +92,6 @@ def test_profiles_and_histogram_match_the_set_based_reference(taxonomy, catalog,
     profiles = [classify_incident(i, chosen, strict_prep) for i in corpus.incidents]
     assert as_lists(profiles) == as_lists(reference)
     cc = classify_corpus(corpus, chosen, strict_prep)
-    assert as_lists(cc.profiles) == as_lists(reference)
     assert cc.histogram == Counter(mask_of(chosen, p.strategies) for p in reference)
 
 
@@ -114,8 +113,6 @@ def test_stats_path_builds_no_profiles(catalog):
     cc = classify_corpus(corpus_of([{"T0115"}, set()]), catalog)
     assert (cc.mapped_count, cc.total_count) == (1, 2)
     build_report(cc)
-    assert "profiles" not in vars(cc)
-    assert len(cc.profiles) == 2
 
 
 def drawn_catalog(catalog, which):
@@ -143,7 +140,7 @@ def test_pattern_rows_are_in_the_enumeration_order_of_their_members(catalog, dat
     in STRATEGY_ORDER, read from each mask's bit positions."""
     catalog = drawn_catalog(catalog, which)
     histogram = data.draw(histograms(catalog))
-    rows = pattern_frequencies(ClassifiedCorpus(catalog, histogram, sum(histogram.values()), "drawn")).rows
+    rows = pattern_frequencies(ClassifiedCorpus(catalog, histogram, "drawn")).rows
     assert {mask_of(catalog, row.strategies): row.exact_count for row in rows} == {m: c for m, c in histogram.items() if m}
     assert list(rows) == sorted(
         rows, key=lambda r: (-r.exact_count, len(r.strategies), tuple(STRATEGY_ORDER.index(s) for s in r.strategies))
@@ -157,6 +154,6 @@ def test_report_json_is_json_dumps_of_the_report(catalog, data, which, source, s
     """The report's row templates write what json.dumps(indent=2) writes."""
     catalog = drawn_catalog(catalog, which)
     histogram = data.draw(histograms(catalog, st.integers(1, 4) | st.integers(1, 10**6)))
-    cc = ClassifiedCorpus(catalog, histogram, sum(histogram.values()), source, strict_prep)
+    cc = ClassifiedCorpus(catalog, histogram, source, strict_prep)
     report = build_report(cc, data.draw(st.sampled_from(["strict", "lenient"])), min_support)
     assert report_to_json(report) == json.dumps(report, indent=2, ensure_ascii=False) + "\n"

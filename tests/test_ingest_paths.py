@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_ingest
-from helpers import non_disjoint_catalog
+from helpers import non_disjoint_catalog, profiles_of
 from influenceops import (
     DuplicateIncidentId,
     InfluenceOpsError,
@@ -81,7 +81,7 @@ def outcome(ingest, path, taxonomy, catalog, mode, strict_prep):
         cc, report = ingest(path, taxonomy, catalog, mode, strict_prep)
     except InfluenceOpsError as exc:
         return type(exc), str(exc)
-    return dict(cc.histogram), cc.total_count, cc.mapped_count, cc.source, report
+    return cc, report
 
 
 def corpus_outcome(load, document, taxonomy, mode):
@@ -98,12 +98,13 @@ def check_paths_agree(path, taxonomy, catalog, text=None):
     for mode, strict_prep in MODES:
         expected = outcome(materialised, path, taxonomy, catalog, mode, strict_prep)
         assert outcome(ingest_histogram, path, taxonomy, catalog, mode, strict_prep) == expected
-        if isinstance(expected[0], dict):
+        if isinstance(expected[0], ClassifiedCorpus):
             # Against per-incident classification, which shares no code with the fold.
-            cc, _ = materialised(path, taxonomy, catalog, mode, strict_prep)
+            corpus, _ = reference_ingest.ingest_corpus(path, taxonomy, mode)
             ids = catalog.ids()
-            masks = Counter(sum(1 << ids.index(s) for s in p.strategies) for p in cc.profiles)
-            assert expected[0] == dict(masks)
+            profiles = profiles_of(corpus, catalog, strict_prep)
+            masks = Counter(sum(1 << ids.index(s) for s in p.strategies) for p in profiles)
+            assert expected[0].histogram == masks
     json_file = path.suffix == ".json"
     loads, reference_loads = ((loads_corpus_json, reference_ingest.loads_corpus_json) if json_file
                               else (loads_corpus_csv, reference_ingest.loads_corpus_csv))
@@ -378,10 +379,8 @@ def test_each_wrong_json_type_is_the_reference_shape_error(taxonomy, catalog, tm
 
 
 def test_histogram_built_corpus_has_statistics_but_no_profiles(catalog):
-    cc = ClassifiedCorpus(catalog, {0: 1, 0b11: 2}, 3, "src")
+    cc = ClassifiedCorpus(catalog, {0: 1, 0b11: 2}, "src")
     assert (len(cc), cc.total_count, cc.mapped_count, cc.source) == (3, 3, 2, "src")
-    with pytest.raises(ValueError):
-        cc.profiles
 
 
 def test_catalog_technique_outside_the_taxonomy_is_unknown_on_every_path(taxonomy, catalog, tmp_path):
@@ -791,6 +790,9 @@ EXTRA_TACTIC = {"id": "TA99", "name": "Extra tactic", "parent_id": "P01"}
                  "strategies[0]: field 'name' must be a non-empty string", id="catalog-name"),
     pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"][2].update(preparation_techniques="T0085"),
                  "strategies[2]: field 'preparation_techniques' must be an array of strings", id="catalog-preparation"),
+    pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"][0]["preparation_techniques"].append("T0085"),
+                 "strategies[0]: repeated preparation technique in ['T0085', 'T0085', 'T0086', 'T0101', 'X0001']",
+                 id="catalog-repeated-preparation"),
     pytest.param("--catalog", "catalog.json", lambda doc: doc["strategies"].append(doc["strategies"][0]),
                  "duplicate strategy ids in catalog: ['NR', 'NS', 'NA', 'CNR', 'NM', 'TD', 'IP', 'NR']",
                  id="catalog-duplicate-id"),

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from influenceops import loads_generator_spec, loads_strategy_catalog, loads_taxonomy
+from influenceops import loads_corpus_json, loads_generator_spec, loads_strategy_catalog, loads_taxonomy
 from influenceops.errors import (
     DisjointnessViolation,
+    DuplicateIncidentId,
+    EmptyCorpus,
     InfluenceOpsError,
     PhaseViolation,
     UnknownTechnique,
@@ -59,9 +61,11 @@ LOADERS = {
     "taxonomy": lambda text, taxonomy: loads_taxonomy(text),
     "catalog": loads_strategy_catalog,
     "generator_spec": lambda text, taxonomy: loads_generator_spec(text),
+    "corpus": loads_corpus_json,
 }
 CATALOG_BASE = json.loads(bundled_data_path("catalog.json").read_text(encoding="utf-8"))
 TAXONOMY_BASE = json.loads(bundled_data_path("taxonomy.json").read_text(encoding="utf-8"))
+CORPUS_BASE = json.loads((GOLDEN / "fixture_corpus.json").read_text(encoding="utf-8"))[:4]
 SPEC_BASES = [json.loads(bundled_data_path("fixture_spec.json").read_text(encoding="utf-8")),
               *(json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN.glob("*spec*.json")))]
 
@@ -130,6 +134,27 @@ LOADER_ONLY = {
         "taxonomy", {**TAXONOMY_BASE, "phases": TAXONOMY_BASE["phases"][:3]},
         lambda doc, exc: str(exc).startswith("taxonomy document is invalid:\n"),
     ),
+    # Technique ids resolve against a taxonomy, which a schema does not see.
+    "corpus technique references": (
+        "corpus", [{**CORPUS_BASE[0], "techniques": ["T9999"]}],
+        lambda doc, exc: isinstance(exc, UnknownTechnique),
+    ),
+    # No schema keyword makes one property unique across the items of an array.
+    "duplicate incident ids": (
+        "corpus", [CORPUS_BASE[0], {**CORPUS_BASE[0], "title": "Other"}],
+        lambda doc, exc: isinstance(exc, DuplicateIncidentId),
+    ),
+    # A well-formed document of no incidents, refused as EmptyCorpus, as a
+    # header-only CSV corpus is, rather than as a malformed document.
+    "empty corpus": (
+        "corpus", [],
+        lambda doc, exc: isinstance(exc, EmptyCorpus),
+    ),
+    # As for the spec: draft-07 "integer" admits 2020.0, the loader only 2020.
+    "integral float year": (
+        "corpus", [{**CORPUS_BASE[0], "year": 2020.0}],
+        lambda doc, exc: str(exc).endswith("'year' must be an integer") and any(type(v) is float for v in _values(doc)),
+    ),
 }
 
 
@@ -162,7 +187,7 @@ def assert_loader_agrees_with_schema(kind, doc, taxonomy):
         assert errors == [], "the loader accepts what the schema refuses"
         event("both accept")
     elif validator.is_valid(doc):
-        rules = [name for name, (_, _, matches) in LOADER_ONLY.items() if matches(doc, exc)]
+        rules = [name for name, (k, _, matches) in LOADER_ONLY.items() if k == kind and matches(doc, exc)]
         assert rules, f"the schema accepts what the loader refuses: {type(exc).__name__}: {exc}"
         event(f"loader-only: {rules[0]}")
     else:
@@ -208,6 +233,10 @@ CATALOG_STRINGS = strings_of(
     ["NR", "NS", "ZZ", "", "2026.08", "T9999", "id", "name", "description", "preparation_techniques"],
     *([s["execution_technique"], *s["preparation_techniques"]] for s in CATALOG_BASE["strategies"]),
 )
+CORPUS_STRINGS = strings_of(
+    ["", "T9999", "incident_id", "title", "year", "targets", "techniques"],
+    *([entry["incident_id"], *entry["techniques"]] for entry in CORPUS_BASE),
+)
 TAXONOMY_STRINGS = strings_of(
     ["", "table1", "Plan", "Execute", "profile", "provenance", "parent_id", "name"],
     *([entry["id"], entry["name"]] for key in ("phases", "tactics") for entry in TAXONOMY_BASE[key]),
@@ -230,3 +259,9 @@ def test_catalog_loader_accepts_what_its_schema_accepts(doc, taxonomy):
 @given(doc=edited(TAXONOMY_BASE, TAXONOMY_STRINGS))
 def test_taxonomy_loader_accepts_what_its_schema_accepts(doc, taxonomy):
     assert_loader_agrees_with_schema("taxonomy", doc, taxonomy)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=edited(CORPUS_BASE, CORPUS_STRINGS))
+def test_corpus_loader_accepts_what_its_schema_accepts(doc, taxonomy):
+    assert_loader_agrees_with_schema("corpus", doc, taxonomy)

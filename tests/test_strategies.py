@@ -29,7 +29,7 @@ from influenceops.report import build_report, report_to_json, report_to_text
 from influenceops.resources import bundled_data_path
 from influenceops.strategies import ingest_histogram, match_strategies, strategy_mask
 
-from helpers import corpus_from_profiles, corpus_of, incident
+from helpers import corpus_from_profiles, corpus_of, incident, profiles_of
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -274,9 +274,10 @@ def test_matcher_hands_each_strategy_only_its_own_preparation_bits(catalog):
 def test_classify_corpus_partitions_and_preserves_order(catalog):
     corpus = corpus_from_profiles(catalog, [("NR",), (), ("TD", "IP")])
     cc = classify_corpus(corpus, catalog)
-    assert [p.incident_id for p in cc.profiles] == [i.incident_id for i in corpus.incidents]
+    profiles = profiles_of(corpus, catalog)
+    assert [p.incident_id for p in profiles] == [i.incident_id for i in corpus.incidents]
     assert cc.mapped_count == 2
-    assert cc.mapped_count + len(cc.unmapped_profiles) == len(corpus)
+    assert cc.mapped_count + sum(not p.mapped for p in profiles) == len(corpus)
 
 
 def test_classify_corpus_rejects_empty(catalog):
@@ -286,10 +287,10 @@ def test_classify_corpus_rejects_empty(catalog):
         classify_corpus(Corpus((), "test"), catalog)
 
 
-def test_fixture_corpus_maps_eighty_of_eighty_one(fixture_cc):
+def test_fixture_corpus_maps_eighty_of_eighty_one(fixture_cc, fixture_corpus, catalog):
     assert fixture_cc.total_count == 81
     assert fixture_cc.mapped_count == 80
-    assert len(fixture_cc.unmapped_profiles) == 1
+    assert sum(not p.mapped for p in profiles_of(fixture_corpus, catalog)) == 1
 
 
 EXEC_IDS = ("T0115", "T0118", "T0120", "T0116", "T0114", "T0048", "T0049")
@@ -309,8 +310,7 @@ def test_adding_techniques_never_removes_strategies(catalog, base, extra):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sets(st.sampled_from(EXEC_IDS)), min_size=1, max_size=8))
 def test_profile_size_bounded_by_seven(catalog, technique_sets):
-    cc = classify_corpus(corpus_of(technique_sets), catalog)
-    for profile in cc.profiles:
+    for profile in profiles_of(corpus_of(technique_sets), catalog):
         assert len(profile.strategies) <= 7
 
 
