@@ -23,15 +23,15 @@ Each format has one scan (``_scan_csv``, ``_scan_json``, both behind
 ids, unknown technique ids), ORs the bits that a table gives each row's
 technique ids, and returns ``{incident_id: mask}`` in file order with the
 ingestion report. ``_known`` is the one statement of the lenient rule: the
-OR over the known ids, and the unknown ids to drop. ``technique_table``
-builds every such table: its keys are exactly the taxonomy's technique ids,
-so every consumer knows the same ids. The three consumers differ only in
-the table's bits and in what they keep: ``strategies.ingest_histogram``
-(``validate``, ``stats``, ``graph``) counts strategy masks,
-``evidence.ingest_technique_masks`` (``classify``) keeps masks over
-``StrategyCatalog.technique_bits``, and the library ``ingest_corpus`` passes
-a list that the scan collects full rows into, which it keeps as
-``Incident`` objects. So all three raise the same error on every input.
+OR over the known ids, and the unknown ids to drop. Only this module builds
+a table, with ``technique_table``: its keys are exactly the taxonomy's
+technique ids, so every consumer knows the same ids. The three consumers
+pass the taxonomy and differ only in their bits and in what they keep:
+``strategies.ingest_histogram`` (``validate``, ``stats``, ``graph``) counts
+strategy masks, ``evidence.ingest_technique_masks`` (``classify``) keeps
+masks over ``StrategyCatalog.technique_bits``, and the library loaders pass
+no bits and a list that the scan fills with each checked row's ``Incident``,
+known ids only. So all three raise the same error on every input.
 
 A CSV ``year`` must be an integer in canonical decimal (``str(int(text)) ==
 text``), so that it is written back as read. ``corpus_to_csv`` and
@@ -118,10 +118,6 @@ class CorpusSummary:
     technique_counts: tuple[tuple[str, int], ...]
 
 
-# incident_id, title, year, targets, technique ids
-Row = tuple[str, str, int, list[str], list[str]]
-
-
 def technique_table(taxonomy: Taxonomy, bits: Mapping[str, int]) -> dict[str, int]:
     """The table that ``scan_corpus`` reads: every taxonomy technique id, with
     its bits from ``bits`` or 0, and no other key. An id that ``bits`` names
@@ -130,27 +126,29 @@ def technique_table(taxonomy: Taxonomy, bits: Mapping[str, int]) -> dict[str, in
 
 
 def scan_corpus(
-    path: str | Path, bits: Mapping[str, int], mode: str = "strict", rows: list[Row] | None = None
+    path: str | Path, taxonomy: Taxonomy, bits: Mapping[str, int], mode: str = "strict",
+    incidents: list[Incident] | None = None,
 ) -> tuple[dict[str, int], IngestionReport]:
     """{incident id: mask} of a .csv or .json corpus file, detected by
     extension, in file order, and the ingestion report.
 
-    ``bits`` is a ``technique_table``: of ``StrategyCatalog.technique_bits``,
-    whole for ``classify`` or cut to the bits the rule reads, or of none. A
-    missing key is an unknown id, which lenient mode drops and records and
-    strict mode rejects. A row's mask is the OR of the bits of its known
-    ids. Given ``rows``, the scan also appends each row to it, as
-    (incident_id, title, year, targets, technique ids).
+    The scan reads ``technique_table(taxonomy, bits)``, with ``bits`` from
+    ``StrategyCatalog.technique_bits``, whole or cut, or empty: an id that the
+    taxonomy lacks is unknown, which lenient mode drops and records and strict
+    mode rejects. A row's mask is the OR of the bits of its known ids. Given
+    ``incidents``, the scan appends to it an ``Incident`` with the known ids
+    of each row that passes its domain checks.
     """
     path = Path(path)
     source = str(path)
+    table = technique_table(taxonomy, bits)
     is_json = path.suffix.lower() == ".json"
     try:
         # csv.reader reads line ends itself, so that one inside a quoted field is kept as it is.
         with path.open(encoding="utf-8", newline=None if is_json else "") as lines:
             if is_json:
-                return _scan_json(lines.read(), source, bits, mode, rows)
-            return _scan_csv(lines, source, bits, mode, rows)
+                return _scan_json(lines.read(), source, table, mode, incidents)
+            return _scan_csv(lines, source, table, mode, incidents)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source}: corpus file is not valid UTF-8: {exc.reason}") from None
 
@@ -197,7 +195,7 @@ def _scanned(
 
 
 def _scan_csv(
-    lines: Iterable[str], source: str, bits: Mapping[str, int], mode: str, rows: list[Row] | None
+    lines: Iterable[str], source: str, bits: Mapping[str, int], mode: str, incidents: list[Incident] | None
 ) -> tuple[dict[str, int], IngestionReport]:
     """The scan of a CSV document read line by line; blank lines are skipped
     but counted in row numbers."""
@@ -240,11 +238,6 @@ def _scan_csv(
             techniques = techniques_text.split("|")
             if "" in techniques:
                 techniques = [t for t in techniques if t]
-            if rows is not None:
-                targets = targets_text.split("|")
-                if "" in targets:
-                    targets = [t for t in targets if t]
-                rows.append((incident_id, title, year, targets, techniques))
             # After the first domain error only parse errors are looked for.
             if error is not None:
                 continue
@@ -252,6 +245,7 @@ def _scan_csv(
                 error = _duplicate(source, incident_id)
                 continue
             m = 0
+            unknown: list[str] | tuple[()] = ()
             try:
                 for technique_id in techniques:
                     m |= bits[technique_id]
@@ -262,6 +256,9 @@ def _scan_csv(
                 m, unknown = _known(techniques, bits)
                 dropped += [DroppedTechnique(incident_id, t) for t in unknown]
             masks[incident_id] = m
+            if incidents is not None:
+                incidents.append(Incident(incident_id, title, year, tuple(filter(None, targets_text.split("|"))),
+                                          frozenset(techniques).difference(unknown)))
     except csv.Error as exc:
         # Raised for the row after the last one read, e.g. a field over csv.field_size_limit().
         raise ParseError(f"{source}: row {n + 1}: {exc}") from None
@@ -280,15 +277,15 @@ def _strings(value: object) -> bool:
 
 
 def _scan_json(
-    text: str, source: str, bits: Mapping[str, int], mode: str, rows: list[Row] | None
+    text: str, source: str, bits: Mapping[str, int], mode: str, incidents: list[Incident] | None
 ) -> tuple[dict[str, int], IngestionReport]:
     """The scan of a JSON document: one ``json.loads`` whose object hook
     checks each object's shape, then one loop over the decoded array.
 
     The hook puts in each object's place either (incident_id, mask, unknown
-    ids, row or None) or a ParseError that holds the shape reason (not a
+    ids, Incident or None) or a ParseError that holds the shape reason (not a
     str, which an array of strings would take), so the decoded array holds
-    one small record per incident and never the incident. The hook also runs on every object nested in an incident, so
+    one small record per incident and never the incident's dict. The hook also runs on every object nested in an incident, so
     it does no domain work: a record there fails the enclosing incident's own
     check, or sits unread under a key that ingest never reads. The loop does
     the rest in document order.
@@ -325,7 +322,8 @@ def _scan_json(
                 m |= bits[technique_id]
         except KeyError:
             m, unknown = _known(techniques, bits)
-        return incident_id, m, unknown, None if rows is None else (incident_id, title, year, targets, techniques)
+        return incident_id, m, unknown, None if incidents is None else Incident(
+            incident_id, title, year, tuple(targets), frozenset(techniques).difference(unknown))
 
     doc = documents.decode_json(text, f"{source}: corpus document", object_hook=incident)
     if type(doc) is not list:
@@ -337,9 +335,7 @@ def _scan_json(
         if type(record) is not tuple:
             reason = record if type(record) is ParseError else "must be an object"
             raise ParseError(f"{source}: incident {n}: {reason}")
-        incident_id, m, unknown, row = record
-        if row is not None:
-            rows.append(row)
+        incident_id, m, unknown, kept = record
         # After the first domain error only shape errors are looked for.
         if error is not None:
             continue
@@ -352,46 +348,34 @@ def _scan_json(
                 continue
             dropped += [DroppedTechnique(incident_id, t) for t in unknown]
         masks[incident_id] = m
+        if kept is not None:
+            incidents.append(kept)
     return _scanned(masks, dropped, error, mode, source)
-
-
-def _corpus(rows: list[Row], known: Mapping[str, int], source: str) -> Corpus:
-    """The scanned rows as incidents, each with its known technique ids."""
-    return Corpus(
-        tuple(
-            Incident(incident_id, title, year, tuple(targets), frozenset(t for t in technique_ids if t in known))
-            for incident_id, title, year, targets, technique_ids in rows
-        ),
-        source,
-    )
 
 
 def loads_corpus_csv(
     text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<csv>"
 ) -> tuple[Corpus, IngestionReport]:
-    known = technique_table(taxonomy, {})
-    rows: list[Row] = []
-    _, report = _scan_csv(io.StringIO(text), source, known, mode, rows)
-    return _corpus(rows, known, source), report
+    incidents: list[Incident] = []
+    _, report = _scan_csv(io.StringIO(text), source, technique_table(taxonomy, {}), mode, incidents)
+    return Corpus(tuple(incidents), source), report
 
 
 def loads_corpus_json(
     text: str, taxonomy: Taxonomy, mode: str = "strict", source: str = "<json>"
 ) -> tuple[Corpus, IngestionReport]:
-    known = technique_table(taxonomy, {})
-    rows: list[Row] = []
-    _, report = _scan_json(text, source, known, mode, rows)
-    return _corpus(rows, known, source), report
+    incidents: list[Incident] = []
+    _, report = _scan_json(text, source, technique_table(taxonomy, {}), mode, incidents)
+    return Corpus(tuple(incidents), source), report
 
 
 def ingest_corpus(
     path: str | Path, taxonomy: Taxonomy, mode: str = "strict"
 ) -> tuple[Corpus, IngestionReport]:
     """Load a corpus from a .csv or .json file, detected by extension."""
-    known = technique_table(taxonomy, {})
-    rows: list[Row] = []
-    _, report = scan_corpus(path, known, mode, rows)
-    return _corpus(rows, known, str(Path(path))), report
+    incidents: list[Incident] = []
+    _, report = scan_corpus(path, taxonomy, {}, mode, incidents)
+    return Corpus(tuple(incidents), str(Path(path))), report
 
 
 _needs_quotes = re.compile('[,"\r\n]').search

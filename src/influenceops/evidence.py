@@ -15,9 +15,9 @@ them is a hand-written template. ``--pretty`` needs no evidence: it reads
 each incident's strategy mask with ``strategies.strategy_mask``.
 
 The masks come from the same scan of the corpus file as ``ingest_corpus``
-(``corpus.scan_corpus``), and both scan tables come from
-``corpus.technique_table``, so every input fails with the same error and
-the same technique ids are unknown. Strategies are rendered in catalog
+(``corpus.scan_corpus``), which resolves the technique ids against the
+taxonomy for both, so every input fails with the same error and the same
+technique ids are unknown. Strategies are rendered in catalog
 order, which is the canonical order. The output is the same text as
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the per-incident
 documents built from ``classify_incident`` of each incident, or the same
@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
-from .corpus import IngestionReport, scan_corpus, technique_table
+from .corpus import IngestionReport, scan_corpus
 from .render import json_block
 from .strategies import StrategyCatalog, _Memo, match_strategies, strategy_mask
 from .taxonomy import Taxonomy
@@ -45,7 +45,7 @@ def ingest_technique_masks(
     ``catalog.technique_bits``. Same checks, errors and ingestion report as
     ``ingest_corpus``.
     """
-    masks, report = scan_corpus(path, technique_table(taxonomy, catalog.technique_bits), mode)
+    masks, report = scan_corpus(path, taxonomy, catalog.technique_bits, mode)
     return masks.items(), report
 
 

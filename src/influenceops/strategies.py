@@ -25,12 +25,13 @@ tests hold every path to a set-based reference.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from pathlib import Path
+from types import MappingProxyType
 
-from .corpus import Corpus, Incident, IngestionReport, scan_corpus, technique_table
+from .corpus import Corpus, Incident, IngestionReport, scan_corpus
 from .documents import nonempty_string, objects, parse_object, read_text, strings, typed
 from .errors import (
     DisjointnessViolation,
@@ -135,13 +136,24 @@ class StrategyProfile:
 class ClassifiedCorpus:
     """A corpus classified against a catalog: incident count per strategy
     mask (bit i is ``catalog.strategies[i]``, mask 0 unmapped, only non-empty
-    bins). Per-incident profiles come from ``classify_incident``.
+    bins), held as a read-only copy, so the cached ``superset_sums`` cannot
+    go stale. Per-incident profiles come from ``classify_incident``.
     """
 
     catalog: StrategyCatalog
-    histogram: dict[int, int]
+    histogram: Mapping[int, int]
     source: str
     strict_prep: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "histogram", MappingProxyType(dict(self.histogram)))
+
+    def __hash__(self) -> int:
+        return hash((self.catalog, frozenset(self.histogram.items()), self.source, self.strict_prep))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: pickle and deepcopy rebuild from a dict.
+        return ClassifiedCorpus, (self.catalog, dict(self.histogram), self.source, self.strict_prep)
 
     def __len__(self) -> int:
         return self.total_count
@@ -219,7 +231,7 @@ def ingest_histogram(
     # The rule reads only the bits below n, or 2n: cut to them, masks take few values.
     low = (1 << (2 * n if strict_prep else n)) - 1
     bits = {t: b & low for t, b in catalog.technique_bits.items()}
-    masks, report = scan_corpus(path, technique_table(taxonomy, bits), mode)
+    masks, report = scan_corpus(path, taxonomy, bits, mode)
     histogram = _histogram(masks.values(), n, strict_prep)
     return ClassifiedCorpus(catalog, histogram, str(path), strict_prep), report
 

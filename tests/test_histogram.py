@@ -1,13 +1,17 @@
 """The strategy-mask histogram and the profiles against the set-based
 reference rule (`reference_ingest.classify_incident`) and the oracle."""
 
+import copy
 import json
+import pickle
 from collections import Counter
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influenceops import StrategyCatalog, classify_corpus, classify_incident, pattern_frequencies
+from influenceops import StrategyCatalog, classify_corpus, classify_incident, pattern_frequencies, prevalence
 from influenceops.report import build_report, report_to_json
 from influenceops.strategies import STRATEGY_ORDER, ClassifiedCorpus
 
@@ -113,6 +117,27 @@ def test_stats_path_builds_no_profiles(catalog):
     cc = classify_corpus(corpus_of([{"T0115"}, set()]), catalog)
     assert (cc.mapped_count, cc.total_count) == (1, 2)
     build_report(cc)
+
+
+def test_classified_corpus_is_immutable_and_hashable(catalog):
+    """The cached superset sums cannot go stale: the histogram refuses writes,
+    also to the dict or Counter it was built from, and equal records hash equal."""
+    built_from = Counter({0: 1, 0b11: 2})
+    cc = ClassifiedCorpus(catalog, built_from, "src")
+    assert prevalence(cc).count("NR") == 2
+    with pytest.raises(TypeError):
+        cc.histogram[0b11] += 5
+    with pytest.raises(TypeError):
+        cc.histogram[0b1] = 1
+    built_from[0b11] += 5
+    assert cc.superset_sums[0] == 2 and cc.histogram == {0: 1, 0b11: 2} == Counter({0: 1, 0b11: 2})
+    twin = ClassifiedCorpus(catalog, {0b11: 2, 0: 1}, "src")
+    assert twin == cc and hash(twin) == hash(cc) and len({cc, twin}) == 1
+    assert replace(cc, strict_prep=True) != cc
+    for copied in (pickle.loads(pickle.dumps(cc)), copy.deepcopy(cc), replace(cc)):
+        assert copied == cc and hash(copied) == hash(cc)
+        with pytest.raises(TypeError):
+            copied.histogram[0] = 7
 
 
 def drawn_catalog(catalog, which):

@@ -10,7 +10,8 @@ The library `ingest_corpus`, `loads_corpus_csv` and `loads_corpus_json` must
 build the reference's incidents and report, or raise its error. `classify`
 renders per-technique masks; its output must be the bytes of the
 reference's set-based profiles (`reference_ingest.classify_incident`)
-rendered as the command did before it streamed, or the same error.
+rendered as the command did before it streamed, or the same error, and
+its JSON must hold to `docs/schemas/classify.schema.json`.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,8 @@ from influenceops.strategies import (
     match_strategies,
 )
 
+CLASSIFY_SCHEMA = jsonschema.Draft7Validator(json.loads(
+    (Path(__file__).parents[1] / "docs" / "schemas" / "classify.schema.json").read_text(encoding="utf-8")))
 MODES = [(mode, strict_prep) for mode in ("strict", "lenient") for strict_prep in (False, True)]
 
 # Execution and preparation ids of several strategies (two preparation ids of
@@ -547,6 +551,8 @@ def test_classify_output_matches_library_rendering(taxonomy, catalog_files, scra
     else:
         assert rc == 0
         assert out.read_bytes() == expected.encode("utf-8")
+        if not pretty:
+            assert list(CLASSIFY_SCHEMA.iter_errors(json.loads(out.read_text(encoding="utf-8")))) == []
 
 
 def test_classify_rendering_does_not_depend_on_catalog_order(taxonomy, catalog):

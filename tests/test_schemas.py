@@ -1,7 +1,8 @@
 """The documented input schemas in ``docs/schemas/`` hold for every input that
 the package ships and every golden input: the bundled taxonomy, catalog and
 fixture spec, the golden taxonomy, catalog and specs, and every golden JSON
-corpus that a command reads or ``generate`` writes."""
+corpus that a command reads or ``generate`` writes. The output schema of
+``classify`` holds for every ``classify`` JSON golden."""
 
 import copy
 import json
@@ -49,6 +50,25 @@ def test_input_validates_against_its_schema(kind, path):
     document = json.loads(path.read_text(encoding="utf-8"))
     errors = [f"{list(e.absolute_path)}: {e.message}" for e in validator.iter_errors(document)]
     assert errors == []
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("classify*.json")), ids=lambda path: path.name)
+def test_classify_golden_validates_against_its_schema(path):
+    validator = schema_validator("classify")
+    validator.check_schema(validator.schema)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert [f"{list(e.absolute_path)}: {e.message}" for e in validator.iter_errors(document)] == []
+
+
+def test_classify_schema_refuses_what_classify_never_prints():
+    validator = schema_validator("classify")
+    row = {"incident_id": "I-1", "strategies": ["NR"], "evidence": {"NR": ["T0115"]}}
+    assert validator.is_valid([row, {**row, "strategies": [], "evidence": {}}])
+    for bad in ({**row, "incident_id": ""}, {**row, "strategies": ["NR", "NR"]}, {**row, "strategies": ["ZZ"]},
+                {**row, "evidence": {"ZZ": ["T0115"]}}, {**row, "evidence": {"NR": []}},
+                {**row, "evidence": {"NR": ["T0115", "T0115"]}}, {**row, "extra": 1},
+                {k: v for k, v in row.items() if k != "evidence"}):
+        assert not validator.is_valid([bad]), bad
 
 
 # --- differentials: each loader accepts a document iff its schema does -------------
