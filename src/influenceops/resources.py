@@ -8,9 +8,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .generate import GeneratorSpec, load_generator_spec
 from .strategies import StrategyCatalog, load_strategy_catalog
 from .taxonomy import Taxonomy, load_taxonomy
+
+# Type checkers read any name TYPE_CHECKING as true. Not importing ``typing``
+# (nor ``generate``) keeps the bundled-input loaders' import small.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .generate import GeneratorSpec
 
 
 _DATA = Path(__file__).parent / "data"
@@ -33,4 +38,6 @@ def load_bundled_catalog(taxonomy: Taxonomy | None = None) -> StrategyCatalog:
 
 def load_fixture_spec() -> GeneratorSpec:
     """Generator spec for the synthetic 81-incident reference corpus."""
+    from .generate import load_generator_spec
+
     return load_generator_spec(_DATA / "fixture_spec.json")

@@ -137,7 +137,9 @@ class ClassifiedCorpus:
     """A corpus classified against a catalog: incident count per strategy
     mask (bit i is ``catalog.strategies[i]``, mask 0 unmapped, only non-empty
     bins), held as a read-only copy, so the cached ``superset_sums`` cannot
-    go stale. Per-incident profiles come from ``classify_incident``.
+    go stale. Zero bins are dropped; a negative count, or a mask with a bit
+    past the catalog's strategies, raises ValueError. Per-incident profiles
+    come from ``classify_incident``.
     """
 
     catalog: StrategyCatalog
@@ -146,7 +148,16 @@ class ClassifiedCorpus:
     strict_prep: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "histogram", MappingProxyType(dict(self.histogram)))
+        bins = 1 << len(self.catalog.strategies)
+        histogram = {}
+        for mask, count in self.histogram.items():
+            if not 0 <= mask < bins:
+                raise ValueError(f"strategy mask {mask} is outside 0..{bins - 1}")
+            if count < 0:
+                raise ValueError(f"strategy mask {mask} has negative count {count}")
+            if count:
+                histogram[mask] = count
+        object.__setattr__(self, "histogram", MappingProxyType(histogram))
 
     def __hash__(self) -> int:
         return hash((self.catalog, frozenset(self.histogram.items()), self.source, self.strict_prep))

@@ -452,6 +452,34 @@ def test_parser_is_not_built_at_import():
     assert out.stdout.strip() == "0"
 
 
+def package_modules_after(code):
+    """The ``influenceops`` modules that a fresh interpreter holds after ``code``."""
+    import subprocess
+    import sys
+
+    import influenceops
+
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'influenceops'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return set(out.stdout.split())
+
+
+def test_loading_the_bundled_inputs_imports_no_analytics_generator_or_cli():
+    loaded = package_modules_after("import influenceops; influenceops.load_bundled_catalog()")
+    unused = {"analytics", "generate", "report", "graphexport", "evidence", "cli"}
+    assert "influenceops.resources" in loaded
+    assert not loaded & {f"influenceops.{m}" for m in unused}
+
+
+def test_importing_the_cli_loads_every_module_a_command_runs():
+    """Runners import the CLI before timing a command, so no command may
+    import a module of its own on first use."""
+    modules = ("analytics", "cli", "corpus", "documents", "errors", "evidence", "generate", "graphexport", "render",
+               "report", "resources", "strategies", "taxonomy")
+    assert package_modules_after("import influenceops.cli") == {"influenceops", *(f"influenceops.{m}" for m in modules)}
+
+
 # --- a corpus path that is not UTF-8 ----------------------------------------
 
 

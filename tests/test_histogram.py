@@ -140,6 +140,18 @@ def test_classified_corpus_is_immutable_and_hashable(catalog):
             copied.histogram[0] = 7
 
 
+def test_classified_corpus_holds_only_non_empty_bins_of_its_catalog(catalog):
+    """A zero bin is dropped; a negative count, or a mask with a bit past the
+    seven strategies, is refused."""
+    cc = ClassifiedCorpus(catalog, {0: 1, 0b11: 2, 0b101: 0}, "s")
+    assert cc.histogram == {0: 1, 0b11: 2} and cc == ClassifiedCorpus(catalog, {0: 1, 0b11: 2}, "s")
+    assert [row.strategies for row in pattern_frequencies(cc).rows] == [("NR", "NS")]
+    with pytest.raises(ValueError, match="negative count -2"):
+        ClassifiedCorpus(catalog, {0: 1, 0b11: -2}, "s")
+    with pytest.raises(ValueError, match="outside 0..127"):
+        ClassifiedCorpus(catalog, {1 << 9: 3}, "s")
+
+
 def drawn_catalog(catalog, which):
     return {
         "bundled": catalog,
