@@ -30,7 +30,7 @@ number drawn; ``test_inlined_draws_are_the_draws_of_random_py`` holds both to
 ``_layout`` checks the spec and gives each incident's technique set and year.
 ``generate_corpus`` builds its Corpus from it; the ``generate`` command writes
 the bytes of ``corpus_to_csv``/``corpus_to_json`` straight from it, building no
-Incident (``_layout_csv``, ``_layout_json``), from one hand-written row template.
+Incident (``_layout_csv``, ``_layout_json``): a JSON row fills a ``json_block`` template.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from pathlib import Path
 from .corpus import CSV_HEADER, Corpus, Incident, _csv_field
 from .documents import natural, objects, parse_object, read_text, require, strings, typed
 from .errors import InfeasibleSpec, SchemaError, ZeroIncidents
-from .render import json_block
+from .render import SLOT, json_block
 from .strategies import StrategyCatalog, pattern_order
 
 EXACT_MODE = "exact-patterns"
@@ -56,6 +56,8 @@ _YEAR_RANGE = (2014, 2024)
 # Incident i, numbered from 1; neither needs CSV quoting or JSON escaping.
 _ID = "SYN-%04d"
 _TITLE = "Synthetic incident %04d"
+_JSON_ROW = json_block({"incident_id": _ID, "title": _TITLE, "year": SLOT, "targets": [], "techniques": SLOT}, 1)
+_JSON_HEAD, _JSON_SEP, _JSON_TAIL = json_block([SLOT, SLOT], 0).split(SLOT)
 # 12,500 times the reference corpus; a larger count is refused rather than
 # left to exhaust memory.
 MAX_INCIDENTS = 1_000_000
@@ -426,6 +428,4 @@ def _layout_csv(layout: list[tuple[frozenset[str], int]]) -> str:
 def _layout_json(layout: list[tuple[frozenset[str], int]]) -> str:
     """``corpus_to_json`` of the layout's corpus, without building it. Ids and
     titles need no escaping; the incidents have no targets."""
-    row = (f'  {{\n    "incident_id": "{_ID}",\n    "title": "{_TITLE}",\n    "year": %d,\n'
-           '    "targets": [],\n    "techniques": %s\n  }')
-    return _text(layout, "[\n", row, ",\n", "\n]\n", lambda t: json_block(sorted(t), 2))
+    return _text(layout, _JSON_HEAD, _JSON_ROW, _JSON_SEP, _JSON_TAIL + "\n", lambda t: json_block(sorted(t), 2))

@@ -5,9 +5,10 @@ taxonomy and catalog versions, and the configuration used, so downstream
 renderings never have to guess what a share was computed against. Its
 ``graphs`` block embeds parts of ``graphexport.graph_document``, the same
 node/edge document as the graph JSON view, and ``report_to_json`` writes it
-with ``render.json_text``. Every share and conditional probability in it is
-a ``render.ratio_payload`` of two counts the analytics return, built here
-and in ``graph_document``, not from the analytics' Fractions.
+with ``render.json_text`` and ``json_block`` templates of its repeated rows.
+Every share and conditional probability in it is a ``render.ratio_payload``
+of two counts the analytics return, built here and in ``graph_document``,
+not from the analytics' Fractions.
 
 ``_tables`` is the report without its ``graphs`` block: everything
 ``report_to_text`` reads, so ``stats --pretty`` builds no graph.
@@ -29,7 +30,7 @@ from .analytics import (
     support_threshold,
 )
 from .graphexport import graph_document
-from .render import Rendered, json_block, json_text, ratio_payload
+from .render import SLOT, Rendered, json_block, json_text, ratio_payload
 from .strategies import ClassifiedCorpus
 
 
@@ -119,8 +120,8 @@ def _tables(cc: ClassifiedCorpus, ingest_mode: str, min_support: int) -> dict:
 
 def report_to_json(report: dict) -> str:
     """``render.json_text`` of a ``build_report`` document. Its pattern rows and
-    conditional edges, most of its lines, are filled into templates memoised
-    per pattern and per strategy pair, as ``evidence.py`` writes its rows."""
+    conditional edges, most of its lines, fill ``json_block`` templates, with
+    each pattern's strategy list and each pair's ids rendered once."""
     patterns, graphs = report["patterns"], report["graphs"]
     conditional = graphs["conditional"]
     return json_text({
@@ -130,36 +131,27 @@ def report_to_json(report: dict) -> str:
     })
 
 
+_PATTERN_ROW = json_block({"strategies": SLOT, "exact": SLOT, "containment": SLOT}, 3)
+_EDGE = json_block({"source": SLOT, "target": SLOT, "joint_count": SLOT, "source_count": SLOT,
+                    "probability": {"numerator": SLOT, "denominator": SLOT, "value": SLOT}}, 4)
+
+
 @cache
-def _pattern_head(strategies: tuple[str, ...]) -> str:
-    return '{\n        "strategies": ' + json_block(list(strategies), 4) + ',\n        "exact": '
+def _strategy_list(strategies: tuple[str, ...]) -> str:
+    return json_block(list(strategies), 4)
+
+
+_quoted = cache(encode_basestring)
 
 
 def _pattern_row(row: dict) -> Rendered:
-    head = _pattern_head(tuple(row["strategies"]))
-    return Rendered(f'{head}{row["exact"]},\n        "containment": {row["containment"]}\n      }}')
-
-
-@cache
-def _edge_head(source: str, target: str) -> str:
-    return (
-        f'{{\n          "source": {encode_basestring(source)},\n'
-        f'          "target": {encode_basestring(target)},\n          "joint_count": '
-    )
+    return Rendered(_PATTERN_ROW % (_strategy_list(tuple(row["strategies"])), row["exact"], row["containment"]))
 
 
 def _edge(edge: dict) -> Rendered:
     p = edge["probability"]
-    return Rendered(
-        f'{_edge_head(edge["source"], edge["target"])}{edge["joint_count"]},\n'
-        f'          "source_count": {edge["source_count"]},\n'
-        f'          "probability": {{\n'
-        f'            "numerator": {p["numerator"]},\n'
-        f'            "denominator": {p["denominator"]},\n'
-        f'            "value": "{p["value"]}"\n'
-        f'          }}\n'
-        f'        }}'
-    )
+    return Rendered(_EDGE % (_quoted(edge["source"]), _quoted(edge["target"]), edge["joint_count"],
+                             edge["source_count"], p["numerator"], p["denominator"], encode_basestring(p["value"])))
 
 
 def report_to_text(report: dict) -> str:
