@@ -21,11 +21,13 @@ or the histogram for an exact count, with no lookup of its own.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 from .errors import EmptyCorpus, InvalidRange, NegativeSupport
 from .strategies import ClassifiedCorpus, pattern_order
@@ -63,9 +65,18 @@ class PrevalenceReport:
 
 @dataclass(frozen=True)
 class SizeDistribution:
-    counts: dict[int, int]
+    """Mapped incidents per strategy count k >= 1, held as a read-only copy."""
+
+    counts: Mapping[int, int]
     mapped_total: int
     multi_total: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: pickle and deepcopy rebuild from a dict.
+        return SizeDistribution, (dict(self.counts), self.mapped_total, self.multi_total)
 
     @property
     def multi_fraction_of_all(self) -> Fraction:

@@ -97,11 +97,23 @@ def _patterns(doc: dict, key: str, count_key: str) -> dict[frozenset[str], int]:
     return dict(objects(doc, key, "generator spec", entry, ()))
 
 
-def loads_generator_spec(text: str) -> GeneratorSpec:
-    doc = parse_object(text, "generator spec")
-    mode = typed(doc, "mode", "generator spec", str)
+def _mode(fields: dict) -> str:
+    """The spec's mode, one of the two; ``fields`` holds it as ``"mode"``."""
+    mode = typed(fields, "mode", "generator spec", str)
     if mode not in (EXACT_MODE, SOLVER_MODE):
         raise SchemaError(f"generator spec: field 'mode' must be {EXACT_MODE!r} or {SOLVER_MODE!r}, not {mode!r}")
+    return mode
+
+
+def _size(size: int) -> int:
+    if size < 1:
+        raise SchemaError(f"size_distribution: size {size} must be >= 1")
+    return size
+
+
+def loads_generator_spec(text: str) -> GeneratorSpec:
+    doc = parse_object(text, "generator spec")
+    mode = _mode(doc)
 
     marginals = {
         name: natural(value, name, "marginals")
@@ -116,9 +128,7 @@ def loads_generator_spec(text: str) -> GeneratorSpec:
             size = int(key)
         except ValueError:  # more digits than int() converts
             raise SchemaError(f"size_distribution: key {key!r} is too large") from None
-        if size < 1:
-            raise SchemaError(f"size_distribution: size {size} must be >= 1")
-        size_distribution[size] = natural(value, key, "size_distribution")
+        size_distribution[_size(size)] = natural(value, key, "size_distribution")
 
     include_preparation = typed(doc, "include_preparation", "generator spec", bool, False)
     typed(doc, "notes", "generator spec", str, "")
@@ -154,16 +164,23 @@ def _check_strategy_ids(spec: GeneratorSpec, catalog: StrategyCatalog) -> None:
         raise SchemaError(f"generator spec references unknown strategy ids: {', '.join(unknown)}")
 
 
-def _check_counts(spec: GeneratorSpec) -> None:
-    """The spec file's rule for the seed and every count, also for a spec made
-    by the CLI or the library: random.Random would seed -3 like 3, and a
-    negative count would offset the total that ``MAX_INCIDENTS`` bounds."""
+def _check_fields(spec: GeneratorSpec) -> None:
+    """The spec file's rules for the mode, ``include_preparation``, the seed,
+    every count and every size, also for a spec made by the CLI or the
+    library: a typo'd mode would run the solver, random.Random would seed -3
+    like 3, a negative count would offset the total that ``MAX_INCIDENTS``
+    bounds, and a size of 0 would add incidents without a technique."""
+    fields = vars(spec)
+    _mode(fields)
+    typed(fields, "include_preparation", "generator spec", bool)
     natural(spec.seed, "seed", "generator spec")
     natural(spec.unmapped_count, "unmapped_count", "generator spec")
     for where, table in (("pattern_counts", spec.pattern_counts), ("pinned_patterns", spec.pinned_patterns),
                          ("marginals", spec.marginals), ("size_distribution", spec.size_distribution)):
         for key, count in table.items():
             natural(count, sorted(key) if isinstance(key, frozenset) else key, where)
+    for size in spec.size_distribution:
+        _size(size)
 
 
 def _gale_ryser(residual: list[int], slots: dict[int, int]) -> None:
@@ -352,8 +369,8 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
     The seeded draws are those of ``rng.shuffle(technique_sets)`` and of
     ``rng.randrange(2014, 2025)`` per incident, inlined (``_shuffle``,
     ``_randranges``) and held to ``random.Random`` by a named test."""
+    _check_fields(spec)
     _check_strategy_ids(spec, catalog)
-    _check_counts(spec)
     exact = spec.mode == EXACT_MODE
     patterns = spec.pattern_counts if exact else spec.pinned_patterns
     counts = Counter({catalog.mask_of(pattern): count for pattern, count in patterns.items()})

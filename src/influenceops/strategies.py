@@ -121,11 +121,19 @@ class StrategyCatalog:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Strategies inferred for one incident, with the matching technique ids."""
+    """Strategies inferred for one incident, with the matching technique ids
+    (a read-only copy of the evidence it is given)."""
 
     incident_id: str
     strategies: frozenset[str]
-    evidence: dict[str, tuple[str, ...]]
+    evidence: Mapping[str, tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "evidence", MappingProxyType(dict(self.evidence)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: pickle and deepcopy rebuild from a dict.
+        return StrategyProfile, (self.incident_id, self.strategies, dict(self.evidence))
 
     @property
     def mapped(self) -> bool:

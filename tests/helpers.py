@@ -1,8 +1,21 @@
 """Small constructors shared by the test modules."""
 
+import json
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 from influenceops import Corpus, Incident, StrategyCatalog, classify_corpus, classify_incident
+
+SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
+
+
+@cache
+def schema_validator(kind):
+    """A draft-07 validator of ``docs/schemas/<kind>.schema.json``."""
+    import jsonschema
+
+    return jsonschema.Draft7Validator(json.loads((SCHEMAS / f"{kind}.schema.json").read_text(encoding="utf-8")))
 
 
 def incident(n, techniques, year=2020, title=None, targets=()):

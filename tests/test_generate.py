@@ -113,18 +113,11 @@ def _rows(*rows):
               "SYN-0003,Synthetic incident 0003,2015,,", "SYN-0004,Synthetic incident 0004,2015,,T0115",
               "SYN-0005,Synthetic incident 0005,2014,,", "SYN-0006,Synthetic incident 0006,2020,,"),
     ),
-    (
-        GeneratorSpec(mode="marginal-solver", marginals={"NR": 1}, size_distribution={0: 2, 1: 1},
-                      unmapped_count=3, seed=4),
-        _rows("SYN-0001,Synthetic incident 0001,2015,,", "SYN-0002,Synthetic incident 0002,2018,,",
-              "SYN-0003,Synthetic incident 0003,2017,,", "SYN-0004,Synthetic incident 0004,2014,,",
-              "SYN-0005,Synthetic incident 0005,2024,,", "SYN-0006,Synthetic incident 0006,2018,,T0115"),
-    ),
-], ids=["exact", "solver"])
+], ids=["exact"])
 def test_empty_patterns_of_a_hand_built_spec_add_to_the_unmapped(catalog, spec, expected):
-    """The spec parser refuses an empty pattern and a size of 0, but a hand-built
-    spec can hold either. Its incidents are unmapped, and they join the spec's
-    unmapped incidents rather than replace them."""
+    """The spec parser refuses an empty pattern, but a hand-built spec can hold
+    one. Its incidents are unmapped, and they join the spec's unmapped
+    incidents rather than replace them."""
     corpus = generate_corpus(spec, catalog)
     cc = classify_corpus(corpus, catalog)
     assert (cc.total_count, cc.total_count - cc.mapped_count) == (6, 5)
@@ -441,6 +434,29 @@ def test_negative_counts_are_refused_however_the_spec_was_made(catalog):
     ]:
         with pytest.raises(SchemaError, match=message):
             generate_corpus(replace(solver, **edit), catalog)
+
+
+def test_a_hand_built_spec_is_held_to_the_loaders_rules(catalog):
+    """A mode, a size and an include_preparation that a spec file cannot hold
+    are refused in the loader's words, before the solver runs. A typo'd mode
+    used to run the solver, and a size of 0 to add incidents without a
+    technique."""
+    for spec, doc, message in [
+        (GeneratorSpec(mode="typo", pattern_counts={frozenset({"NR"}): 3}), {"mode": "typo"},
+         "generator spec: field 'mode' must be 'exact-patterns' or 'marginal-solver', not 'typo'"),
+        (GeneratorSpec(mode="marginal-solver", size_distribution={0: 5}),
+         {"mode": "marginal-solver", "size_distribution": {"0": 5}}, "size_distribution: size 0 must be >= 1"),
+        (GeneratorSpec(mode="marginal-solver", marginals={"NR": 1}, size_distribution={0: 2, 1: 1}),
+         {"mode": "marginal-solver", "marginals": {"NR": 1}, "size_distribution": {"0": 2, "1": 1}},
+         "size_distribution: size 0 must be >= 1"),
+        (replace(exact_spec({frozenset({"NR"}): 2}), include_preparation=1),
+         {"mode": "exact-patterns", "include_preparation": 1},
+         "generator spec: field 'include_preparation' must be true or false"),
+    ]:
+        for refuse in (lambda: generate_corpus(spec, catalog), lambda: loads_generator_spec(json.dumps(doc))):
+            with pytest.raises(SchemaError) as raised:
+                refuse()
+            assert str(raised.value) == message
 
 
 # --- the generate command against the library ------------------------------------

@@ -6,18 +6,26 @@ import json
 import pickle
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influenceops import StrategyCatalog, classify_corpus, classify_incident, pattern_frequencies, prevalence
+from influenceops import (
+    StrategyCatalog,
+    classify_corpus,
+    classify_incident,
+    pattern_frequencies,
+    prevalence,
+    size_distribution,
+)
 from influenceops.report import build_report, report_to_json
 from influenceops.strategies import STRATEGY_ORDER, ClassifiedCorpus
 
 import oracle
 import reference_ingest
-from helpers import corpus_of, non_disjoint_catalog
+from helpers import corpus_of, non_disjoint_catalog, schema_validator
 
 
 def technique_pool(catalog):
@@ -152,6 +160,24 @@ def test_classified_corpus_holds_only_non_empty_bins_of_its_catalog(catalog):
         ClassifiedCorpus(catalog, {1 << 9: 3}, "s")
 
 
+def test_size_distribution_and_profile_hold_read_only_mappings(catalog):
+    """A write to ``counts`` would change the size fractions after the fact, and
+    one to ``evidence`` would add a strategy that ``strategies`` lacks."""
+    sd = size_distribution(ClassifiedCorpus(catalog, {1: 2, 3: 1, 0: 1}, "s"))
+    profile = classify_incident(corpus_of([{"T0115"}]).incidents[0], catalog)
+    with pytest.raises(TypeError):
+        sd.counts[1] = 99
+    with pytest.raises(TypeError):
+        profile.evidence["NS"] = ("T0117",)
+    assert sd.fraction_of_all(1) == Fraction(2, 3) and sd.counts == {1: 2, 2: 1}
+    assert profile.evidence == {"NR": ("T0115",)} and set(profile.evidence) == profile.strategies
+    for record, mapping in ((sd, "counts"), (profile, "evidence")):
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), replace(record)):
+            assert copied == record
+            with pytest.raises(TypeError):
+                getattr(copied, mapping)[1] = 0
+
+
 def drawn_catalog(catalog, which):
     return {
         "bundled": catalog,
@@ -188,9 +214,12 @@ def test_pattern_rows_are_in_the_enumeration_order_of_their_members(catalog, dat
 @given(data=st.data(), which=CATALOGS, source=st.text(), strict_prep=st.booleans(),
        min_support=st.integers(0, 12) | st.integers(0, 10**7))
 def test_report_json_is_json_dumps_of_the_report(catalog, data, which, source, strict_prep, min_support):
-    """The report's row templates write what json.dumps(indent=2) writes."""
+    """The report's row templates write what json.dumps(indent=2) writes, and
+    the report holds to its documented schema."""
     catalog = drawn_catalog(catalog, which)
     histogram = data.draw(histograms(catalog, st.integers(1, 4) | st.integers(1, 10**6)))
     cc = ClassifiedCorpus(catalog, histogram, source, strict_prep)
     report = build_report(cc, data.draw(st.sampled_from(["strict", "lenient"])), min_support)
     assert report_to_json(report) == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    errors = [f"{list(e.absolute_path)}: {e.message}" for e in schema_validator("report").iter_errors(report)]
+    assert errors == []

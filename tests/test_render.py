@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influenceops.render import _decimal, json_block, json_text, ratio_payload
+from influenceops.render import SLOT, _decimal, json_block, json_text, ratio_payload
 
 # Text that json.dumps escapes, and text it must leave alone with ensure_ascii=False.
 TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\b\f\n\r\t  é\U0001f600\ud800 ')) | st.text()
@@ -25,6 +25,19 @@ def test_json_text_matches_json_dumps(document, depth):
     text = json.dumps(document, indent=2, ensure_ascii=False)
     assert json_text(document) == text + "\n"
     assert json_block(document, depth) == text.replace("\n", "\n" + "  " * depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 5))
+def test_a_slot_template_filled_with_blocks_is_the_block_of_the_filled_value(data, depth):
+    """What the report's and generate's row templates rely on: a SLOT, filled
+    with a value's block one level deeper, lays the value out as json_block
+    does in its place, in an object with keys free of % and in an array."""
+    keys = data.draw(st.lists(TEXT.filter(lambda key: "%" not in key), unique=True, max_size=4))
+    values = data.draw(st.lists(DOCUMENTS, min_size=len(keys), max_size=len(keys)))
+    blocks = tuple(json_block(value, depth + 1) for value in values)
+    assert json_block(dict.fromkeys(keys, SLOT), depth) % blocks == json_block(dict(zip(keys, values)), depth)
+    assert json_block([SLOT] * len(values), depth) % blocks == json_block(values, depth)
 
 
 def test_json_text_keeps_bools_apart_from_ints():

@@ -1,14 +1,14 @@
 """The documented input schemas in ``docs/schemas/`` hold for every input that
 the package ships and every golden input: the bundled taxonomy, catalog and
 fixture spec, the golden taxonomy, catalog and specs, and every golden JSON
-corpus that a command reads or ``generate`` writes. The output schema of
-``classify`` holds for every ``classify`` JSON golden."""
+corpus that a command reads or ``generate`` writes. The output schemas of
+``classify`` and ``stats`` hold for every ``classify`` and ``stats`` JSON
+golden."""
 
 import copy
 import json
 from pathlib import Path
 
-import jsonschema
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -23,8 +23,10 @@ from influenceops.errors import (
     UnknownTechnique,
 )
 from influenceops.resources import bundled_data_path
+from influenceops.strategies import STRATEGY_ORDER
 
-SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
+from helpers import schema_validator
+
 GOLDEN = Path(__file__).parent / "golden"
 
 INPUTS = [
@@ -44,9 +46,8 @@ INPUTS = [
 
 @pytest.mark.parametrize("kind, path", INPUTS, ids=[f"{kind}:{path.name}" for kind, path in INPUTS])
 def test_input_validates_against_its_schema(kind, path):
-    schema = json.loads((SCHEMAS / f"{kind}.schema.json").read_text(encoding="utf-8"))
-    validator = jsonschema.Draft7Validator(schema)
-    validator.check_schema(schema)
+    validator = schema_validator(kind)
+    validator.check_schema(validator.schema)
     document = json.loads(path.read_text(encoding="utf-8"))
     errors = [f"{list(e.absolute_path)}: {e.message}" for e in validator.iter_errors(document)]
     assert errors == []
@@ -69,6 +70,35 @@ def test_classify_schema_refuses_what_classify_never_prints():
                 {**row, "evidence": {"NR": ["T0115", "T0115"]}}, {**row, "extra": 1},
                 {k: v for k, v in row.items() if k != "evidence"}):
         assert not validator.is_valid([bad]), bad
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("stats*.json")), ids=lambda path: path.name)
+def test_stats_golden_validates_against_its_schema(path):
+    validator = schema_validator("report")
+    validator.check_schema(validator.schema)
+    assert validator.schema["definitions"]["strategy_id"]["enum"] == list(STRATEGY_ORDER)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert [f"{list(e.absolute_path)}: {e.message}" for e in validator.iter_errors(document)] == []
+
+
+REPORT = json.loads((GOLDEN / "stats.json").read_text(encoding="utf-8"))
+REPORT_EDITS = {
+    "no graphs block": lambda r: r.pop("graphs"),
+    "an extra top-level key": lambda r: r.update(extra=1),
+    "a loose ingest mode": lambda r: r["config"].update(ingest_mode="loose"),
+    "an unknown id in a pattern row": lambda r: r["patterns"]["rows"][0]["strategies"].append("ZZ"),
+    "a probability without its value": lambda r: r["graphs"]["conditional"]["edges"][0]["probability"].pop("value"),
+    "a negative count": lambda r: r["prevalence"]["strategies"][0].update(count=-1),
+}
+
+
+@pytest.mark.parametrize("edit", REPORT_EDITS)
+def test_report_schema_refuses_what_stats_never_prints(edit):
+    validator = schema_validator("report")
+    assert validator.is_valid(REPORT)
+    report = copy.deepcopy(REPORT)
+    REPORT_EDITS[edit](report)
+    assert not validator.is_valid(report)
 
 
 # --- differentials: each loader accepts a document iff its schema does -------------
@@ -185,10 +215,6 @@ def loader_error(kind, doc, taxonomy):
     except InfluenceOpsError as exc:
         return exc
     return None
-
-
-def schema_validator(kind):
-    return jsonschema.Draft7Validator(json.loads((SCHEMAS / f"{kind}.schema.json").read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize("rule", LOADER_ONLY)
