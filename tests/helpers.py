@@ -1,4 +1,4 @@
-"""Small constructors shared by the test modules."""
+"""Small constructors, and the schema validator, shared by the test modules."""
 
 import json
 from dataclasses import replace
