@@ -26,13 +26,13 @@ import sys
 from pathlib import Path
 
 from .analytics import conditional_probabilities, cooccurrence
-from .errors import InfluenceOpsError, UnknownFormat
+from .errors import InfluenceOpsError
 from .evidence import classification_json, classification_text, ingest_technique_masks
 # generate writes its text straight from the incident layout; the aliases
 # keep the names that perfbench wraps to time generation and serialization.
 from .generate import _layout as generate_corpus, _layout_csv as corpus_to_csv
 from .generate import _layout_json as corpus_to_json, load_generator_spec
-from .graphexport import GRAPH_FORMATS, export_graph
+from .graphexport import GRAPH_FORMATS, _writer, export_graph
 from .report import _tables, build_report, report_to_json, report_to_text
 from .resources import bundled_data_path
 from .strategies import load_strategy_catalog
@@ -197,10 +197,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    if args.fmt not in GRAPH_FORMATS:
-        raise UnknownFormat(
-            f"unknown graph format {args.fmt!r}; expected one of {', '.join(GRAPH_FORMATS)}"
-        )
+    _writer(args.fmt)  # an unknown format fails before anything is loaded
     taxonomy, catalog = _load_inputs(args)
     cc, _ = ingest_corpus(args.corpus, taxonomy, catalog, args.ingest_mode, args.strict_prep)
     if args.kind == "cooccurrence":

@@ -112,10 +112,10 @@ def strings(doc: dict, key: str, where: str) -> list[str]:
     return value
 
 
-def natural(value: object, key: object, where: str) -> int:
+def natural(value: object, key: str, where: str) -> int:
     """``value``, the field ``key`` of ``where``, if it is a non-negative
     integer (not a bool). It takes the value, not the document, so that it
-    also checks the counts of a hand-built generator spec."""
+    also checks each value of a map, such as a spec's marginals."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise SchemaError(f"{where}: field {key!r} must be a non-negative integer")
     return value

@@ -97,23 +97,17 @@ def _patterns(doc: dict, key: str, count_key: str) -> dict[frozenset[str], int]:
     return dict(objects(doc, key, "generator spec", entry, ()))
 
 
-def _mode(fields: dict) -> str:
-    """The spec's mode, one of the two; ``fields`` holds it as ``"mode"``."""
-    mode = typed(fields, "mode", "generator spec", str)
+def loads_generator_spec(text: str) -> GeneratorSpec:
+    return _spec(parse_object(text, "generator spec"))
+
+
+def _spec(doc: dict) -> GeneratorSpec:
+    """The spec that the parsed spec document ``doc`` states: every rule of a
+    spec, in one wording, whether it came from a file or was made in code
+    (``_document``)."""
+    mode = typed(doc, "mode", "generator spec", str)
     if mode not in (EXACT_MODE, SOLVER_MODE):
         raise SchemaError(f"generator spec: field 'mode' must be {EXACT_MODE!r} or {SOLVER_MODE!r}, not {mode!r}")
-    return mode
-
-
-def _size(size: int) -> int:
-    if size < 1:
-        raise SchemaError(f"size_distribution: size {size} must be >= 1")
-    return size
-
-
-def loads_generator_spec(text: str) -> GeneratorSpec:
-    doc = parse_object(text, "generator spec")
-    mode = _mode(doc)
 
     marginals = {
         name: natural(value, name, "marginals")
@@ -128,7 +122,9 @@ def loads_generator_spec(text: str) -> GeneratorSpec:
             size = int(key)
         except ValueError:  # more digits than int() converts
             raise SchemaError(f"size_distribution: key {key!r} is too large") from None
-        size_distribution[_size(size)] = natural(value, key, "size_distribution")
+        if size < 1:
+            raise SchemaError(f"size_distribution: size {size} must be >= 1")
+        size_distribution[size] = natural(value, key, "size_distribution")
 
     include_preparation = typed(doc, "include_preparation", "generator spec", bool, False)
     typed(doc, "notes", "generator spec", str, "")
@@ -143,6 +139,21 @@ def loads_generator_spec(text: str) -> GeneratorSpec:
         seed=natural(doc.get("seed", 0), "seed", "generator spec"),
         include_preparation=include_preparation,
     )
+
+
+def _document(spec: GeneratorSpec) -> dict:
+    """``spec`` as the document that ``_spec`` reads, so that a spec made in code
+    meets a spec file's rules in its words. A pattern that is not a frozenset,
+    or a size that is not an int, is written as its repr, which the loader refuses."""
+    def patterns(table: dict, key: str) -> list[dict]:
+        return [{"strategies": list(p) if isinstance(p, frozenset) else repr(p), key: c} for p, c in table.items()]
+
+    return {"mode": spec.mode, "seed": spec.seed, "unmapped_count": spec.unmapped_count,
+            "include_preparation": spec.include_preparation,
+            "marginals": {str(name): c for name, c in spec.marginals.items()},
+            "size_distribution": {str(k) if type(k) is int else repr(k): c for k, c in spec.size_distribution.items()},
+            "pattern_counts": patterns(spec.pattern_counts, "count"),
+            "pinned_patterns": patterns(spec.pinned_patterns, "min_count")}
 
 
 def load_generator_spec(path: str | Path) -> GeneratorSpec:
@@ -162,25 +173,6 @@ def _check_strategy_ids(spec: GeneratorSpec, catalog: StrategyCatalog) -> None:
     unknown = sorted(referenced - known)
     if unknown:
         raise SchemaError(f"generator spec references unknown strategy ids: {', '.join(unknown)}")
-
-
-def _check_fields(spec: GeneratorSpec) -> None:
-    """The spec file's rules for the mode, ``include_preparation``, the seed,
-    every count and every size, also for a spec made by the CLI or the
-    library: a typo'd mode would run the solver, random.Random would seed -3
-    like 3, a negative count would offset the total that ``MAX_INCIDENTS``
-    bounds, and a size of 0 would add incidents without a technique."""
-    fields = vars(spec)
-    _mode(fields)
-    typed(fields, "include_preparation", "generator spec", bool)
-    natural(spec.seed, "seed", "generator spec")
-    natural(spec.unmapped_count, "unmapped_count", "generator spec")
-    for where, table in (("pattern_counts", spec.pattern_counts), ("pinned_patterns", spec.pinned_patterns),
-                         ("marginals", spec.marginals), ("size_distribution", spec.size_distribution)):
-        for key, count in table.items():
-            natural(count, sorted(key) if isinstance(key, frozenset) else key, where)
-    for size in spec.size_distribution:
-        _size(size)
 
 
 def _gale_ryser(residual: list[int], slots: dict[int, int]) -> None:
@@ -369,7 +361,7 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
     The seeded draws are those of ``rng.shuffle(technique_sets)`` and of
     ``rng.randrange(2014, 2025)`` per incident, inlined (``_shuffle``,
     ``_randranges``) and held to ``random.Random`` by a named test."""
-    _check_fields(spec)
+    spec = _spec(_document(spec))
     _check_strategy_ids(spec, catalog)
     exact = spec.mode == EXACT_MODE
     patterns = spec.pattern_counts if exact else spec.pinned_patterns
@@ -378,7 +370,7 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
     rng = random.Random(spec.seed)
     if not exact:
         counts = _solve_pattern_counts(spec, counts, catalog, rng)
-    # Mask 0 is the unmapped incidents, and an empty pattern of a hand-built spec.
+    # Mask 0 is the unmapped incidents.
     counts[0] += spec.unmapped_count
 
     total = sum(counts.values())

@@ -120,8 +120,13 @@ _WRITERS = {"dot": _dot, "graphml": _graphml, "json": lambda graph: json_text(gr
 GRAPH_FORMATS = tuple(_WRITERS)
 
 
-def export_graph(graph: CooccurrenceGraph | ConditionalGraph, fmt: str) -> str:
-    """Render a graph in one of GRAPH_FORMATS; raises UnknownFormat otherwise."""
+def _writer(fmt: str):
+    """The writer of ``fmt``, one of GRAPH_FORMATS; raises UnknownFormat otherwise."""
     if fmt not in _WRITERS:
         raise UnknownFormat(f"unknown graph format {fmt!r}; expected one of {', '.join(GRAPH_FORMATS)}")
-    return _WRITERS[fmt](graph)
+    return _WRITERS[fmt]
+
+
+def export_graph(graph: CooccurrenceGraph | ConditionalGraph, fmt: str) -> str:
+    """Render a graph in one of GRAPH_FORMATS; raises UnknownFormat otherwise."""
+    return _writer(fmt)(graph)

@@ -121,7 +121,7 @@ def _tables(cc: ClassifiedCorpus, ingest_mode: str, min_support: int) -> dict:
 def report_to_json(report: dict) -> str:
     """``render.json_text`` of a ``build_report`` document. Its pattern rows and
     conditional edges, most of its lines, fill ``json_block`` templates, with
-    each pattern's strategy list and each pair's ids rendered once."""
+    each pattern's strategy list rendered once."""
     patterns, graphs = report["patterns"], report["graphs"]
     conditional = graphs["conditional"]
     return json_text({
@@ -141,17 +141,15 @@ def _strategy_list(strategies: tuple[str, ...]) -> str:
     return json_block(list(strategies), 4)
 
 
-_quoted = cache(encode_basestring)
-
-
 def _pattern_row(row: dict) -> Rendered:
     return Rendered(_PATTERN_ROW % (_strategy_list(tuple(row["strategies"])), row["exact"], row["containment"]))
 
 
 def _edge(edge: dict) -> Rendered:
     p = edge["probability"]
-    return Rendered(_EDGE % (_quoted(edge["source"]), _quoted(edge["target"]), edge["joint_count"],
-                             edge["source_count"], p["numerator"], p["denominator"], encode_basestring(p["value"])))
+    return Rendered(_EDGE % (encode_basestring(edge["source"]), encode_basestring(edge["target"]),
+                             edge["joint_count"], edge["source_count"], p["numerator"], p["denominator"],
+                             encode_basestring(p["value"])))
 
 
 def report_to_text(report: dict) -> str:

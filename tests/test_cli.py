@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from influenceops.cli import build_parser, main
-from influenceops.graphexport import GRAPH_FORMATS
+from influenceops.errors import UnknownFormat
+from influenceops.graphexport import GRAPH_FORMATS, export_graph
 from influenceops.resources import bundled_data_path
 
 from helpers import corpus_from_profiles
@@ -171,12 +172,13 @@ def test_graph_conditional_json(hand_corpus_csv, capsys):
     assert (edge["probability"]["numerator"], edge["probability"]["denominator"]) == (2, 3)
 
 
-def test_graph_unknown_format(hand_corpus_csv, capsys):
-    assert (
-        main(["graph", "--kind", "cooccurrence", "--format", "png", "--corpus", hand_corpus_csv])
-        == 1
-    )
-    assert "UnknownFormat" in capsys.readouterr().err
+def test_graph_unknown_format(hand_corpus_csv, tmp_path, capsys):
+    """Refused in export_graph's words, before the corpus is read."""
+    with pytest.raises(UnknownFormat) as raised:
+        export_graph(None, "png")
+    for corpus in (hand_corpus_csv, str(tmp_path / "absent.csv")):
+        assert main(["graph", "--kind", "cooccurrence", "--format", "png", "--corpus", corpus]) == 1
+        assert capsys.readouterr().err == f"UnknownFormat: {raised.value}\n"
 
 
 def test_graph_byte_deterministic(fixture_corpus_csv, tmp_path):

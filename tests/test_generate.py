@@ -25,6 +25,7 @@ from influenceops import (
     corpus_to_json,
     generate_corpus,
     load_fixture_spec,
+    load_generator_spec,
     load_strategy_catalog,
     load_taxonomy,
     loads_generator_spec,
@@ -36,7 +37,8 @@ import influenceops
 import oracle
 from helpers import profiles_of
 from influenceops.cli import main
-from influenceops.generate import MAX_INCIDENTS, _YEAR_RANGE, _randranges, _shuffle
+from influenceops.generate import MAX_INCIDENTS, _YEAR_RANGE, _document, _randranges, _shuffle, _spec
+from influenceops.resources import bundled_data_path
 
 SOLVER_TARGETS_DOC = """
 {
@@ -99,29 +101,6 @@ def test_include_preparation_adds_pipelines_without_changing_classification(cata
         | td.preparation_techniques
     )
     assert mapped_profiles(bare, catalog) == mapped_profiles(full, catalog)
-
-
-def _rows(*rows):
-    return "".join(f"{row}\n" for row in ("incident_id,title,year,targets,techniques", *rows))
-
-
-@pytest.mark.parametrize("spec, expected", [
-    (
-        GeneratorSpec(mode="exact-patterns", pattern_counts={frozenset(): 2, frozenset({"NR"}): 1},
-                      unmapped_count=3, seed=4),
-        _rows("SYN-0001,Synthetic incident 0001,2021,,", "SYN-0002,Synthetic incident 0002,2016,,",
-              "SYN-0003,Synthetic incident 0003,2015,,", "SYN-0004,Synthetic incident 0004,2015,,T0115",
-              "SYN-0005,Synthetic incident 0005,2014,,", "SYN-0006,Synthetic incident 0006,2020,,"),
-    ),
-], ids=["exact"])
-def test_empty_patterns_of_a_hand_built_spec_add_to_the_unmapped(catalog, spec, expected):
-    """The spec parser refuses an empty pattern, but a hand-built spec can hold
-    one. Its incidents are unmapped, and they join the spec's unmapped
-    incidents rather than replace them."""
-    corpus = generate_corpus(spec, catalog)
-    cc = classify_corpus(corpus, catalog)
-    assert (cc.total_count, cc.total_count - cc.mapped_count) == (6, 5)
-    assert corpus_to_csv(corpus) == expected
 
 
 # --- solver mode ---------------------------------------------------------------
@@ -426,10 +405,10 @@ def test_negative_counts_are_refused_however_the_spec_was_made(catalog):
         generate_corpus(spec, catalog)
     solver = GeneratorSpec(mode="marginal-solver", marginals={"NR": 1}, size_distribution={1: 1})
     for edit, message in [
-        ({"pattern_counts": {frozenset({"NR", "NS"}): -1}}, r"pattern_counts: field \['NR', 'NS'\] must be"),
-        ({"pinned_patterns": {frozenset({"NR"}): -1}}, r"pinned_patterns: field \['NR'\] must be"),
+        ({"pattern_counts": {frozenset({"NR", "NS"}): -1}}, r"pattern_counts\[0\]: field 'count' must be"),
+        ({"pinned_patterns": {frozenset({"NR"}): -1}}, r"pinned_patterns\[0\]: field 'min_count' must be"),
         ({"marginals": {"NR": 2, "NS": -1}}, "marginals: field 'NS' must be"),
-        ({"size_distribution": {1: 2, 2: -1}}, "size_distribution: field 2 must be"),
+        ({"size_distribution": {1: 2, 2: -1}}, "size_distribution: field '2' must be"),
         ({"unmapped_count": True}, "field 'unmapped_count' must be"),
     ]:
         with pytest.raises(SchemaError, match=message):
@@ -437,10 +416,10 @@ def test_negative_counts_are_refused_however_the_spec_was_made(catalog):
 
 
 def test_a_hand_built_spec_is_held_to_the_loaders_rules(catalog):
-    """A mode, a size and an include_preparation that a spec file cannot hold
-    are refused in the loader's words, before the solver runs. A typo'd mode
-    used to run the solver, and a size of 0 to add incidents without a
-    technique."""
+    """A mode, a size, an include_preparation and an empty pattern that a spec
+    file cannot hold are refused in the loader's words, before the solver
+    runs. A typo'd mode used to run the solver, a size of 0 to add incidents
+    without a technique, and an empty pattern to add to the unmapped."""
     for spec, doc, message in [
         (GeneratorSpec(mode="typo", pattern_counts={frozenset({"NR"}): 3}), {"mode": "typo"},
          "generator spec: field 'mode' must be 'exact-patterns' or 'marginal-solver', not 'typo'"),
@@ -452,11 +431,39 @@ def test_a_hand_built_spec_is_held_to_the_loaders_rules(catalog):
         (replace(exact_spec({frozenset({"NR"}): 2}), include_preparation=1),
          {"mode": "exact-patterns", "include_preparation": 1},
          "generator spec: field 'include_preparation' must be true or false"),
+        (exact_spec({(): 2, ("NR",): 1}, unmapped=3),
+         {"mode": "exact-patterns", "pattern_counts": [{"strategies": [], "count": 2}]},
+         "pattern_counts[0]: field 'strategies' must not be empty"),
     ]:
         for refuse in (lambda: generate_corpus(spec, catalog), lambda: loads_generator_spec(json.dumps(doc))):
             with pytest.raises(SchemaError) as raised:
                 refuse()
             assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("spec, message", [
+    (GeneratorSpec(mode="marginal-solver", marginals={"NR": 1}, size_distribution={"2": 1}),
+     "size_distribution: key \"'2'\" is not a size in canonical decimal"),
+    (GeneratorSpec(mode="marginal-solver", marginals={"NR": 1}, size_distribution={True: 1}),
+     "size_distribution: key 'True' is not a size in canonical decimal"),
+    (GeneratorSpec(mode="marginal-solver", marginals={"NR": 1}, size_distribution={1.0: 1}),
+     "size_distribution: key '1.0' is not a size in canonical decimal"),
+    (GeneratorSpec(mode="marginal-solver", marginals={1: 1}, size_distribution={1: 1}),
+     "generator spec references unknown strategy ids: 1"),
+    (GeneratorSpec(mode="exact-patterns", pattern_counts={("NR",): 1}),
+     "pattern_counts[0]: field 'strategies' must be an array of strings"),
+    (GeneratorSpec(mode="exact-patterns", pattern_counts={"NR": 1}),
+     "pattern_counts[0]: field 'strategies' must be an array of strings"),
+    (GeneratorSpec(mode="exact-patterns", pattern_counts={frozenset({1}): 1}),
+     "pattern_counts[0]: field 'strategies' must be an array of strings"),
+], ids=["size-str", "size-bool", "size-float", "marginal-int", "pattern-tuple", "pattern-str", "pattern-int-id"])
+def test_a_hand_built_spec_that_no_file_can_state_is_refused(catalog, spec, message):
+    """A size that is not an int, an id that is not a string and a pattern that
+    is not a frozenset are SchemaErrors, not TypeErrors; True and 1.0 are not
+    taken for size 1."""
+    with pytest.raises(SchemaError) as raised:
+        generate_corpus(spec, catalog)
+    assert str(raised.value) == message
 
 
 # --- the generate command against the library ------------------------------------
@@ -512,6 +519,24 @@ def spec_documents(draw, ids):
     if draw(st.sampled_from([False] * 9 + [True])):
         doc["unmapped_count"] = MAX_INCIDENTS + draw(st.integers(1, 3))
     return doc
+
+
+@pytest.mark.parametrize("path", [bundled_data_path("fixture_spec.json"), *sorted(GOLDEN.glob("*_spec.json"))],
+                         ids=lambda path: path.name)
+def test_a_golden_spec_is_the_spec_of_its_document(path):
+    """A valid spec is checked as itself: ``_document`` keeps all that ``_spec`` reads."""
+    spec = load_generator_spec(path)
+    assert _spec(_document(spec)) == spec
+
+
+ESCAPED_IDS = [s["id"] for s in json.loads((GOLDEN / "escaped_catalog.json").read_text(encoding="utf-8"))["strategies"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=small_solver_specs() | st.sampled_from([STRATEGY_IDS, ESCAPED_IDS]).flatmap(spec_documents).map(
+    lambda doc: loads_generator_spec(json.dumps(doc))))
+def test_a_drawn_spec_is_the_spec_of_its_document(spec):
+    assert _spec(_document(spec)) == spec
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

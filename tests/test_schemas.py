@@ -22,6 +22,7 @@ from influenceops.errors import (
     PhaseViolation,
     UnknownTechnique,
 )
+from influenceops.generate import _document, _spec
 from influenceops.resources import bundled_data_path
 from influenceops.strategies import STRATEGY_ORDER
 
@@ -289,10 +290,27 @@ TAXONOMY_STRINGS = strings_of(
 )
 
 
+SPEC_DOCUMENTS = st.sampled_from(SPEC_BASES).flatmap(lambda base: edited(base, SPEC_STRINGS))
+
+
 @settings(max_examples=400, deadline=None)
-@given(doc=st.sampled_from(SPEC_BASES).flatmap(lambda base: edited(base, SPEC_STRINGS)))
+@given(doc=SPEC_DOCUMENTS)
 def test_spec_loader_accepts_what_its_schema_accepts(doc, taxonomy):
     assert_loader_agrees_with_schema("generator_spec", doc, taxonomy)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=SPEC_DOCUMENTS)
+def test_an_accepted_spec_is_the_spec_of_its_document(doc):
+    """A spec made in code is checked as the spec of ``_document``; for every
+    spec the loader accepts, that is the spec itself."""
+    try:
+        spec = loads_generator_spec(json.dumps(doc))
+    except InfluenceOpsError:
+        event("refused")
+        return
+    event("accepted")
+    assert _spec(_document(spec)) == spec
 
 
 @settings(max_examples=400, deadline=None)
