@@ -416,10 +416,10 @@ def test_negative_counts_are_refused_however_the_spec_was_made(catalog):
 
 
 def test_a_hand_built_spec_is_held_to_the_loaders_rules(catalog):
-    """A mode, a size, an include_preparation and an empty pattern that a spec
-    file cannot hold are refused in the loader's words, before the solver
-    runs. A typo'd mode used to run the solver, a size of 0 to add incidents
-    without a technique, and an empty pattern to add to the unmapped."""
+    """A mode, a size and an include_preparation that a spec file cannot hold
+    are refused in the loader's words, before the solver runs. A typo'd mode
+    used to run the solver, and a size of 0 to add incidents without a
+    technique."""
     for spec, doc, message in [
         (GeneratorSpec(mode="typo", pattern_counts={frozenset({"NR"}): 3}), {"mode": "typo"},
          "generator spec: field 'mode' must be 'exact-patterns' or 'marginal-solver', not 'typo'"),
@@ -431,14 +431,23 @@ def test_a_hand_built_spec_is_held_to_the_loaders_rules(catalog):
         (replace(exact_spec({frozenset({"NR"}): 2}), include_preparation=1),
          {"mode": "exact-patterns", "include_preparation": 1},
          "generator spec: field 'include_preparation' must be true or false"),
-        (exact_spec({(): 2, ("NR",): 1}, unmapped=3),
-         {"mode": "exact-patterns", "pattern_counts": [{"strategies": [], "count": 2}]},
-         "pattern_counts[0]: field 'strategies' must not be empty"),
     ]:
         for refuse in (lambda: generate_corpus(spec, catalog), lambda: loads_generator_spec(json.dumps(doc))):
             with pytest.raises(SchemaError) as raised:
                 refuse()
             assert str(raised.value) == message
+
+
+def test_an_empty_pattern_of_a_hand_built_spec_is_refused(catalog):
+    """An empty pattern is refused in a hand-built spec as in a file. It used to
+    add its incidents to the unmapped ones, which is what unmapped_count is for."""
+    spec = exact_spec({(): 2, ("NR",): 1}, unmapped=3)
+    doc = {"mode": "exact-patterns", "pattern_counts": [{"strategies": [], "count": 2}]}
+    for refuse in (lambda: generate_corpus(spec, catalog), lambda: loads_generator_spec(json.dumps(doc))):
+        with pytest.raises(SchemaError) as raised:
+            refuse()
+        assert str(raised.value) == "pattern_counts[0]: field 'strategies' must not be empty"
+    assert len(generate_corpus(replace(spec, pattern_counts={frozenset({"NR"}): 1}), catalog)) == 4
 
 
 @pytest.mark.parametrize("spec, message", [
