@@ -10,9 +10,12 @@ unset. Every path flag (--taxonomy, --catalog, --corpus, --spec, --out)
 refuses an empty string as a usage error, before anything is loaded.
 
 ``validate`` reports what loading established: each loader raises on any rule
-it checks. ``--out`` replaces a regular or absent file through a temporary file
-beside it, so a failed write leaves it as it was, and writes any other path (a
-symlink, a FIFO, a device) in place.
+it checks. A command writes its output in chunks, as it renders them, and only
+after every check, so a typed error writes nothing. ``--out`` replaces a
+regular or absent file through a temporary file beside it, so a failed write
+leaves it as it was, and writes any other path (a symlink, a FIFO, a device) in
+place. A write to stdout that fails part-way (a full disk, a closed pipe) is an
+I/O failure too, and leaves stdout with what was written before it.
 """
 
 from __future__ import annotations
@@ -23,13 +26,17 @@ import functools
 import os
 import stat
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 from .analytics import conditional_probabilities, cooccurrence
 from .errors import InfluenceOpsError
-from .evidence import classification_json, classification_text, ingest_technique_masks
+from .evidence import classification_json_chunks, classification_text_chunks, ingest_technique_masks
 # generate writes its text straight from the incident layout; the aliases
 # keep the names that perfbench wraps to time generation and serialization.
+# corpus_to_csv and corpus_to_json now only set up the generator of chunks, so
+# the corpus.serialize span times that alone: the rows are rendered as _emit
+# writes them, which shows in cli.self_s until the package has a stage timer
+# of its own that times rendering where it happens.
 from .generate import _layout as generate_corpus, _layout_csv as corpus_to_csv
 from .generate import _layout_json as corpus_to_json, load_generator_spec
 from .graphexport import GRAPH_FORMATS, _writer, export_graph
@@ -123,25 +130,34 @@ def _path(value: str) -> str:
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write the text as UTF-8 to ``out``, or else to stdout, whatever its encoding."""
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks of one output as UTF-8, each as it comes, to ``out``, or
+    else to stdout whatever its encoding.
+
+    A command passes its chunks only after every check and scan, so only an
+    OSError can stop the writing part-way. Stdout is then left with what was
+    written; ``out`` is left as it was (see the module docstring).
+    """
     if out is None:
         if sys.stdout is None:  # the process was started with stdout closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
         buffer = getattr(sys.stdout, "buffer", None)
         if buffer is None:  # a text-only stream, such as io.StringIO
-            sys.stdout.write(text)
-        else:
-            buffer.write(text.encode("utf-8"))
-            buffer.flush()
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            return
+        # Straight to the file under the buffer, so that a failed write leaves
+        # no bytes behind for the interpreter to fail on again at exit.
+        sys.stdout.flush()
+        _write(getattr(buffer, "raw", buffer), chunks)
         return
-    data = text.encode("utf-8")  # encoded before any file is opened
     try:
         mode = os.lstat(out).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        Path(out).write_bytes(data)
+        with open(out, "wb", buffering=0) as file:
+            _write(file, chunks)
         return
     temporary = os.path.join(os.path.dirname(out), f".influenceops-{os.urandom(6).hex()}.tmp")
     try:
@@ -149,14 +165,27 @@ def _emit(text: str, out: str | None) -> None:
     except OSError as exc:  # name the path the user gave, not the temporary file
         raise OSError(exc.errno, exc.strerror, out) from None
     try:
-        with open(fd, "wb") as file:
+        with open(fd, "wb", buffering=0) as file:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))  # the replaced file's permission bits
-            file.write(data)
+            _write(file, chunks)
         os.replace(temporary, out)
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+def _write(file, chunks: Iterable[str]) -> None:
+    """Write each chunk whole: a write that stops part-way is repeated with the
+    rest, so that what stopped it is raised, and a stream that would block
+    is an error."""
+    for chunk in chunks:
+        data = memoryview(chunk.encode("utf-8"))
+        while data:
+            written = file.write(data)
+            if written is None:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            data = data[written:]
 
 
 def _load_inputs(args):
@@ -169,18 +198,18 @@ def _load_inputs(args):
 
 def cmd_validate(args) -> int:
     taxonomy, catalog = _load_inputs(args)  # each loader raises on any rule it checks
-    _emit("taxonomy: ok\ncatalog: ok\n", None)
+    _emit(("taxonomy: ok\ncatalog: ok\n",), None)
     if args.corpus:
         cc, ingestion = ingest_corpus(args.corpus, taxonomy, catalog, args.ingest_mode)
         lines = [f"corpus: ok ({cc.total_count} incidents)", *(f"corpus: warning: {w}" for w in ingestion.warnings())]
-        _emit("\n".join(lines) + "\n", None)
+        _emit(("\n".join(lines) + "\n",), None)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     taxonomy, catalog = _load_inputs(args)
     pairs, _ = ingest_technique_masks(args.corpus, taxonomy, catalog, args.ingest_mode)
-    render = classification_text if args.pretty else classification_json
+    render = classification_text_chunks if args.pretty else classification_json_chunks
     _emit(render(pairs, catalog, args.strict_prep), args.out)
     return EXIT_OK
 
@@ -192,7 +221,7 @@ def cmd_stats(args) -> int:
         text = report_to_text(_tables(cc, args.ingest_mode, args.min_support))
     else:
         text = report_to_json(build_report(cc, ingest_mode=args.ingest_mode, min_support=args.min_support))
-    _emit(text, args.out)
+    _emit((text,), args.out)
     return EXIT_OK
 
 
@@ -204,7 +233,7 @@ def cmd_graph(args) -> int:
         graph = cooccurrence(cc)
     else:
         graph = conditional_probabilities(cc, 1 if args.min_support is None else args.min_support)
-    _emit(export_graph(graph, args.fmt), args.out)
+    _emit((export_graph(graph, args.fmt),), args.out)
     return EXIT_OK
 
 
@@ -216,8 +245,7 @@ def cmd_generate(args) -> int:
 
         spec = replace(spec, seed=args.seed)
     write = corpus_to_json if args.corpus_format == "json" else corpus_to_csv
-    text = write(generate_corpus(spec, catalog))
-    _emit(text, args.out)
+    _emit(write(generate_corpus(spec, catalog)), args.out)
     return EXIT_OK
 
 

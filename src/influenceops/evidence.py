@@ -22,16 +22,20 @@ order, which is the canonical order. The output is the same text as
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the per-incident
 documents built from ``classify_incident`` of each incident, or the same
 ``id: NR+NS`` lines with ``--pretty`` (ids as ``_pretty_id`` writes them).
+It is rendered in chunks of ``render.CHUNK_ROWS`` incidents
+(``classification_json_chunks``, ``classification_text_chunks``), which the
+command writes as they come, so that it holds one chunk of the text at a
+time; ``classification_json`` and ``classification_text`` join them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from .corpus import IngestionReport, scan_corpus
-from .render import json_block
+from .render import chunked, json_block
 from .strategies import StrategyCatalog, _Memo, match_strategies, strategy_mask
 from .taxonomy import Taxonomy
 
@@ -49,22 +53,31 @@ def ingest_technique_masks(
     return masks.items(), report
 
 
-def classification_json(
+def classification_json_chunks(
     pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
-) -> str:
-    """The ``classify`` JSON document of ``ingest_technique_masks`` pairs."""
+) -> Iterator[str]:
+    """The ``classify`` JSON document of ``ingest_technique_masks`` pairs, in
+    chunks of ``render.CHUNK_ROWS`` incidents."""
 
     def block(i, matched):
         strategy_id, ids = catalog.evidence_item(i, matched)
         return f"{encode_basestring(strategy_id)}: {json_block(list(ids), 3)}"
 
-    lists = _Memo(lambda sm: json_block(list(catalog.ids_of_mask(sm)), 2))
-    rows = []
-    for incident_id, sm, blocks in match_strategies(pairs, catalog, strict_prep, block):
-        evidence = "{\n      " + ",\n      ".join(blocks) + "\n    }" if blocks else "{}"
-        rows.append(f'  {{\n    "incident_id": {encode_basestring(incident_id)},\n    "strategies": {lists[sm]},\n'
-                    f'    "evidence": {evidence}\n  }}')
-    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+    def rows():
+        lists = _Memo(lambda sm: json_block(list(catalog.ids_of_mask(sm)), 2))
+        for incident_id, sm, blocks in match_strategies(pairs, catalog, strict_prep, block):
+            evidence = "{\n      " + ",\n      ".join(blocks) + "\n    }" if blocks else "{}"
+            yield (f'  {{\n    "incident_id": {encode_basestring(incident_id)},\n    "strategies": {lists[sm]},\n'
+                   f'    "evidence": {evidence}\n  }}')
+
+    return chunked(rows(), "[\n", ",\n", "\n]\n", "[]\n")
+
+
+def classification_json(
+    pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
+) -> str:
+    """The ``classify`` JSON document of ``ingest_technique_masks`` pairs."""
+    return "".join(classification_json_chunks(pairs, catalog, strict_prep))
 
 
 def _pretty_id(incident_id: str) -> str:
@@ -76,12 +89,20 @@ def _pretty_id(incident_id: str) -> str:
     return encode_basestring_ascii(incident_id)
 
 
+def classification_text_chunks(
+    pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
+) -> Iterator[str]:
+    """The ``classify --pretty`` lines of ``ingest_technique_masks`` pairs, one
+    per incident: its id (see ``_pretty_id``), then its strategies; in chunks
+    of ``render.CHUNK_ROWS`` lines."""
+    n = len(catalog.strategies)
+    names = _Memo(lambda sm: "+".join(catalog.ids_of_mask(sm)) or "(unmapped)")
+    lines = (f"{_pretty_id(incident_id)}: {names[strategy_mask(tm, n, strict_prep)]}" for incident_id, tm in pairs)
+    return chunked(lines, "", "\n", "\n", "\n")
+
+
 def classification_text(
     pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool = False
 ) -> str:
-    """The ``classify --pretty`` lines of ``ingest_technique_masks`` pairs, one
-    per incident: its id (see ``_pretty_id``), then its strategies."""
-    n = len(catalog.strategies)
-    names = _Memo(lambda sm: "+".join(catalog.ids_of_mask(sm)) or "(unmapped)")
-    lines = [f"{_pretty_id(incident_id)}: {names[strategy_mask(tm, n, strict_prep)]}" for incident_id, tm in pairs]
-    return "\n".join(lines) + "\n"
+    """The ``classify --pretty`` text of ``ingest_technique_masks`` pairs."""
+    return "".join(classification_text_chunks(pairs, catalog, strict_prep))

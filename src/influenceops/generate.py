@@ -30,7 +30,9 @@ number drawn; ``test_inlined_draws_are_the_draws_of_random_py`` holds both to
 ``_layout`` checks the spec and gives each incident's technique set and year.
 ``generate_corpus`` builds its Corpus from it; the ``generate`` command writes
 the bytes of ``corpus_to_csv``/``corpus_to_json`` straight from it, building no
-Incident (``_layout_csv``, ``_layout_json``): a JSON row fills a ``json_block`` template.
+Incident (``_layout_csv``, ``_layout_json``): a JSON row fills a ``json_block``
+template, and the rows are rendered in chunks of ``render.CHUNK_ROWS`` as the
+command writes them, so the text is never held whole.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from pathlib import Path
 from .corpus import CSV_HEADER, Corpus, Incident, _csv_field
 from .documents import natural, objects, parse_object, read_text, require, strings, typed
 from .errors import InfeasibleSpec, SchemaError, ZeroIncidents
-from .render import SLOT, json_block
+from .render import SLOT, chunked, json_block
 from .strategies import StrategyCatalog, pattern_order
 
 EXACT_MODE = "exact-patterns"
@@ -143,17 +145,23 @@ def _spec(doc: dict) -> GeneratorSpec:
 
 def _document(spec: GeneratorSpec) -> dict:
     """``spec`` as the document that ``_spec`` reads, so that a spec made in code
-    meets a spec file's rules in its words. A pattern that is not a frozenset,
-    or a size that is not an int, is written as its repr, which the loader refuses."""
-    def patterns(table: dict, key: str) -> list[dict]:
-        return [{"strategies": list(p) if isinstance(p, frozenset) else repr(p), key: c} for p, c in table.items()]
+    meets a spec file's rules in its words. A table that is not a dict, a
+    pattern that is not a frozenset and a size that is not an int are each
+    written as its repr, which the loader refuses."""
+    def table(value, write):
+        return write(value.items()) if isinstance(value, dict) else repr(value)
+
+    def patterns(key: str):
+        return lambda items: [{"strategies": list(p) if isinstance(p, frozenset) else repr(p), key: c}
+                              for p, c in items]
 
     return {"mode": spec.mode, "seed": spec.seed, "unmapped_count": spec.unmapped_count,
             "include_preparation": spec.include_preparation,
-            "marginals": {str(name): c for name, c in spec.marginals.items()},
-            "size_distribution": {str(k) if type(k) is int else repr(k): c for k, c in spec.size_distribution.items()},
-            "pattern_counts": patterns(spec.pattern_counts, "count"),
-            "pinned_patterns": patterns(spec.pinned_patterns, "min_count")}
+            "marginals": table(spec.marginals, lambda items: {str(name): c for name, c in items}),
+            "size_distribution": table(spec.size_distribution,
+                                       lambda items: {str(k) if type(k) is int else repr(k): c for k, c in items}),
+            "pattern_counts": table(spec.pattern_counts, patterns("count")),
+            "pinned_patterns": table(spec.pinned_patterns, patterns("min_count"))}
 
 
 def load_generator_spec(path: str | Path) -> GeneratorSpec:
@@ -390,8 +398,11 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
 
     _shuffle(technique_sets, rng.getrandbits)
     first_year, last_year = _YEAR_RANGE
-    years = _randranges(rng.getrandbits, first_year, last_year + 1, len(technique_sets))
-    return list(zip(technique_sets, years))
+    # The draws of randrange(first_year, last_year + 1), as offsets into one
+    # shared int per year rather than a new int per incident.
+    years = tuple(range(first_year, last_year + 1))
+    offsets = _randranges(rng.getrandbits, 0, len(years), len(technique_sets))
+    return list(zip(technique_sets, map(years.__getitem__, offsets)))
 
 
 def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None) -> Corpus:
@@ -411,30 +422,26 @@ def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None)
     return Corpus(incidents, source=f"generated(seed={spec.seed})")
 
 
-def _text(layout: list[tuple[frozenset[str], int]], head: str, row: str, sep: str, tail: str, render) -> str:
-    """head, ``row % (i, i, year, render(techniques))`` for each incident i of a
-    non-empty layout joined by ``sep``, then tail. Each distinct technique set
-    is rendered once; rows are joined 4096 at a time, not listed all at once."""
+def _text(layout: list[tuple[frozenset[str], int]], row: str, render, head: str, sep: str, tail: str,
+          empty: str) -> Iterator[str]:
+    """The document of ``row % (i, i, year, render(techniques))`` for each
+    incident i of the layout, laid out by ``render.chunked``, so that one chunk
+    of rows is held at a time. Each distinct technique set is rendered once."""
     rendered = {t: render(t) for t in {t for t, _ in layout}}
-    chunks = [
-        sep.join([row % (i, i, year, rendered[t]) for i, (t, year) in enumerate(layout[k:k + 4096], k + 1)])
-        for k in range(0, len(layout), 4096)
-    ]
-    chunks[0] = head + chunks[0]
-    chunks[-1] += tail
-    return sep.join(chunks)
+    rows = (row % (i, i, year, rendered[t]) for i, (t, year) in enumerate(layout, 1))
+    return chunked(rows, head, sep, tail, empty)
 
 
-def _layout_csv(layout: list[tuple[frozenset[str], int]]) -> str:
-    """``corpus_to_csv`` of the layout's corpus, without building it. Ids,
-    titles and years need no quoting; the incidents have no targets."""
-    return _text(
-        layout, ",".join(CSV_HEADER) + "\n", f"{_ID},{_TITLE},%d,,%s", "\n", "\n",
-        lambda t: _csv_field("|".join(sorted(t))),
-    )
+def _layout_csv(layout: list[tuple[frozenset[str], int]]) -> Iterator[str]:
+    """``corpus_to_csv`` of the layout's corpus in chunks, without building it.
+    Ids, titles and years need no quoting; the incidents have no targets."""
+    header = ",".join(CSV_HEADER) + "\n"
+    return _text(layout, f"{_ID},{_TITLE},%d,,%s", lambda t: _csv_field("|".join(sorted(t))),
+                 header, "\n", "\n", header)
 
 
-def _layout_json(layout: list[tuple[frozenset[str], int]]) -> str:
-    """``corpus_to_json`` of the layout's corpus, without building it. Ids and
-    titles need no escaping; the incidents have no targets."""
-    return _text(layout, _JSON_HEAD, _JSON_ROW, _JSON_SEP, _JSON_TAIL + "\n", lambda t: json_block(sorted(t), 2))
+def _layout_json(layout: list[tuple[frozenset[str], int]]) -> Iterator[str]:
+    """``corpus_to_json`` of the layout's corpus in chunks, without building it.
+    Ids and titles need no escaping; the incidents have no targets."""
+    return _text(layout, _JSON_ROW, lambda t: json_block(sorted(t), 2),
+                 _JSON_HEAD, _JSON_SEP, _JSON_TAIL + "\n", "[]\n")

@@ -115,8 +115,12 @@ def test_all_singleton_corpus_has_zero_multi_fraction(catalog):
 
 
 def test_no_multi_strategy_incident_gives_zero_fraction_of_multi(catalog):
+    """No multi-strategy incident gives 0; one such incident is the whole of
+    the denominator, so its size gives 1."""
     dist = size_distribution(classified_from_profiles(catalog, [("NR",), ("TD",), ()]))
     assert (dist.multi_total, dist.fraction_of_multi(2), dist.fraction_of_multi(1)) == (0, 0, 0)
+    dist = size_distribution(classified_from_profiles(catalog, [("NR",), ("TD", "NR"), ()]))
+    assert (dist.multi_total, dist.fraction_of_multi(2), dist.fraction_of_multi(3)) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("statistic, histogram, message", [

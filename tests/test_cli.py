@@ -486,16 +486,16 @@ def test_importing_the_cli_loads_every_module_a_command_runs():
 
 
 def run_cli(argv, cwd, env=None, **kwargs):
-    """The CLI in a process of its own, whose stdout bytes are what it wrote;
-    ``env`` adds to the environment."""
+    """The CLI in a process of its own, whose stdout bytes are what it wrote
+    unless ``stdout`` is given; ``env`` adds to the environment."""
     import subprocess
     import sys
 
     import influenceops
 
     env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1]), **(env or {})}
-    return subprocess.run([sys.executable, "-m", "influenceops.cli", *argv], cwd=cwd, capture_output=True, env=env,
-                          **kwargs)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "influenceops.cli", *argv], cwd=cwd, env=env, **streams)
 
 
 @pytest.fixture()
@@ -620,6 +620,31 @@ def test_a_write_cut_short_by_the_file_size_limit_leaves_out_as_it_was(tmp_path)
     assert result.returncode == 2 and result.stderr.startswith(b"I/O error: ")
     assert out.read_bytes() == b"old report\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command, limit", [(["stats", "--corpus", "fixture_corpus.csv"], 4096), (["validate"], 0)],
+                         ids=["stats", "validate"])
+def test_a_stdout_write_cut_short_by_the_file_size_limit_is_an_io_error(tmp_path, command, limit, unbuffered):
+    """Stdout is a file that may grow to ``limit`` bytes. The command exits 2
+    with one line on stderr, and the file holds the output up to the limit.
+    Unbuffered (PYTHONUNBUFFERED), a write larger than the limit comes back
+    short without an error; buffered, bytes left in the buffer fail again
+    when the interpreter flushes stdout at exit."""
+    resource = pytest.importorskip("resource")
+    argv = [str(Path(__file__).parent / "golden" / arg) if arg.endswith(".csv") else arg for arg in command]
+    printed = run_cli(argv, tmp_path).stdout
+    assert len(printed) > limit
+
+    def limit_file_size():  # CPython ignores SIGXFSZ, so a write past the limit fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    stdout = tmp_path / "stdout"
+    with stdout.open("wb") as file:
+        result = run_cli(argv, tmp_path, env={"PYTHONUNBUFFERED": unbuffered}, stdout=file, preexec_fn=limit_file_size)
+    error = f"I/O error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n".encode()
+    assert (result.returncode, result.stderr) == (2, error)
+    assert stdout.read_bytes() == printed[:limit]
 
 
 def test_out_through_a_symlink_updates_its_target_and_keeps_the_link(fixture_corpus_csv, tmp_path, capsys):

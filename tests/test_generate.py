@@ -37,7 +37,18 @@ import influenceops
 import oracle
 from helpers import profiles_of
 from influenceops.cli import main
-from influenceops.generate import MAX_INCIDENTS, _YEAR_RANGE, _document, _randranges, _shuffle, _spec
+from influenceops.generate import (
+    MAX_INCIDENTS,
+    _YEAR_RANGE,
+    _document,
+    _layout,
+    _layout_csv,
+    _layout_json,
+    _randranges,
+    _shuffle,
+    _spec,
+)
+from influenceops.render import CHUNK_ROWS
 from influenceops.resources import bundled_data_path
 
 SOLVER_TARGETS_DOC = """
@@ -384,11 +395,15 @@ def test_zero_count_size_above_strategy_count_is_ignored(catalog):
 
 
 def test_positive_count_size_above_strategy_count_is_refused(catalog):
-    spec = loads_generator_spec(
-        '{"mode": "marginal-solver", "marginals": {"NR": 5, "NS": 9}, "size_distribution": {"1": 5, "9": 1}}'
-    )
-    with pytest.raises(InfeasibleSpec, match=r"size_distribution requests profiles of size 9 > 7 strategies"):
-        generate_corpus(spec, catalog)
+    """Sizes 9 and 8, the least size above the seven strategies: the second
+    would otherwise fall through to a later check with another message."""
+    for size in (9, 8):
+        spec = loads_generator_spec(json.dumps({
+            "mode": "marginal-solver", "marginals": {"NR": 5, "NS": size}, "size_distribution": {"1": 5, str(size): 1},
+        }))
+        with pytest.raises(InfeasibleSpec) as raised:
+            generate_corpus(spec, catalog)
+        assert str(raised.value) == f"size_distribution requests profiles of size {size} > 7 strategies"
 
 
 def test_negative_seed_is_refused_however_the_spec_was_made(catalog):
@@ -465,11 +480,16 @@ def test_an_empty_pattern_of_a_hand_built_spec_is_refused(catalog):
      "pattern_counts[0]: field 'strategies' must be an array of strings"),
     (GeneratorSpec(mode="exact-patterns", pattern_counts={frozenset({1}): 1}),
      "pattern_counts[0]: field 'strategies' must be an array of strings"),
-], ids=["size-str", "size-bool", "size-float", "marginal-int", "pattern-tuple", "pattern-str", "pattern-int-id"])
+    (GeneratorSpec(mode="exact-patterns", pattern_counts=[({"NR"}, 1)]),
+     "generator spec: field 'pattern_counts' must be an array"),
+    (GeneratorSpec(mode="marginal-solver", marginals=None),
+     "generator spec: field 'marginals' must be an object"),
+], ids=["size-str", "size-bool", "size-float", "marginal-int", "pattern-tuple", "pattern-str", "pattern-int-id",
+        "patterns-list", "marginals-none"])
 def test_a_hand_built_spec_that_no_file_can_state_is_refused(catalog, spec, message):
-    """A size that is not an int, an id that is not a string and a pattern that
-    is not a frozenset are SchemaErrors, not TypeErrors; True and 1.0 are not
-    taken for size 1."""
+    """A size that is not an int, an id that is not a string, a pattern that
+    is not a frozenset and a table that is not a dict are SchemaErrors, not
+    TypeErrors or AttributeErrors; True and 1.0 are not taken for size 1."""
     with pytest.raises(SchemaError) as raised:
         generate_corpus(spec, catalog)
     assert str(raised.value) == message
@@ -593,6 +613,50 @@ def test_generate_command_writes_what_the_library_generates(
         assert rc == 0
         written = out.read_bytes() if to_file else stdout.getvalue().encode("utf-8")
         assert written == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_generate_output_across_chunk_boundaries(catalog, tmp_path, capsysbinary, rows, fmt):
+    """Each golden is shorter than one chunk. At and around the chunk sizes,
+    stdout and --out both hold corpus_to_csv/corpus_to_json of generate_corpus,
+    and the command wrote it in as many chunks as the rows fill."""
+    counts = [(["NR"], rows // 2), (["NS", "TD"], rows // 4)]
+    doc = {"mode": "exact-patterns", "seed": rows, "include_preparation": True, "unmapped_count": rows - rows // 2 -
+           rows // 4, "pattern_counts": [{"strategies": ids, "count": c} for ids, c in counts if c]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    spec = loads_generator_spec(json.dumps(doc))
+    write, chunks = (corpus_to_json, _layout_json) if fmt == "json" else (corpus_to_csv, _layout_csv)
+    expected = write(generate_corpus(spec, catalog)).encode("utf-8")
+    assert len(list(chunks(_layout(spec, catalog)))) == -(-rows // CHUNK_ROWS)
+    argv = ["generate", "--spec", str(spec_path), "--corpus-format", fmt]
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == expected
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_bytes() == expected
+
+
+def test_generate_holds_less_than_half_of_its_output_at_once(tmp_path):
+    """The fixture spec's targets x250 (20,250 incidents) as JSON: the traced
+    peak of the command stays under half the bytes it writes, because the
+    rows are rendered and written a chunk at a time."""
+    import tracemalloc
+
+    fixture = json.loads(bundled_data_path("fixture_spec.json").read_text(encoding="utf-8"))
+    doc = {"mode": "marginal-solver", "seed": 7, "unmapped_count": fixture["unmapped_count"] * 250,
+           **{key: {k: c * 250 for k, c in fixture[key].items()} for key in ("marginals", "size_distribution")}}
+    spec_path, out = tmp_path / "spec.json", tmp_path / "corpus.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["generate", "--spec", str(spec_path), "--corpus-format", "json", "--out", str(out)]
+    assert main(argv) == 0  # the parser is built once per process
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 2, (peak, out.stat().st_size)
 
 
 def test_generate_errors_match_the_library(catalog, scratch, capsys):

@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import json
+import random
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -42,7 +43,14 @@ from influenceops import (
 )
 from influenceops.cli import main
 from influenceops.corpus import CSV_HEADER, DroppedTechnique
-from influenceops.evidence import classification_json, classification_text, ingest_technique_masks
+from influenceops.evidence import (
+    classification_json,
+    classification_json_chunks,
+    classification_text,
+    classification_text_chunks,
+    ingest_technique_masks,
+)
+from influenceops.render import CHUNK_ROWS
 from influenceops.resources import bundled_data_path
 from influenceops.strategies import (
     STRATEGY_ORDER,
@@ -568,6 +576,40 @@ def test_classify_rendering_does_not_depend_on_catalog_order(taxonomy, catalog):
 def test_classify_rendering_of_no_incident(catalog):
     assert classification_json([], catalog) == json.dumps([], indent=2) + "\n"
     assert classification_text([], catalog) == "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS])
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+def test_classify_output_across_chunk_boundaries(taxonomy, catalog, tmp_path, capsysbinary, rows, pretty):
+    """Each golden is shorter than one chunk. At and around the chunk sizes,
+    stdout and --out both hold the library's text, which is the reference's
+    rendering, and the library renders it in as many chunks as the rows fill.
+    With no row the library's text is one chunk, and the command's
+    EmptyCorpus leaves stdout empty and --out as it was."""
+    rng = random.Random(rows)
+    path = tmp_path / "corpus.csv"
+    path.write_text("".join([",".join(CSV_HEADER) + "\n"] + [
+        f"I-{k},t,2020,,{'|'.join(rng.sample(TECHNIQUES[:10], rng.randint(0, 4)))}\n" for k in range(rows)
+    ]), encoding="utf-8")
+    pairs = ingest_technique_masks(path, taxonomy, catalog)[0] if rows else []  # a file of no row is refused
+    render, chunks = (classification_text, classification_text_chunks) if pretty else \
+        (classification_json, classification_json_chunks)
+    expected = render(pairs, catalog)
+    assert len(list(chunks(pairs, catalog))) == max(1, -(-rows // CHUNK_ROWS))
+    argv = ["classify", "--corpus", str(path)] + ["--pretty"] * pretty
+    out = tmp_path / "out"
+    out.write_bytes(b"old\n")
+    if rows == 0:
+        assert expected == ("\n" if pretty else "[]\n")
+        assert main(argv) == main([*argv, "--out", str(out)]) == 1
+        assert capsysbinary.readouterr().out == b""
+        assert out.read_bytes() == b"old\n"
+        return
+    assert expected == reference_classify(path, taxonomy, catalog, "strict", False, pretty)
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == expected.encode("utf-8")
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize(
