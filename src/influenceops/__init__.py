@@ -8,7 +8,9 @@ probability statistics with exact arithmetic.
 Every public name loads on first use (PEP 562): ``import influenceops``
 imports no submodule, and ``from influenceops import X`` imports only the
 submodule that defines ``X``, with what that submodule imports. Loading the
-bundled taxonomy and catalog therefore imports neither ``analytics`` nor
+bundled taxonomy and catalog therefore imports only the loaders: this
+package, ``resources``, ``taxonomy``, ``strategies``, ``documents`` and
+``errors``, and not the corpus scanner, the renderer, ``analytics`` or
 ``generate``.
 """
 

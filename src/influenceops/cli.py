@@ -198,11 +198,11 @@ def _load_inputs(args):
 
 def cmd_validate(args) -> int:
     taxonomy, catalog = _load_inputs(args)  # each loader raises on any rule it checks
-    _emit(("taxonomy: ok\ncatalog: ok\n",), None)
+    lines = ["taxonomy: ok", "catalog: ok"]
     if args.corpus:
         cc, ingestion = ingest_corpus(args.corpus, taxonomy, catalog, args.ingest_mode)
-        lines = [f"corpus: ok ({cc.total_count} incidents)", *(f"corpus: warning: {w}" for w in ingestion.warnings())]
-        _emit(("\n".join(lines) + "\n",), None)
+        lines += [f"corpus: ok ({cc.total_count} incidents)", *(f"corpus: warning: {w}" for w in ingestion.warnings())]
+    _emit(("\n".join(lines) + "\n",), None)
     return EXIT_OK
 
 

@@ -7,20 +7,37 @@ both graph kinds. The JSON view is ``graph_document``, the node/edge document
 whose parts the report's ``graphs`` block also embeds; a conditional edge's
 probability there is a ``render.ratio_payload`` of its two counts, and in
 DOT and GraphML labels the decimal of the same two counts, with no
-``Fraction`` built. No plotting here; these documents feed external
-renderers.
+``Fraction`` built. GraphML refuses, with SchemaError, a strategy name
+holding a character that XML 1.0 cannot hold. No plotting here; these
+documents feed external renderers.
 """
 
 from __future__ import annotations
 
+import re
+
 from .analytics import ConditionalGraph, CooccurrenceGraph
-from .errors import UnknownFormat
+from .errors import SchemaError, UnknownFormat
 from .render import _decimal, json_text, ratio_payload
+
+# A character outside XML 1.0's Char production: no document can hold it, not
+# even as a character reference.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _xml_escape(text: str) -> str:
     """Escape &, < and > for XML character data."""
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _xml_text(text: str, strategy_id: str) -> str:
+    """Strategy ``strategy_id``'s name as XML character data that reads back as
+    ``text``: a carriage return, which a parser would read as a newline, is
+    written as a reference. Raises SchemaError on a character XML cannot hold."""
+    bad = _NOT_XML.search(text)
+    if bad:
+        raise SchemaError(f"strategy {strategy_id!r}: name holds U+{ord(bad.group()):04X}, which XML 1.0 cannot hold")
+    return _xml_escape(text).replace("\r", "&#13;")
 
 
 def _xml_quoteattr(text: str) -> str:
@@ -100,7 +117,7 @@ def _graphml(graph: CooccurrenceGraph | ConditionalGraph) -> str:
     for node in graph.nodes:
         lines.append(
             f"    <node id={_xml_quoteattr(node.strategy_id)}>"
-            f'<data key="name">{_xml_escape(node.name)}</data>'
+            f'<data key="name">{_xml_text(node.name, node.strategy_id)}</data>'
             f'<data key="count">{node.count}</data>'
             "</node>"
         )

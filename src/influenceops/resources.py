@@ -12,7 +12,8 @@ from .strategies import StrategyCatalog, load_strategy_catalog
 from .taxonomy import Taxonomy, load_taxonomy
 
 # Type checkers read any name TYPE_CHECKING as true. Not importing ``typing``
-# (nor ``generate``) keeps the bundled-input loaders' import small.
+# (nor ``generate``) keeps the bundled-input loaders' import small: with this
+# module, the package, ``taxonomy``, ``strategies``, ``documents`` and ``errors``.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .generate import GeneratorSpec

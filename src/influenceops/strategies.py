@@ -20,6 +20,9 @@ it per incident for ``classify_incident`` and the ``classify`` command
 (``evidence.py``). ``classify_corpus`` and ``ingest_histogram``
 (``validate``, ``stats``, ``graph``) apply it once per distinct mask. The
 tests hold every path to a set-based reference.
+
+``corpus`` is imported by ``ingest_histogram``, where it is first used, so
+that loading a catalog imports neither the corpus scanner nor ``render``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from functools import cache, cached_property, lru_cache, partial
 from pathlib import Path
 from types import MappingProxyType
 
-from .corpus import Corpus, Incident, IngestionReport, scan_corpus
 from .documents import nonempty_string, objects, parse_object, read_text, strings, typed
 from .errors import (
     DisjointnessViolation,
@@ -41,6 +43,11 @@ from .errors import (
     UnknownTechnique,
 )
 from .taxonomy import Taxonomy, ValidationReport, Violation
+
+# For annotations only: type checkers read any name TYPE_CHECKING as true.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .corpus import Corpus, Incident, IngestionReport
 
 # Canonical display and tie-breaking order of the seven strategies.
 STRATEGY_ORDER = ("NR", "NS", "NA", "CNR", "NM", "TD", "IP")
@@ -245,6 +252,8 @@ def ingest_histogram(
     ``classify_corpus``, but no incident is built: memory is the incident-id
     to mask table and the histogram, and for JSON the file's text.
     """
+    from .corpus import scan_corpus
+
     path = Path(path)
     n = len(catalog.strategies)
     # The rule reads only the bits below n, or 2n: cut to them, masks take few values.

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .documents import nonempty_string, objects, parse_object, read_text, typed
 from .errors import AmbiguousName, NotFound, SchemaError
-from .render import json_text
 
 PHASE_NAMES = ("Plan", "Prepare", "Execute", "Assess")
 
@@ -233,6 +232,8 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 def serialize_taxonomy(taxonomy: Taxonomy) -> str:
     """Render a taxonomy back to its JSON document form (round-trip safe)."""
+    from .render import json_text  # not imported at load: loading needs no renderer
+
     doc: dict = {"version": taxonomy.version}
     if taxonomy.profile is not None:
         doc["profile"] = taxonomy.profile

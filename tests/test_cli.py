@@ -68,7 +68,20 @@ def test_validate_shared_technique_catalog(tmp_path, capsys):
 
 def test_missing_file_is_io_failure(capsys):
     assert main(["validate", "--corpus", "/nonexistent/corpus.csv"]) == 2
-    assert "I/O error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "I/O error" in captured.err
+    assert captured.out == ""
+
+
+def test_validate_writes_nothing_when_the_corpus_fails(tmp_path, capsys):
+    """The taxonomy and catalog lines wait for the corpus check: a typed error
+    leaves stdout empty."""
+    path = tmp_path / "bad.csv"
+    path.write_text("incident_id,title,year,targets,techniques\nX-1,t,2020,,T0049|T9999\n", encoding="utf-8")
+    assert main(["validate", "--corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("UnknownTechnique: ")
+    assert captured.out == ""
 
 
 # --- stats ------------------------------------------------------------------
@@ -454,24 +467,48 @@ def test_parser_is_not_built_at_import():
     assert out.stdout.strip() == "0"
 
 
-def package_modules_after(code):
-    """The ``influenceops`` modules that a fresh interpreter holds after ``code``."""
+def run_python(code):
+    """The stdout of ``code`` run in a fresh interpreter that imports this package."""
     import subprocess
     import sys
 
     import influenceops
 
-    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'influenceops'))"
     env = {**os.environ, "PYTHONPATH": str(Path(influenceops.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    return set(out.stdout.split())
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
 
 
-def test_loading_the_bundled_inputs_imports_no_analytics_generator_or_cli():
+def package_modules_after(code):
+    """The ``influenceops`` modules that a fresh interpreter holds after ``code``."""
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'influenceops'))"
+    return set(run_python(code).split())
+
+
+def test_loading_the_bundled_inputs_imports_only_the_loaders():
+    """Neither the corpus scanner nor the renderer, let alone analytics, the
+    generator or the CLI."""
     loaded = package_modules_after("import influenceops; influenceops.load_bundled_catalog()")
-    unused = {"analytics", "generate", "report", "graphexport", "evidence", "cli"}
-    assert "influenceops.resources" in loaded
-    assert not loaded & {f"influenceops.{m}" for m in unused}
+    modules = ("documents", "errors", "resources", "strategies", "taxonomy")
+    assert loaded == {"influenceops", *(f"influenceops.{m}" for m in modules)}
+
+
+def test_the_first_scan_after_the_loaders_imports_the_corpus_scanner():
+    """ingest_histogram imports ``corpus`` on its first call, and counts as a
+    run that imported the CLI first does."""
+    fixture = Path(__file__).parent / "golden" / "fixture_corpus.csv"
+    scan = (
+        "from influenceops.strategies import ingest_histogram\n"
+        "taxonomy = load_bundled_taxonomy(); catalog = load_bundled_catalog(taxonomy)\n"
+        f"cc, report = ingest_histogram({str(fixture)!r}, taxonomy, catalog)\n"
+        "print(sorted(cc.histogram.items()), report.warnings())\n"
+    )
+    loaders = "from influenceops.resources import load_bundled_catalog, load_bundled_taxonomy\n"
+    holds_corpus = "import sys; print('influenceops.corpus' in sys.modules)\n"
+    [absent, loader_run, present] = run_python(loaders + holds_corpus + scan + holds_corpus).splitlines()
+    [cli_run] = run_python("import influenceops.cli\n" + loaders + scan).splitlines()
+    assert (absent, present) == ("False", "True")
+    assert loader_run == cli_run
+    assert loader_run.startswith("[(0, ")
 
 
 def test_importing_the_cli_loads_every_module_a_command_runs():

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -7,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influenceops import (
+    ClassifiedCorpus,
+    SchemaError,
+    StrategyCatalog,
     UnknownFormat,
     conditional_probabilities,
     cooccurrence,
 )
+from influenceops.cli import main
 from influenceops.graphexport import _xml_escape, _xml_quoteattr, export_graph
+from influenceops.resources import bundled_data_path
 
 from helpers import classified_from_profiles
 
@@ -94,6 +100,57 @@ def test_xml_helpers_match_saxutils(text):
 
     assert _xml_escape(text) == escape(text)
     assert _xml_quoteattr(text) == quoteattr(text)
+
+
+def is_xml_char(c):
+    """XML 1.0's Char production."""
+    return c in "\t\n\r" or "\x20" <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+
+
+NAME_CHARS = "a &<>\"'\n\r\t]é\x00\x01\x0b\x0c\x1f\x7f\x85\ud800\udfff\ufffd\ufffe\uffff\U0001f600"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=st.sampled_from(NAME_CHARS), min_size=1) | st.text(min_size=1),
+                min_size=7, max_size=7))
+def test_graphml_names_read_back_or_are_refused(catalog, hand_cc, names):
+    """Each drawn name reads back exactly from the GraphML, or the export is
+    refused naming the first strategy whose name XML cannot hold."""
+    strategies = tuple(replace(s, name=name) for s, name in zip(catalog.strategies, names))
+    cc = ClassifiedCorpus(StrategyCatalog(strategies, catalog.taxonomy_version), hand_cc.histogram, "names")
+    for graph in (cooccurrence(cc), conditional_probabilities(cc)):
+        bad = [(node.strategy_id, c) for node in graph.nodes for c in node.name if not is_xml_char(c)]
+        if bad:
+            with pytest.raises(SchemaError) as raised:
+                export_graph(graph, "graphml")
+            strategy_id, c = bad[0]
+            assert str(raised.value).startswith(f"strategy {strategy_id!r}: name holds U+{ord(c):04X},")
+            continue
+        parsed = nx.read_graphml(io.BytesIO(export_graph(graph, "graphml").encode("utf-8")))
+        assert {n: data["name"] for n, data in parsed.nodes(data=True)} == {
+            node.strategy_id: node.name for node in graph.nodes
+        }
+
+
+@pytest.mark.parametrize("name, code_point", [("Narrative\x01Release", "0001"), ("Narrative\x0bRelease", "000B")])
+def test_graph_refuses_a_name_graphml_cannot_hold(tmp_path, capsys, name, code_point):
+    """A typed error before anything is written; JSON still holds the name. (The
+    catalog loader already refuses a lone surrogate.)"""
+    doc = json.loads(bundled_data_path("catalog.json").read_text(encoding="utf-8"))
+    doc["strategies"][0]["name"] = name
+    catalog_path, corpus_path = tmp_path / "catalog.json", tmp_path / "corpus.csv"
+    catalog_path.write_text(json.dumps(doc), encoding="utf-8")
+    corpus_path.write_text("incident_id,title,year,targets,techniques\nX-1,t,2020,,T0115\n", encoding="utf-8")
+    argv = ["graph", "--kind", "cooccurrence", "--catalog", str(catalog_path), "--corpus", str(corpus_path)]
+    out = tmp_path / "graph.graphml"
+    assert main([*argv, "--format", "graphml", "--out", str(out)]) == 1
+    assert main([*argv, "--format", "graphml"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"SchemaError: strategy 'NR': name holds U+{code_point}, which XML 1.0 cannot hold\n" * 2
+    assert not out.exists()
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"][0]["name"] == name
 
 
 def test_package_does_not_import_xml():
