@@ -27,6 +27,7 @@ import os
 import stat
 import sys
 from collections.abc import Iterable
+from dataclasses import replace
 
 from .analytics import conditional_probabilities, cooccurrence
 from .errors import InfluenceOpsError
@@ -95,26 +96,32 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    add_command = functools.partial(commands.add_parser, allow_abbrev=False)
 
-    add_command("validate", parents=[inputs, optional_corpus],
+    def add_command(name, run, **kwargs):
+        """A subcommand that ``main`` runs as ``run(args)``."""
+        command = commands.add_parser(name, allow_abbrev=False, **kwargs)
+        command.set_defaults(run=run)
+        return command
+
+    add_command("validate", cmd_validate, parents=[inputs, optional_corpus],
                 help="validate taxonomy, catalog, and (optionally) a corpus")
-    add_command("classify", parents=[inputs, corpus, strict_prep, out, pretty],
+    add_command("classify", cmd_classify, parents=[inputs, corpus, strict_prep, out, pretty],
                 help="classify each incident into strategies")
 
-    stats = add_command("stats", parents=[inputs, corpus, strict_prep, out, pretty],
+    stats = add_command("stats", cmd_stats, parents=[inputs, corpus, strict_prep, out, pretty],
                         help="full analytics report for a corpus")
     stats.add_argument("--min-support", type=int, default=1,
                        help="conditional-graph source-count threshold (default 1)")
 
-    graph = add_command("graph", parents=[inputs, corpus, strict_prep, out], help="export a strategy graph")
+    graph = add_command("graph", cmd_graph, parents=[inputs, corpus, strict_prep, out], help="export a strategy graph")
     graph.add_argument("--kind", choices=("cooccurrence", "conditional"), required=True)
     graph.add_argument("--format", dest="fmt", default="dot",
                        help=f"output format: {', '.join(GRAPH_FORMATS)}")
     graph.add_argument("--min-support", type=int,
                        help="conditional-graph source-count threshold (default 1); --kind conditional only")
 
-    generate = add_command("generate", parents=[inputs, out], help="generate a synthetic corpus from a spec")
+    generate = add_command("generate", cmd_generate, parents=[inputs, out],
+                           help="generate a synthetic corpus from a spec")
     generate.add_argument("--spec", required=True, type=_path, help="generator spec JSON path")
     generate.add_argument("--seed", type=int, default=None,
                           help="override the seed recorded in the spec")
@@ -241,21 +248,10 @@ def cmd_generate(args) -> int:
     _, catalog = _load_inputs(args)
     spec = load_generator_spec(args.spec)
     if args.seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=args.seed)
     write = corpus_to_json if args.corpus_format == "json" else corpus_to_csv
     _emit(write(generate_corpus(spec, catalog)), args.out)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "classify": cmd_classify,
-    "stats": cmd_stats,
-    "graph": cmd_graph,
-    "generate": cmd_generate,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -264,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "graph" and args.kind == "cooccurrence" and args.min_support is not None:
         parser.error("argument --min-support: not allowed with --kind cooccurrence")
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except InfluenceOpsError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -16,15 +16,19 @@ Past the spec parser a pattern is a strategy mask; mask 0 is unmapped. The
 incidents of mask m carry the techniques whose ``catalog.technique_bits``
 meet m, its strategies' execution techniques (minimal witnesses), or meet
 ``m | m << n`` under ``include_preparation``, adding their preparation
-techniques. That inverts ``strategies.strategy_mask``, so classifying the
-output gives back the masks. Identical spec + seed produces a
-byte-identical corpus, and no error depends on the hash seed: the seed
-drives only the greedy's tie-breaking and the synthetic metadata (ordering,
-years). Work is per distinct mask except for the layout: one shuffle of
-the incidents and one year drawn per incident. The draws are random.py's
-(``Random.shuffle`` and ``Random.randrange``), inlined over ``getrandbits``
-in ``_shuffle`` and ``_randranges`` so that no Python-level call is made per
-number drawn; ``test_inlined_draws_are_the_draws_of_random_py`` holds both to
+techniques, but no technique that also executes a strategy outside m. That
+inverts ``strategies.strategy_mask``: under the default rule, classifying
+the output gives back the masks for any catalog, also a hand-built one where
+a strategy prepares with another's execution technique; only two strategies
+that share an execution technique cannot be told apart. Identical spec +
+seed produces a byte-identical corpus, and no error depends on the hash
+seed: the seed drives only the greedy's tie-breaking and the synthetic
+metadata (ordering, years). Work is per distinct mask except for the layout:
+one shuffle of the incidents and one year drawn per incident. The draws are
+random.py's (``Random.shuffle`` and ``Random.randrange``), inlined over
+``getrandbits`` in ``_shuffle`` and ``_randranges`` so that no Python-level
+call is made per number drawn;
+``test_inlined_draws_are_the_draws_of_random_py`` holds both to
 ``random.Random``, results and generator state.
 
 ``_layout`` checks the spec and gives each incident's technique set and year.
@@ -394,7 +398,9 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
     for mask in sorted(counts, key=_largest_first):
         # Bit i is strategy i's execution technique, bit n + i its preparation techniques.
         wanted = mask | mask << n if spec.include_preparation else mask
-        technique_sets += [frozenset(t for t, b in bits if b & wanted)] * counts[mask]
+        # A technique that also executes a strategy outside the mask would add it.
+        outside = (1 << n) - 1 & ~mask
+        technique_sets += [frozenset(t for t, b in bits if b & wanted and not b & outside)] * counts[mask]
 
     _shuffle(technique_sets, rng.getrandbits)
     first_year, last_year = _YEAR_RANGE

@@ -10,9 +10,9 @@ can only ever shrink a profile.
 
 A catalog holds its strategies in ``STRATEGY_ORDER``, however it was built,
 so bit i of a strategy mask, ``catalog.strategies[i]``, is also the i-th
-strategy in display order. A classified corpus is its histogram over
-strategy masks: with seven strategies there are at most 128 bins, and every
-corpus statistic is a function of them.
+strategy in display order; ``by_id`` and ``mask_of`` read i from one index.
+A classified corpus is its strategy-mask histogram: seven strategies give
+at most 128 bins, and every corpus statistic is a function of them.
 
 The rule is stated once, as ``strategy_mask``, over technique masks in the
 one bit layout of ``catalog.technique_bits``. ``match_strategies`` applies
@@ -82,11 +82,12 @@ class StrategyCatalog:
         object.__setattr__(self, "strategies", ordered)
 
     @cached_property
-    def _by_id(self) -> dict[str, StrategyDefinition]:
-        return {s.id: s for s in self.strategies}
+    def _index(self) -> dict[str, int]:
+        """Strategy id -> its position, which is also its bit in a strategy mask."""
+        return {s.id: i for i, s in enumerate(self.strategies)}
 
     def by_id(self, strategy_id: str) -> StrategyDefinition:
-        return self._by_id[strategy_id]
+        return self.strategies[self._index[strategy_id]]
 
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.strategies)
@@ -95,16 +96,12 @@ class StrategyCatalog:
         """Canonically ordered ids of the strategies whose bits are set in mask."""
         return tuple(s.id for i, s in enumerate(self.strategies) if mask >> i & 1)
 
-    @cached_property
-    def _bits(self) -> dict[str, int]:
-        return {s.id: 1 << i for i, s in enumerate(self.strategies)}
-
     def mask_of(self, ids: Iterable[str]) -> int:
         """The strategy mask of ids, the inverse of ``ids_of_mask``; raises
         KeyError on an id the catalog lacks."""
         mask = 0
         for strategy_id in ids:
-            mask |= self._bits[strategy_id]
+            mask |= 1 << self._index[strategy_id]
         return mask
 
     @cached_property

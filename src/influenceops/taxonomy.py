@@ -4,10 +4,12 @@ A taxonomy is a three-level tree (phase -> tactic -> technique) loaded from
 a versioned JSON document. The loader is the one place that checks a
 document, so a `Taxonomy` obtained from `load_taxonomy` is always valid and
 nothing re-checks it; `validate_taxonomy` also checks hand-built objects and
-returns violations as data instead of raising. Instances are immutable and
-safe for concurrent reads, so ``loads_taxonomy`` parses each document text
-once per process and returns the same object for it; ``load_taxonomy``
-reads the file on every call, and an invalid document raises every time.
+returns violations as data instead of raising. A lookup by id, at any level,
+reads one table of the three levels and raises ``NotFound`` naming the level.
+Instances are immutable and safe for concurrent reads, so ``loads_taxonomy``
+parses each document text once per process and returns the same object for
+it; ``load_taxonomy`` reads the file on every call, and an invalid document
+raises every time.
 """
 
 from __future__ import annotations
@@ -78,41 +80,30 @@ class Taxonomy:
     provenance: str | None = None
 
     @cached_property
-    def _phases_by_id(self) -> dict[str, Phase]:
-        return {p.id: p for p in self.phases}
+    def _levels(self) -> dict[str, dict[str, Phase | Tactic | Technique]]:
+        levels = {"phase": self.phases, "tactic": self.tactics, "technique": self.techniques}
+        return {level: {e.id: e for e in entries} for level, entries in levels.items()}
 
-    @cached_property
-    def _tactics_by_id(self) -> dict[str, Tactic]:
-        return {t.id: t for t in self.tactics}
-
-    @cached_property
-    def _techniques_by_id(self) -> dict[str, Technique]:
-        return {t.id: t for t in self.techniques}
+    def _find(self, level: str, entry_id: str):
+        try:
+            return self._levels[level][entry_id]
+        except KeyError:
+            raise NotFound(f"unknown {level} id {entry_id!r}") from None
 
     def phase(self, phase_id: str) -> Phase:
-        try:
-            return self._phases_by_id[phase_id]
-        except KeyError:
-            raise NotFound(f"unknown phase id {phase_id!r}") from None
+        return self._find("phase", phase_id)
 
     def tactic(self, tactic_id: str) -> Tactic:
-        try:
-            return self._tactics_by_id[tactic_id]
-        except KeyError:
-            raise NotFound(f"unknown tactic id {tactic_id!r}") from None
+        return self._find("tactic", tactic_id)
 
     def technique(self, technique_id: str) -> Technique:
-        try:
-            return self._techniques_by_id[technique_id]
-        except KeyError:
-            raise NotFound(f"unknown technique id {technique_id!r}") from None
+        return self._find("technique", technique_id)
 
     def has_technique(self, technique_id: str) -> bool:
-        return technique_id in self._techniques_by_id
+        return technique_id in self._levels["technique"]
 
     def phase_of_technique(self, technique_id: str) -> Phase:
-        tech = self.technique(technique_id)
-        return self.phase(self.tactic(tech.tactic_id).phase_id)
+        return self.phase(self.tactic(self.technique(technique_id).tactic_id).phase_id)
 
 
 def validate_taxonomy(taxonomy: Taxonomy) -> ValidationReport:
@@ -196,13 +187,9 @@ def validate_taxonomy(taxonomy: Taxonomy) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _phase(entry: dict, where: str) -> Phase:
-    return Phase(nonempty_string(entry, "id", where), nonempty_string(entry, "name", where))
-
-
-def _child(cls):
-    """The builder of a tactic or technique entry, from its id, name and parent id."""
-    return lambda e, w: cls(*(nonempty_string(e, key, w) for key in ("id", "name", "parent_id")))
+def _entry(cls, *keys: str):
+    """The builder of a ``cls`` entry from its id, name and each of ``keys``."""
+    return lambda e, where: cls(*(nonempty_string(e, key, where) for key in ("id", "name", *keys)))
 
 
 @lru_cache(maxsize=16)
@@ -211,9 +198,9 @@ def loads_taxonomy(text: str) -> Taxonomy:
     shared object per text (an error is not cached)."""
     doc = parse_object(text, "taxonomy document")
     version = nonempty_string(doc, "version", "taxonomy")
-    phases = objects(doc, "phases", "taxonomy", _phase)
-    tactics = objects(doc, "tactics", "taxonomy", _child(Tactic))
-    techniques = objects(doc, "techniques", "taxonomy", _child(Technique))
+    phases = objects(doc, "phases", "taxonomy", _entry(Phase))
+    tactics = objects(doc, "tactics", "taxonomy", _entry(Tactic, "parent_id"))
+    techniques = objects(doc, "techniques", "taxonomy", _entry(Technique, "parent_id"))
     profile = typed(doc, "profile", "taxonomy", str, None)
     if profile not in (None, TABLE1_PROFILE):
         raise SchemaError(f"taxonomy: field 'profile' must be {TABLE1_PROFILE!r}, not {profile!r}")

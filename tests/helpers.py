@@ -1,9 +1,11 @@
-"""Small constructors, and the schema validator, shared by the test modules."""
+"""Small constructors, drawn histograms and the schema validator, shared by the test modules."""
 
 import json
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from influenceops import Corpus, Incident, StrategyCatalog, classify_corpus, classify_incident
 
@@ -66,3 +68,13 @@ def non_disjoint_catalog(catalog):
         ),
         catalog.taxonomy_version,
     )
+
+
+def four_strategy_catalog(catalog):
+    return StrategyCatalog(catalog.strategies[:4], catalog.taxonomy_version)
+
+
+def histograms(catalog, counts=st.integers(1, 4)):
+    """Drawn {mask: count} with a mapped mask; small counts by default, for many ties."""
+    masks = st.integers(1, 2 ** len(catalog.strategies) - 1)
+    return st.tuples(st.dictionaries(masks, counts, min_size=1), st.integers(0, 2)).map(lambda h: {**h[0], 0: h[1]})

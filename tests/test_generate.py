@@ -35,7 +35,7 @@ from influenceops import (
 
 import influenceops
 import oracle
-from helpers import profiles_of
+from helpers import non_disjoint_catalog, profiles_of
 from influenceops.cli import main
 from influenceops.generate import (
     MAX_INCIDENTS,
@@ -112,6 +112,22 @@ def test_include_preparation_adds_pipelines_without_changing_classification(cata
         | td.preparation_techniques
     )
     assert mapped_profiles(bare, catalog) == mapped_profiles(full, catalog)
+
+
+@pytest.mark.parametrize("include_preparation, strict_prep", [(False, False), (True, False), (True, True)])
+@pytest.mark.parametrize("hand_built", [False, True], ids=["bundled", "non_disjoint"])
+def test_a_one_pattern_spec_classifies_back_to_itself(catalog, hand_built, include_preparation, strict_prep):
+    """Every non-empty pattern, alone in an exact spec, is what classifying the
+    output gives back, also where a preparation technique executes another
+    strategy (the non-disjoint catalog: NS prepares with NR's execution)."""
+    catalog = non_disjoint_catalog(catalog) if hand_built else catalog
+    wrong = []
+    for mask in range(1, 1 << len(catalog.strategies)):
+        spec = replace(exact_spec({catalog.ids_of_mask(mask): 2}), include_preparation=include_preparation)
+        cc = classify_corpus(generate_corpus(spec, catalog), catalog, strict_prep)
+        if cc.histogram != {mask: 2}:
+            wrong.append((catalog.ids_of_mask(mask), dict(cc.histogram)))
+    assert wrong == []
 
 
 # --- solver mode ---------------------------------------------------------------

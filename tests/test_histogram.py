@@ -25,17 +25,13 @@ from influenceops.strategies import STRATEGY_ORDER, ClassifiedCorpus
 
 import oracle
 import reference_ingest
-from helpers import corpus_of, non_disjoint_catalog, schema_validator
+from helpers import corpus_of, four_strategy_catalog, histograms, non_disjoint_catalog, schema_validator
 
 
 def technique_pool(catalog):
     """Execution and preparation ids of the catalog, plus ids outside it."""
     used = set().union(*(s.technique_ids() for s in catalog.strategies))
     return sorted(used | {"T0117", "X0002", "T9999"})
-
-
-def four_strategy_catalog(catalog):
-    return StrategyCatalog(catalog.strategies[:4], catalog.taxonomy_version)
 
 
 def mask_of(catalog, strategy_ids):
@@ -188,12 +184,6 @@ def drawn_catalog(catalog, which):
 
 
 CATALOGS = st.sampled_from(["bundled", "reversed", "four", "every-other"])
-
-
-def histograms(catalog, counts=st.integers(1, 4)):
-    """Drawn {mask: count} with a mapped mask; small counts by default, for many ties."""
-    masks = st.integers(1, 2 ** len(catalog.strategies) - 1)
-    return st.tuples(st.dictionaries(masks, counts, min_size=1), st.integers(0, 2)).map(lambda h: {**h[0], 0: h[1]})
 
 
 @settings(max_examples=100, deadline=None)

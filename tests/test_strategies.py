@@ -318,3 +318,7 @@ def test_by_id_unknown_strategy_raises_key_error(catalog):
     assert catalog.by_id("TD").execution_technique == "T0048"
     with pytest.raises(KeyError):
         catalog.by_id("XX")
+    with pytest.raises(KeyError):
+        catalog.mask_of(["XX"])
+    for mask in range(1 << len(catalog.strategies)):
+        assert catalog.mask_of(catalog.ids_of_mask(mask)) == mask

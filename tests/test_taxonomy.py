@@ -238,8 +238,29 @@ def test_each_taxonomy_rule_reports_its_violations(hand_built, violations):
     ("phase", "P9", "unknown phase id 'P9'"),
     ("tactic", "TA99", "unknown tactic id 'TA99'"),
     ("technique", "t0115", "unknown technique id 't0115'"),
+    ("phase_of_technique", "T9999", "unknown technique id 'T9999'"),
 ])
 def test_lookup_of_an_unknown_id_is_not_found(taxonomy, lookup, key, message):
     with pytest.raises(NotFound) as err:
         getattr(taxonomy, lookup)(key)
+    assert str(err.value) == message
+
+
+def test_has_technique_is_an_exact_id_match(taxonomy):
+    assert taxonomy.has_technique("T0115")
+    assert not taxonomy.has_technique("t0115")
+    assert not taxonomy.has_technique("T9999")
+
+
+@pytest.mark.parametrize("tactics, message", [
+    ((("A2", "P1"),), "unknown tactic id 'A1'"),
+    ((("A1", "P9"),), "unknown phase id 'P9'"),
+])
+def test_phase_of_technique_names_the_level_a_hand_built_taxonomy_lacks(tactics, message):
+    """T1 sits under tactic A1: with A1 missing, or A1 under a missing phase,
+    the lookup is a NotFound for that level, not for the technique."""
+    hand_built = small_taxonomy(tactics=tactics)
+    assert hand_built.has_technique("T1")
+    with pytest.raises(NotFound) as err:
+        hand_built.phase_of_technique("T1")
     assert str(err.value) == message
