@@ -19,8 +19,9 @@ meet m, its strategies' execution techniques (minimal witnesses), or meet
 techniques, but no technique that also executes a strategy outside m. That
 inverts ``strategies.strategy_mask``: under the default rule, classifying
 the output gives back the masks for any catalog, also a hand-built one where
-a strategy prepares with another's execution technique; only two strategies
-that share an execution technique cannot be told apart. Identical spec +
+a strategy prepares with another's execution technique. Where two strategies
+share an execution technique, neither can occur without the other, and a
+pattern holding one alone is refused with ``InfeasibleSpec``. Identical spec +
 seed produces a byte-identical corpus, and no error depends on the hash
 seed: the seed drives only the greedy's tie-breaking and the synthetic
 metadata (ordering, years). Work is per distinct mask except for the layout:
@@ -218,18 +219,26 @@ def _class_takes(residual: list[int], k: int, c: int, order: list[int]) -> list[
     is left is majorized by what any other filling of the class leaves, so
     the Gale-Ryser inequalities, which bound sums of the largest marginals,
     keep holding for the remaining classes.
-    """
-    def taken(level: int) -> int:
-        return sum(min(max(r - level, 0), c) for r in residual)
 
+    The level comes from one sweep down the 2n breakpoints, so the cost per
+    class is one sort of 2n pairs, whatever c is: the total taken at a level,
+    sum(min(max(r_j - level, 0), c)), is piecewise linear in the level, and
+    its slope steps up by one at each r_j and down by one at each r_j - c.
+    """
     need = k * c
-    low, high = min(residual) - c, max(residual)  # taken(low) = n*c >= need > 0 = taken(high)
-    while high - low > 1:
-        mid = (low + high) // 2
-        if taken(mid) >= need:
-            low = mid
-        else:
-            high = mid
+    # Walk down from max(residual), adding slope * (level - at) per segment,
+    # until a segment reaches need; the last breakpoint, min(residual) - c,
+    # has n*c >= need taken, so one does.
+    events = sorted([(r, 1) for r in residual] + [(r - c, -1) for r in residual], reverse=True)
+    level, total, slope = events[0][0], 0, 0
+    for at, step in events:
+        gained = total + slope * (level - at)
+        if gained >= need:
+            break
+        level, total, slope = at, gained, slope + step
+    # The largest level at which at least need is taken: level less the
+    # ceiling of (need - total) / slope, written as a floor division.
+    low = level + (total - need) // slope
     takes = [min(max(r - low - 1, 0), c) for r in residual]
     extra = need - sum(takes)
     for j in order:
@@ -400,7 +409,18 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
         wanted = mask | mask << n if spec.include_preparation else mask
         # A technique that also executes a strategy outside the mask would add it.
         outside = (1 << n) - 1 & ~mask
-        technique_sets += [frozenset(t for t, b in bits if b & wanted and not b & outside)] * counts[mask]
+        techniques = [(t, b) for t, b in bits if b & wanted and not b & outside]
+        # A strategy whose execution technique executes one outside the mask
+        # too cannot be given without it.
+        executed = 0
+        for _, b in techniques:
+            executed |= b
+        if executed & (1 << n) - 1 != mask and counts[mask]:
+            raise InfeasibleSpec(
+                f"pattern {list(catalog.ids_of_mask(mask))} cannot be generated: the execution technique of "
+                f"{', '.join(catalog.ids_of_mask(mask & ~executed))} also executes a strategy outside the pattern"
+            )
+        technique_sets += [frozenset(t for t, _ in techniques)] * counts[mask]
 
     _shuffle(technique_sets, rng.getrandbits)
     first_year, last_year = _YEAR_RANGE

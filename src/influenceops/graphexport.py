@@ -21,8 +21,9 @@ from .errors import SchemaError, UnknownFormat
 from .render import _decimal, json_text, ratio_payload
 
 # A character outside XML 1.0's Char production: no document can hold it, not
-# even as a character reference.
-_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# even as a character reference. Written as the five ranges outside Char, which
+# compile several times faster than the negated class of Char.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _xml_escape(text: str) -> str:

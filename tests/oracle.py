@@ -3,6 +3,7 @@
 Deliberately independent of the analytics module: every number comes from a
 fresh loop over the profile list at query time, with no shared accumulation,
 so these can confirm or refute the production implementations.
+``realisation`` and ``class_takes`` do the same for the generator's solver.
 """
 
 from fractions import Fraction
@@ -63,3 +64,28 @@ def realisation(marginals, sizes, pinned=()):
         ):
             return sets
     return None
+
+
+def class_takes(residual, k, c, order):
+    """``generate._class_takes`` as it was first written: the level found by
+    bisecting on the total taken, one probe per halving of [min(residual) - c,
+    max(residual)].
+    """
+    def taken(level: int) -> int:
+        return sum(min(max(r - level, 0), c) for r in residual)
+
+    need = k * c
+    low, high = min(residual) - c, max(residual)  # taken(low) = n*c >= need > 0 = taken(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if taken(mid) >= need:
+            low = mid
+        else:
+            high = mid
+    takes = [min(max(r - low - 1, 0), c) for r in residual]
+    extra = need - sum(takes)
+    for j in order:
+        if extra and residual[j] - c <= low < residual[j]:
+            takes[j] += 1
+            extra -= 1
+    return takes

@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from influenceops import (
@@ -19,6 +19,7 @@ from influenceops import (
     InfluenceOpsError,
     ParseError,
     SchemaError,
+    StrategyCatalog,
     ZeroIncidents,
     classify_corpus,
     corpus_to_csv,
@@ -40,6 +41,8 @@ from influenceops.cli import main
 from influenceops.generate import (
     MAX_INCIDENTS,
     _YEAR_RANGE,
+    _class_patterns,
+    _class_takes,
     _document,
     _layout,
     _layout_csv,
@@ -128,6 +131,36 @@ def test_a_one_pattern_spec_classifies_back_to_itself(catalog, hand_built, inclu
         if cc.histogram != {mask: 2}:
             wrong.append((catalog.ids_of_mask(mask), dict(cc.histogram)))
     assert wrong == []
+
+
+def shared_execution_catalog(catalog):
+    """The catalog with NS given NR's execution technique, as only a
+    hand-built catalog can have: neither strategy can occur without the other."""
+    nr = catalog.by_id("NR")
+    return StrategyCatalog(
+        tuple(replace(s, execution_technique=nr.execution_technique) if s.id == "NS" else s
+              for s in catalog.strategies),
+        catalog.taxonomy_version,
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    exact_spec({("NS",): 1, ("NR",): 1, ("NR", "NA"): 1, ("NR", "NS"): 1}),
+    GeneratorSpec(mode="marginal-solver", marginals={"NR": 2, "NA": 1}, size_distribution={2: 1, 1: 1}),
+], ids=["exact", "solver"])
+def test_a_pattern_split_from_a_shared_execution_technique_is_refused(catalog, spec):
+    """The first pattern in largest-first order that holds NR without NS."""
+    with pytest.raises(InfeasibleSpec) as raised:
+        generate_corpus(spec, shared_execution_catalog(catalog))
+    assert str(raised.value) == ("pattern ['NR', 'NA'] cannot be generated: the execution technique of NR"
+                                 " also executes a strategy outside the pattern")
+
+
+def test_a_pattern_holding_both_strategies_of_a_shared_execution_technique_generates(catalog):
+    shared = shared_execution_catalog(catalog)
+    spec = exact_spec({("NR", "NS"): 2, ("NR", "NS", "TD"): 1, ("NR",): 0}, unmapped=1)
+    cc = classify_corpus(generate_corpus(spec, shared), shared)
+    assert cc.histogram == {shared.mask_of(["NR", "NS"]): 2, shared.mask_of(["NR", "NS", "TD"]): 1, 0: 1}
 
 
 # --- solver mode ---------------------------------------------------------------
@@ -236,6 +269,43 @@ def test_solver_succeeds_iff_a_realisation_exists(catalog, spec):
         assert oracle.strategy_count(profiles, strategy_id) == spec.marginals.get(strategy_id, 0)
     for pattern, minimum in spec.pinned_patterns.items():
         assert oracle.exact_count(profiles, pattern) >= minimum
+
+
+@st.composite
+def size_classes(draw):
+    """A size class that Ryser's greedy can fill: residual marginals of n
+    strategies, c incidents of size k with sum(min(r, c)) >= k*c, and a
+    tie-break order."""
+    n = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 500))
+    residual = draw(st.lists(st.integers(0, c + 300), min_size=n, max_size=n))
+    fits = min(n, sum(min(r, c) for r in residual) // c)
+    assume(fits >= 1)
+    return residual, draw(st.integers(1, fits)), c, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(size_class=size_classes())
+def test_the_sweep_takes_what_the_bisection_took(size_class):
+    assert _class_takes(*size_class) == oracle.class_takes(*size_class)
+
+
+@pytest.mark.parametrize("residual, k, c, order", [
+    pytest.param([9, 3, 3], 2, 4, [0, 1, 2], id="take_of_c_arc_from_0"),
+    pytest.param([9, 3, 3], 2, 4, [1, 0, 2], id="take_of_c_arc_wrapping"),
+    pytest.param([2, 1, 3], 1, 5, [2, 0, 1], id="residuals_below_c"),
+    pytest.param([6, 6, 6, 6], 2, 5, [3, 1, 0, 2], id="all_residuals_equal"),
+    pytest.param([5, 7, 5], 3, 5, [1, 2, 0], id="k_equals_n"),
+    pytest.param([9, 5, 5, 5, 1], 2, 4, [4, 3, 1, 0, 2], id="ties_at_the_level"),
+])
+def test_a_size_class_a_draw_can_miss(residual, k, c, order):
+    """The bisection's takes, laid out as c incidents of k strategies each."""
+    takes = _class_takes(residual, k, c, order)
+    assert takes == oracle.class_takes(residual, k, c, order)
+    runs = _class_patterns(takes, c, order)
+    assert sum(count for _, count in runs) == c
+    assert {mask.bit_count() for mask, _ in runs} == {k}
+    assert [sum(count for mask, count in runs if mask >> j & 1) for j in range(len(residual))] == takes
 
 
 def scaled_fixture_spec(scale):

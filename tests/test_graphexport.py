@@ -16,7 +16,7 @@ from influenceops import (
     cooccurrence,
 )
 from influenceops.cli import main
-from influenceops.graphexport import _xml_escape, _xml_quoteattr, export_graph
+from influenceops.graphexport import _NOT_XML, _xml_escape, _xml_quoteattr, export_graph
 from influenceops.resources import bundled_data_path
 
 from helpers import classified_from_profiles
@@ -105,6 +105,13 @@ def test_xml_helpers_match_saxutils(text):
 def is_xml_char(c):
     """XML 1.0's Char production."""
     return c in "\t\n\r" or "\x20" <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+
+
+def test_the_refused_characters_are_those_outside_xml_char():
+    """Every code point below U+10000, and both ends of the range above it."""
+    for code_point in [*range(0x10000), 0x10000, 0x10FFFF]:
+        c = chr(code_point)
+        assert bool(_NOT_XML.fullmatch(c)) is not is_xml_char(c), f"U+{code_point:04X}"
 
 
 NAME_CHARS = "a &<>\"'\n\r\t]é\x00\x01\x0b\x0c\x1f\x7f\x85\ud800\udfff\ufffd\ufffe\uffff\U0001f600"
