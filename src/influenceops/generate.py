@@ -412,13 +412,13 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
         techniques = [(t, b) for t, b in bits if b & wanted and not b & outside]
         # A strategy whose execution technique executes one outside the mask
         # too cannot be given without it.
-        executed = 0
+        missing = mask
         for _, b in techniques:
-            executed |= b
-        if executed & (1 << n) - 1 != mask and counts[mask]:
+            missing &= ~b
+        if missing and counts[mask]:
             raise InfeasibleSpec(
                 f"pattern {list(catalog.ids_of_mask(mask))} cannot be generated: the execution technique of "
-                f"{', '.join(catalog.ids_of_mask(mask & ~executed))} also executes a strategy outside the pattern"
+                f"{', '.join(catalog.ids_of_mask(missing))} also executes a strategy outside the pattern"
             )
         technique_sets += [frozenset(t for t, _ in techniques)] * counts[mask]
 
