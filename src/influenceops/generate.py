@@ -27,12 +27,15 @@ seed: the seed drives only the greedy's tie-breaking and the synthetic
 metadata (ordering, years). Work is per distinct mask except for the layout:
 one shuffle of the incidents and one year drawn per incident. The draws are
 random.py's (``Random.shuffle`` and ``Random.randrange``), inlined over
-``getrandbits`` in ``_shuffle`` and ``_randranges`` so that no Python-level
-call is made per number drawn;
-``test_inlined_draws_are_the_draws_of_random_py`` holds both to
-``random.Random``, results and generator state.
+``getrandbits`` in ``_shuffle`` and ``_randranges``. The shuffle is one step
+of a Python loop per incident; the years take no Python-level step per
+incident, because they are read a byte each from whole generator words, in
+the order in which CPython's ``getrandbits`` packs the words.
+``test_inlined_draws_are_the_draws_of_random_py``, run on each supported
+Python, holds both to ``random.Random``, results and generator state.
 
-``_layout`` checks the spec and gives each incident's technique set and year.
+``_layout`` checks the spec and gives the incidents' technique sets and year
+offsets as two sequences (``_Layout``), with no object made per incident.
 ``generate_corpus`` builds its Corpus from it; the ``generate`` command writes
 the bytes of ``corpus_to_csv``/``corpus_to_json`` straight from it, building no
 Incident (``_layout_csv``, ``_layout_json``): a JSON row fills a ``json_block``
@@ -44,10 +47,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 from .corpus import CSV_HEADER, Corpus, Incident, _csv_field
@@ -289,16 +292,36 @@ def _shuffle(items: list, getrandbits) -> None:
         top = bottom - 1
 
 
-def _randranges(getrandbits, start: int, stop: int, count: int) -> Iterator[int]:
-    """``random.Random.randrange(start, stop)`` drawn count times, for the
-    Random whose ``getrandbits`` this is and start < stop, drawing the same
-    bits: random.py draws width.bit_length() bits until a draw falls below
-    width = stop - start. One chain of C-level iterators, which stops after
-    the last accepted draw."""
-    width = stop - start
-    # getrandbits never returns the sentinel -1, so the draws never end.
-    draws = filter(width.__gt__, iter(partial(getrandbits, width.bit_length()), -1))
-    return map(start.__add__, islice(draws, count))
+def _randranges(getrandbits, width: int, count: int) -> Iterable[int]:
+    """``random.Random.randrange(width)`` drawn count times, for the Random
+    whose ``getrandbits`` this is and width >= 1, drawing the same bits:
+    random.py draws k = width.bit_length() bits until a draw falls below
+    width.
+
+    A k-bit draw is the top k bits of one 32-bit generator word. Below width
+    256 (k <= 8), each round draws the count - len(out) words still needed
+    with one ``getrandbits`` call, which CPython fills from its least
+    significant word up, so the words' top bytes, in draw order, are every
+    fourth byte of its little-endian bytes. One ``bytes.translate`` drops
+    the bytes of rejected draws and shifts the rest down to k bits. A round
+    accepts at most one number per word, so no round draws a word that the
+    one-at-a-time loop would not. The word order is CPython's, and
+    ``test_inlined_draws_are_the_draws_of_random_py``, run on each Python
+    that CI runs (3.10-3.13), is what holds it.
+    Wider widths are one chain of C-level iterators, which stops after the
+    last accepted draw."""
+    k = width.bit_length()
+    if k > 8:
+        # getrandbits never returns the sentinel -1, so the draws never end.
+        return islice(filter(width.__gt__, iter(partial(getrandbits, k), -1)), count)
+    shift = 8 - k
+    table = bytes(b >> shift for b in range(256))
+    rejected = bytes(range(width << shift, 256))
+    out = bytearray()
+    while len(out) < count:
+        need = count - len(out)
+        out += getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(table, rejected)
+    return out
 
 
 def _solve_pattern_counts(
@@ -375,13 +398,31 @@ def _solve_pattern_counts(
     return counts
 
 
-def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozenset[str], int]]:
-    """Every check of the spec, then the technique set (one per strategy mask,
-    shared) and year of each incident in output order, numbered from 1.
+@dataclass(frozen=True)
+class _Layout:
+    """The incidents in output order, numbered from 1: incident i has
+    technique set ``technique_sets[i - 1]`` (one per strategy mask, shared)
+    and year ``_YEAR_RANGE[0] + year_offsets[i - 1]``. Its len() is the
+    incident count."""
+    technique_sets: list[frozenset[str]]
+    year_offsets: bytearray  # _randranges of a width below 256
+
+    def __len__(self) -> int:
+        return len(self.technique_sets)
+
+    def rows(self) -> Iterator[tuple[int, frozenset[str], int]]:
+        """(i, technique set, year offset) per incident, made as it is read."""
+        return zip(count(1), self.technique_sets, self.year_offsets)
+
+
+def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> _Layout:
+    """Every check of the spec, then the layout of its incidents.
 
     The seeded draws are those of ``rng.shuffle(technique_sets)`` and of
     ``rng.randrange(2014, 2025)`` per incident, inlined (``_shuffle``,
-    ``_randranges``) and held to ``random.Random`` by a named test."""
+    ``_randranges``) and held to ``random.Random`` by a named test. No
+    Python code runs per incident outside the shuffle, and no object is
+    made per incident: the sets are shared and the year offsets are bytes."""
     spec = _spec(_document(spec))
     _check_strategy_ids(spec, catalog)
     exact = spec.mode == EXACT_MODE
@@ -424,11 +465,9 @@ def _layout(spec: GeneratorSpec, catalog: StrategyCatalog) -> list[tuple[frozens
 
     _shuffle(technique_sets, rng.getrandbits)
     first_year, last_year = _YEAR_RANGE
-    # The draws of randrange(first_year, last_year + 1), as offsets into one
-    # shared int per year rather than a new int per incident.
-    years = tuple(range(first_year, last_year + 1))
-    offsets = _randranges(rng.getrandbits, 0, len(years), len(technique_sets))
-    return list(zip(technique_sets, map(years.__getitem__, offsets)))
+    # randrange(first_year, last_year + 1) is first_year + randrange(width).
+    offsets = _randranges(rng.getrandbits, last_year + 1 - first_year, len(technique_sets))
+    return _Layout(technique_sets, offsets)
 
 
 def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None) -> Corpus:
@@ -441,32 +480,35 @@ def generate_corpus(spec: GeneratorSpec, catalog: StrategyCatalog | None = None)
         from .resources import load_bundled_catalog
 
         catalog = load_bundled_catalog()
+    first_year = _YEAR_RANGE[0]
     incidents = tuple(
-        Incident(_ID % i, _TITLE % i, year, (), techniques)
-        for i, (techniques, year) in enumerate(_layout(spec, catalog), start=1)
+        Incident(_ID % i, _TITLE % i, first_year + offset, (), techniques)
+        for i, techniques, offset in _layout(spec, catalog).rows()
     )
     return Corpus(incidents, source=f"generated(seed={spec.seed})")
 
 
-def _text(layout: list[tuple[frozenset[str], int]], row: str, render, head: str, sep: str, tail: str,
-          empty: str) -> Iterator[str]:
-    """The document of ``row % (i, i, year, render(techniques))`` for each
-    incident i of the layout, laid out by ``render.chunked``, so that one chunk
-    of rows is held at a time. Each distinct technique set is rendered once."""
-    rendered = {t: render(t) for t in {t for t, _ in layout}}
-    rows = (row % (i, i, year, rendered[t]) for i, (t, year) in enumerate(layout, 1))
+def _text(layout: _Layout, row: str, render, head: str, sep: str, tail: str, empty: str) -> Iterator[str]:
+    """The document of ``row % (i, i, str(year), render(techniques))`` for
+    each incident i of the layout, laid out by ``render.chunked``, so that one
+    chunk of rows is held at a time. Each year and each distinct technique set
+    is rendered once."""
+    rendered = {t: render(t) for t in set(layout.technique_sets)}
+    first_year, last_year = _YEAR_RANGE
+    years = tuple(map(str, range(first_year, last_year + 1)))
+    rows = (row % (i, i, years[offset], rendered[t]) for i, t, offset in layout.rows())
     return chunked(rows, head, sep, tail, empty)
 
 
-def _layout_csv(layout: list[tuple[frozenset[str], int]]) -> Iterator[str]:
+def _layout_csv(layout: _Layout) -> Iterator[str]:
     """``corpus_to_csv`` of the layout's corpus in chunks, without building it.
     Ids, titles and years need no quoting; the incidents have no targets."""
     header = ",".join(CSV_HEADER) + "\n"
-    return _text(layout, f"{_ID},{_TITLE},%d,,%s", lambda t: _csv_field("|".join(sorted(t))),
+    return _text(layout, f"{_ID},{_TITLE},%s,,%s", lambda t: _csv_field("|".join(sorted(t))),
                  header, "\n", "\n", header)
 
 
-def _layout_json(layout: list[tuple[frozenset[str], int]]) -> Iterator[str]:
+def _layout_json(layout: _Layout) -> Iterator[str]:
     """``corpus_to_json`` of the layout's corpus in chunks, without building it.
     Ids and titles need no escaping; the incidents have no targets."""
     return _text(layout, _JSON_ROW, lambda t: json_block(sorted(t), 2),

@@ -65,8 +65,21 @@ MUTANTS = (
            "if missing and counts[mask]:", "if False:", GENERATE),
     Mutant("shared execution check refuses a pattern of no incidents", "generate.py",
            "if missing and counts[mask]:", "if missing:", GENERATE),
+    Mutant("word draws accept the first rejected byte", "generate.py",
+           "rejected = bytes(range(width << shift, 256))", "rejected = bytes(range((width << shift) + 1, 256))",
+           GENERATE),
+    Mutant("each word round draws count words", "generate.py",
+           "need = count - len(out)", "need = count", GENERATE),
+    Mutant("word draws keep one bit too many", "generate.py",
+           "shift = 8 - k", "shift = 7 - k", GENERATE),
     Mutant("fraction_of_multi is 0 with one multi-strategy incident", "analytics.py",
            "if self.multi_total == 0:", "if self.multi_total <= 1:", ("tests/test_analytics.py",)),
+    Mutant("strict preparation reads the previous strategy's preparation bit", "strategies.py",
+           "m >> n if strict_prep else m", "m >> n - 1 if strict_prep else m", ("tests/test_strategies.py",)),
+    Mutant("decimal ties round half up", "render.py",
+           "doubled == denominator and whole & 1", "doubled == denominator", ("tests/test_render.py",)),
+    Mutant("CSV field with a lone \\r left unquoted", "corpus.py",
+           """re.compile('[,"\\r\\n]')""", """re.compile('[,"\\n]')""", ("tests/test_corpus.py",)),
 )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -308,12 +309,12 @@ def test_a_size_class_a_draw_can_miss(residual, k, c, order):
     assert [sum(count for mask, count in runs if mask >> j & 1) for j in range(len(residual))] == takes
 
 
-def scaled_fixture_spec(scale):
+def scaled_fixture_spec(scale, seed=5):
     """The fixture's targets times scale, nothing pinned."""
     fixture = load_fixture_spec()
     return {
         "mode": "marginal-solver",
-        "seed": 5,
+        "seed": seed,
         "unmapped_count": fixture.unmapped_count * scale,
         "marginals": {s: m * scale for s, m in fixture.marginals.items()},
         "size_distribution": {str(k): c * scale for k, c in fixture.size_distribution.items()},
@@ -745,6 +746,47 @@ def test_generate_holds_less_than_half_of_its_output_at_once(tmp_path):
     assert peak < out.stat().st_size / 2, (peak, out.stat().st_size)
 
 
+def test_the_layout_makes_no_object_per_incident(catalog):
+    """The fixture spec's targets x250 (20,250 incidents): the traced peak of
+    _layout stays under 24 bytes per incident. That is a list slot per
+    incident for its shared technique set, a byte for its year offset and the
+    year draw's transient words; a tuple or a year int per incident would
+    take more. The layout's len() is its incident count."""
+    import tracemalloc
+
+    spec = loads_generator_spec(json.dumps(scaled_fixture_spec(250, seed=7)))
+    incidents = 81 * 250
+    assert len(_layout(spec, catalog)) == incidents
+    tracemalloc.start()
+    try:
+        layout = _layout(spec, catalog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(layout) == incidents
+    assert peak < 24 * incidents, peak / incidents
+
+
+# sha256 of generate's output for the fixture spec's targets x50 (4,050
+# incidents), with the spec's seed and with a --seed: the year draws take
+# several rounds of generator words, and the shuffle is 50 times the golden's.
+SCALED_SHA256 = {
+    (None, "csv"): "744581f0118305a647d1cabc553e91da2fefb3de66b7ff2aa695a92e59299a29",
+    (None, "json"): "4a27dc09e4a4bbcbacebe64dc78cdefe684b39f858d6c7c5368a3e90f68410dc",
+    (2024, "csv"): "5c2dd155f61857de21f3a7c31fcc655170224188363c26242a0811a16ea087e7",
+    (2024, "json"): "0b9417f017dea84ba8ccae8db77018a4fd9a4e44cd12ba56728b16dc9fa418c2",
+}
+
+
+@pytest.mark.parametrize("seed, fmt", list(SCALED_SHA256))
+def test_generate_bytes_at_fifty_times_the_fixture(tmp_path, seed, fmt):
+    spec_path, out = tmp_path / "spec.json", tmp_path / "corpus"
+    spec_path.write_text(json.dumps(scaled_fixture_spec(50, seed=7)), encoding="utf-8")
+    argv = ["generate", "--spec", str(spec_path), "--corpus-format", fmt, "--out", str(out)]
+    assert main(argv if seed is None else [*argv, "--seed", str(seed)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCALED_SHA256[seed, fmt]
+
+
 def test_generate_errors_match_the_library(catalog, scratch, capsys):
     """Zero-incident, over-limit, infeasible and negative-seed specs: the same
     error as generate_corpus, exit 1, and no --out file."""
@@ -822,7 +864,6 @@ def test_inlined_draws_are_the_draws_of_random_py(seed, length, width, first):
     assert items == expected
     assert a.getstate() == b.getstate()
 
-    stop = first + width
-    expected = [a.randrange(first, stop) for _ in range(length)]
-    assert list(_randranges(b.getrandbits, first, stop, length)) == expected
+    expected = [a.randrange(first, first + width) for _ in range(length)]
+    assert [first + offset for offset in _randranges(b.getrandbits, width, length)] == expected
     assert a.getstate() == b.getstate()
