@@ -47,10 +47,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import count, islice
+from itertools import count
 from pathlib import Path
 
 from .corpus import CSV_HEADER, Corpus, Incident, _csv_field
@@ -292,28 +291,24 @@ def _shuffle(items: list, getrandbits) -> None:
         top = bottom - 1
 
 
-def _randranges(getrandbits, width: int, count: int) -> Iterable[int]:
+def _randranges(getrandbits, width: int, count: int) -> bytearray:
     """``random.Random.randrange(width)`` drawn count times, for the Random
-    whose ``getrandbits`` this is and width >= 1, drawing the same bits:
+    whose ``getrandbits`` this is and 1 <= width < 256, drawing the same bits:
     random.py draws k = width.bit_length() bits until a draw falls below
-    width.
+    width. The one caller passes width 11, the years of ``_YEAR_RANGE``, so
+    each draw is a byte; a width of 256 or more fails on a negative shift.
 
-    A k-bit draw is the top k bits of one 32-bit generator word. Below width
-    256 (k <= 8), each round draws the count - len(out) words still needed
-    with one ``getrandbits`` call, which CPython fills from its least
-    significant word up, so the words' top bytes, in draw order, are every
-    fourth byte of its little-endian bytes. One ``bytes.translate`` drops
-    the bytes of rejected draws and shifts the rest down to k bits. A round
-    accepts at most one number per word, so no round draws a word that the
-    one-at-a-time loop would not. The word order is CPython's, and
-    ``test_inlined_draws_are_the_draws_of_random_py``, run on each Python
-    that CI runs (3.10-3.13), is what holds it.
-    Wider widths are one chain of C-level iterators, which stops after the
-    last accepted draw."""
+    A k-bit draw is the top k bits of one 32-bit generator word. Each round
+    draws the count - len(out) words still needed with one ``getrandbits``
+    call, which CPython fills from its least significant word up, so the
+    words' top bytes, in draw order, are every fourth byte of its
+    little-endian bytes. One ``bytes.translate`` drops the bytes of rejected
+    draws and shifts the rest down to k bits. A round accepts at most one
+    number per word, so no round draws a word that the one-at-a-time loop
+    would not. The word order is CPython's, and
+    ``test_inlined_draws_are_the_draws_of_random_py``, run on each Python that
+    CI runs (3.10-3.13), is what holds it."""
     k = width.bit_length()
-    if k > 8:
-        # getrandbits never returns the sentinel -1, so the draws never end.
-        return islice(filter(width.__gt__, iter(partial(getrandbits, k), -1)), count)
     shift = 8 - k
     table = bytes(b >> shift for b in range(256))
     rejected = bytes(range(width << shift, 256))

@@ -7,7 +7,9 @@ both graph kinds. The JSON view is ``graph_document``, the node/edge document
 whose parts the report's ``graphs`` block also embeds; a conditional edge's
 probability there is a ``render.ratio_payload`` of its two counts, and in
 DOT and GraphML labels the decimal of the same two counts, with no
-``Fraction`` built. GraphML refuses, with SchemaError, a strategy name
+``Fraction`` built. Strategy ids are ``STRATEGY_ORDER`` tokens, since
+``StrategyCatalog`` refuses any other id, so DOT and GraphML write them as
+they are; names are escaped, and GraphML refuses, with SchemaError, a name
 holding a character that XML 1.0 cannot hold. No plotting here; these
 documents feed external renderers.
 """
@@ -39,21 +41,6 @@ def _xml_text(text: str, strategy_id: str) -> str:
     if bad:
         raise SchemaError(f"strategy {strategy_id!r}: name holds U+{ord(bad.group()):04X}, which XML 1.0 cannot hold")
     return _xml_escape(text).replace("\r", "&#13;")
-
-
-def _xml_quoteattr(text: str) -> str:
-    """Escape text for an XML attribute value and wrap it in quotes.
-
-    Newline, carriage return and tab become character references. Double
-    quotes are used unless the value contains one and no single quote;
-    with both kinds present, double quotes are escaped as &quot;.
-    """
-    text = _xml_escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
-    if '"' not in text:
-        return f'"{text}"'
-    if "'" not in text:
-        return f"'{text}'"
-    return '"{}"'.format(text.replace('"', "&quot;"))
 
 
 def _dot_quote(text: str) -> str:
@@ -117,7 +104,7 @@ def _graphml(graph: CooccurrenceGraph | ConditionalGraph) -> str:
     ]
     for node in graph.nodes:
         lines.append(
-            f"    <node id={_xml_quoteattr(node.strategy_id)}>"
+            f'    <node id="{node.strategy_id}">'
             f'<data key="name">{_xml_text(node.name, node.strategy_id)}</data>'
             f'<data key="count">{node.count}</data>'
             "</node>"
@@ -129,7 +116,7 @@ def _graphml(graph: CooccurrenceGraph | ConditionalGraph) -> str:
         else:
             source, target, values = edge.a, edge.b, (edge.weight,)
         data = "".join(f'<data key="{key}">{value}</data>' for (key, _), value in zip(edge_keys, values))
-        lines.append(f"    <edge source={_xml_quoteattr(source)} target={_xml_quoteattr(target)}>{data}</edge>")
+        lines.append(f'    <edge source="{source}" target="{target}">{data}</edge>')
     lines.extend(["  </graph>", "</graphml>"])
     return "\n".join(lines) + "\n"
 

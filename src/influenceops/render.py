@@ -6,7 +6,10 @@ integers on the numerator and denominator, so no float ever enters the
 pipeline. ``ratio_payload`` builds the JSON view of a ratio from its two
 integers, as the report and the conditional-graph document do from the
 counts they hold; the DOT and GraphML writers label edges with ``_decimal``
-of the same two counts.
+of the same two counts. Both take counts, to 1, 4 or 6 places: a numerator
+>= 0 (``ClassifiedCorpus`` refuses a negative count) over a denominator >= 1
+(a corpus with no mapped incident raises ``EmptyCorpus`` before any share,
+and a conditional edge's source count reaches its support threshold, >= 1).
 
 ``json_block`` is the package's one statement of the JSON layout: the bytes
 of ``json.dumps(value, indent=2, ensure_ascii=False)`` for values of str, int,
@@ -37,27 +40,21 @@ CHUNK_ROWS = 512
 
 
 def _decimal(numerator: int, denominator: int, places: int) -> str:
-    """Fixed-point decimal text of numerator/denominator, denominator > 0, to
-    ``places`` places, round-half-even; the pair need not be reduced."""
-    if places < 0:
-        raise ValueError("places must be >= 0")
-    whole, remainder = divmod(abs(numerator) * 10**places, denominator)
+    """Fixed-point decimal text of counts numerator >= 0 over denominator >= 1,
+    to ``places`` >= 1 places, round-half-even; the pair need not be reduced."""
+    whole, remainder = divmod(numerator * 10**places, denominator)
     doubled = 2 * remainder
     if doubled > denominator or (doubled == denominator and whole & 1):
         whole += 1
-    sign = "-" if numerator < 0 else ""
     digits = str(whole).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    return f"{digits[:-places]}.{digits[-places:]}"
 
 
 def ratio_payload(numerator: int, denominator: int, percent: bool = False) -> dict:
-    """JSON view of numerator/denominator: the reduced integer pair, then its
-    decimal to 4 places or, with ``percent``, its percentage to 1 place,
-    round-half-even. Raises ZeroDivisionError on a zero denominator."""
-    if denominator < 0:
-        numerator, denominator = -numerator, -denominator
+    """JSON view of counts numerator >= 0 over denominator >= 1: the reduced
+    integer pair, then its decimal to 4 places or, with ``percent``, its
+    percentage to 1 place, round-half-even. Raises ZeroDivisionError on a
+    zero denominator."""
     common = gcd(numerator, denominator)
     numerator, denominator = numerator // common, denominator // common
     payload = {"numerator": numerator, "denominator": denominator}

@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
 
 
 GENERATE = ("tests/test_generate.py",)
+RENDER = ("tests/test_render.py",)
+GRAPHEXPORT = ("tests/test_graphexport.py",)
 
 MUTANTS = (
     Mutant("sweep stop test reaches need only strictly", "generate.py",
@@ -77,7 +79,18 @@ MUTANTS = (
     Mutant("strict preparation reads the previous strategy's preparation bit", "strategies.py",
            "m >> n if strict_prep else m", "m >> n - 1 if strict_prep else m", ("tests/test_strategies.py",)),
     Mutant("decimal ties round half up", "render.py",
-           "doubled == denominator and whole & 1", "doubled == denominator", ("tests/test_render.py",)),
+           "doubled == denominator and whole & 1", "doubled == denominator", RENDER),
+    Mutant("decimal without its zero padding", "render.py",
+           "rjust(places + 1", "rjust(places", RENDER),
+    Mutant("ratio_payload without its reduction", "render.py",
+           "common = gcd(numerator, denominator)", "common = 1", RENDER),
+    Mutant("XML escape of & after <", "graphexport.py",
+           'text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")',
+           'text.replace(">", "&gt;").replace("<", "&lt;").replace("&", "&amp;")', GRAPHEXPORT),
+    Mutant("DOT quote without its backslash escape", "graphexport.py",
+           r'escaped = text.replace("\\", "\\\\")', "escaped = text", GRAPHEXPORT),
+    Mutant("XML text without its &#13;", "graphexport.py",
+           r'_xml_escape(text).replace("\r", "&#13;")', "_xml_escape(text)", GRAPHEXPORT),
     Mutant("CSV field with a lone \\r left unquoted", "corpus.py",
            """re.compile('[,"\\r\\n]')""", """re.compile('[,"\\n]')""", ("tests/test_corpus.py",)),
 )
