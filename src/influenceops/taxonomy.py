@@ -14,6 +14,7 @@ raises every time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -114,15 +115,22 @@ def validate_taxonomy(taxonomy: Taxonomy) -> ValidationReport:
     "table1" profile, the per-phase tactic counts are checked as well.
     """
     violations: list[Violation] = []
+    ids: dict[str, dict] = {}
 
     def bad(code: str, message: str) -> None:
         violations.append(Violation(code, message))
 
-    seen_phase_ids: set[str] = set()
-    for phase in taxonomy.phases:
-        if phase.id in seen_phase_ids:
-            bad("duplicate-id", f"duplicate phase id {phase.id!r}")
-        seen_phase_ids.add(phase.id)
+    def each(level: str, entries):
+        """Each entry, after its id is checked against the earlier ones at
+        its level; ``ids[level]`` maps each id of the level to its entry."""
+        seen = ids[level] = {}
+        for entry in entries:
+            if entry.id in seen:
+                bad("duplicate-id", f"duplicate {level} id {entry.id!r}")
+            seen[entry.id] = entry
+            yield entry
+
+    for phase in each("phase", taxonomy.phases):
         if phase.name not in PHASE_NAMES:
             bad("phase-name", f"phase {phase.id!r} has unknown name {phase.name!r}")
 
@@ -133,24 +141,16 @@ def validate_taxonomy(taxonomy: Taxonomy) -> ValidationReport:
         if names != sorted(PHASE_NAMES):
             bad("phase-name", f"phase names {names} != {sorted(PHASE_NAMES)}")
 
-    seen_tactic_ids: set[str] = set()
-    for tactic in taxonomy.tactics:
-        if tactic.id in seen_tactic_ids:
-            bad("duplicate-id", f"duplicate tactic id {tactic.id!r}")
-        seen_tactic_ids.add(tactic.id)
-        if tactic.phase_id not in seen_phase_ids:
+    for tactic in each("tactic", taxonomy.tactics):
+        if tactic.phase_id not in ids["phase"]:
             bad(
                 "orphan-tactic",
                 f"tactic {tactic.id!r} references unknown phase {tactic.phase_id!r}",
             )
 
-    seen_technique_ids: set[str] = set()
     names_in_tactic: set[tuple[str, str]] = set()
-    for tech in taxonomy.techniques:
-        if tech.id in seen_technique_ids:
-            bad("duplicate-id", f"duplicate technique id {tech.id!r}")
-        seen_technique_ids.add(tech.id)
-        if tech.tactic_id not in seen_tactic_ids:
+    for tech in each("technique", taxonomy.techniques):
+        if tech.tactic_id not in ids["tactic"]:
             bad(
                 "orphan-technique",
                 f"technique {tech.id!r} references unknown tactic {tech.tactic_id!r}",
@@ -172,16 +172,13 @@ def validate_taxonomy(taxonomy: Taxonomy) -> ValidationReport:
                 f"{expected_total} tactics, found {len(taxonomy.tactics)}",
             )
         else:
-            by_phase_name = {p.id: p.name for p in taxonomy.phases}
+            per_phase = Counter(ids["phase"][t.phase_id].name for t in taxonomy.tactics)
             for phase_name, expected in TABLE1_TACTIC_COUNTS.items():
-                got = sum(
-                    1 for t in taxonomy.tactics if by_phase_name[t.phase_id] == phase_name
-                )
-                if got != expected:
+                if per_phase[phase_name] != expected:
                     bad(
                         "tactic-count",
                         f"tactic count mismatch: phase {phase_name!r} expects "
-                        f"{expected} tactics, found {got}",
+                        f"{expected} tactics, found {per_phase[phase_name]}",
                     )
 
     return ValidationReport(tuple(violations))

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 GENERATE = ("tests/test_generate.py",)
 RENDER = ("tests/test_render.py",)
 GRAPHEXPORT = ("tests/test_graphexport.py",)
+TAXONOMY = ("tests/test_taxonomy.py",)
 
 MUTANTS = (
     Mutant("sweep stop test reaches need only strictly", "generate.py",
@@ -91,6 +92,14 @@ MUTANTS = (
            r'escaped = text.replace("\\", "\\\\")', "escaped = text", GRAPHEXPORT),
     Mutant("XML text without its &#13;", "graphexport.py",
            r'_xml_escape(text).replace("\r", "&#13;")', "_xml_escape(text)", GRAPHEXPORT),
+    Mutant("duplicate-id check skips the technique level", "taxonomy.py",
+           "if entry.id in seen:", 'if entry.id in seen and level != "technique":', TAXONOMY),
+    Mutant("orphan technique looked up among the phase ids", "taxonomy.py",
+           'tech.tactic_id not in ids["tactic"]', 'tech.tactic_id not in ids["phase"]', TAXONOMY),
+    Mutant("technique name key keeps its case", "taxonomy.py",
+           "(tech.tactic_id, tech.name.lower())", "(tech.tactic_id, tech.name)", TAXONOMY),
+    Mutant("table1 per-phase count flags only too few tactics", "taxonomy.py",
+           "if per_phase[phase_name] != expected:", "if per_phase[phase_name] < expected:", TAXONOMY),
     Mutant("CSV field with a lone \\r left unquoted", "corpus.py",
            """re.compile('[,"\\r\\n]')""", """re.compile('[,"\\n]')""", ("tests/test_corpus.py",)),
 )

@@ -5,14 +5,17 @@ strategy sets and exact Fractions, renders each decimal with the decimal
 module, and never imports the package. ``perfbench/inputs.py`` restates the
 bundled catalog and draws the corpora. Both are loaded by path, as they
 are, so this is the check of every decimal the CLI prints that shares no
-code with it. It covers the bundled catalog only; ``test_roundtrip.py``
-covers a smaller one.
+code with it. ``classify --pretty``, which check.py does not parse, is held
+line by line to ``inputs.strategy_set``, and ``generate`` on a drawn scale of
+``inputs.scaled_spec`` to ``check.check_generated``. It covers the bundled
+catalog only; ``test_roundtrip.py`` covers a smaller one.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import io
+import json
 import sys
 import tempfile
 from collections import Counter
@@ -72,7 +75,7 @@ def _classify_rows(incidents, strict_prep: bool) -> list[dict]:
     ]
 
 
-# max_examples=120: 10 commands on each of 123 corpora of up to 300 incidents
+# max_examples=120: 11 commands on each of 123 corpora of up to 300 incidents
 # take about 4 s on a shared 2-vCPU VM (Python 3.11).
 @settings(max_examples=120, deadline=None)
 @given(
@@ -106,6 +109,7 @@ def test_every_output_is_the_checkers(seed, size, unknown_rate, cover_all, fmt, 
         support = ["--min-support", str(min_support)]
         validate = run(["validate", *corpus])
         classify = run(["classify", *flags])
+        classify_pretty = run(["classify", "--pretty", *flags])
         stats = [run(["stats", *flags, *support, *pretty]) for pretty in ([], ["--pretty"])]
         graphs = [
             (kind, graph_fmt, run(["graph", "--kind", kind, "--format", graph_fmt, *flags,
@@ -116,7 +120,7 @@ def test_every_output_is_the_checkers(seed, size, unknown_rate, cover_all, fmt, 
 
     if dropped and not lenient:
         # Strict ingestion refuses the first unknown technique id.
-        for code, out, err in [validate, classify, *stats, *(result for _, _, result in graphs)]:
+        for code, out, err in [validate, classify, classify_pretty, *stats, *(result for _, _, result in graphs)]:
             assert (code, out) == (1, "")
             assert err.startswith("UnknownTechnique: ") and err.count("\n") == 1
         return
@@ -127,6 +131,13 @@ def test_every_output_is_the_checkers(seed, size, unknown_rate, cover_all, fmt, 
     code, out, err = classify
     assert (code, err) == (0, "")
     check.check_classify(out, _classify_rows(incidents, strict_prep))
+    code, out, err = classify_pretty
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{inc.incident_id}: {'+'.join(inputs.strategy_set(inc.known(), strict_prep)) or '(unmapped)'}"
+        for inc in incidents
+    ]
+    assert out.endswith("\n")
 
     if not exp.mapped:
         for code, out, err in [*stats, *(result for _, _, result in graphs)]:
@@ -143,3 +154,16 @@ def test_every_output_is_the_checkers(seed, size, unknown_rate, cover_all, fmt, 
     for kind, graph_fmt, (code, out, err) in graphs:
         assert (code, err) == (0, "")
         writers[graph_fmt](out, exp, kind, min_support)  # a cooccurrence check reads no min_support
+
+
+# max_examples=80: generate at up to 50 times the fixture (4,050 incidents)
+# takes about 1.2 s on a shared 2-vCPU VM (Python 3.11).
+@settings(max_examples=80, deadline=None)
+@given(scale=st.integers(1, 50), seed=st.integers(0, 2**32), fmt=st.sampled_from(["csv", "json"]))
+def test_a_generated_corpus_is_the_checkers(scale, seed, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps(inputs.scaled_spec(scale, seed)), encoding="utf-8")
+        code, out, err = run(["generate", "--spec", str(spec), "--corpus-format", fmt])
+    assert (code, err) == (0, "")
+    assert check.check_generated(out, fmt, scale) == 81 * scale

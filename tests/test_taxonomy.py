@@ -191,13 +191,14 @@ def test_load_is_deterministic():
 
 
 def small_taxonomy(phases=(("P1", "Plan"), ("P2", "Prepare"), ("P3", "Execute"), ("P4", "Assess")),
-                   tactics=(("A1", "P1"),), profile=None):
-    """Four phases, one tactic per (id, phase id) pair and one technique under A1."""
+                   tactics=(("A1", "P1"),), techniques=(("T1", "Technique", "A1"),), profile=None):
+    """Four phases, one tactic per (id, phase id) pair and one technique per
+    (id, name, tactic id) triple, by default one technique under A1."""
     return Taxonomy(
         version="test",
         phases=tuple(Phase(i, name) for i, name in phases),
         tactics=tuple(Tactic(i, f"Tactic {k}", phase_id) for k, (i, phase_id) in enumerate(tactics)),
-        techniques=(Technique("T1", "Technique", "A1"),),
+        techniques=tuple(Technique(*t) for t in techniques),
         profile=profile,
     )
 
@@ -222,7 +223,29 @@ TABLE1_TACTICS = [(f"A{k}", phase_id) for k, phase_id in enumerate(["P1"] * 3 + 
                  "[duplicate-id] duplicate tactic id 'A1'", id="duplicate-tactic-id"),
     pytest.param(small_taxonomy(tactics=(("A1", "P1"), ("A2", "P9"))),
                  "[orphan-tactic] tactic 'A2' references unknown phase 'P9'", id="orphan-tactic"),
+    pytest.param(small_taxonomy(techniques=(("T1", "Technique", "A1"), ("T1", "Other", "A1"))),
+                 "[duplicate-id] duplicate technique id 'T1'", id="duplicate-technique-id"),
+    pytest.param(small_taxonomy(techniques=(("T1", "Technique", "A1"), ("T2", "TECHNIQUE", "A1"))),
+                 "[duplicate-name] technique name 'TECHNIQUE' repeated within tactic 'A1'", id="duplicate-name"),
+    pytest.param(small_taxonomy(techniques=(("T1", "Technique", "A9"),)),
+                 "[orphan-technique] technique 'T1' references unknown tactic 'A9'", id="orphan-technique"),
+    pytest.param(small_taxonomy(phases=(("P1", "Plan"), ("P2", "Prepare"), ("P2", "Executing")),
+                                tactics=(("A1", "P1"), ("A1", "P2"), ("A2", "P9")),
+                                techniques=(("T1", "Technique", "A1"), ("T1", "technique", "A1"),
+                                            ("T2", "Loose", "A9")),
+                                profile="table1"),
+                 "[duplicate-id] duplicate phase id 'P2'\n"
+                 "[phase-name] phase 'P2' has unknown name 'Executing'\n"
+                 "[phase-count] expected 4 phases, found 3\n"
+                 "[duplicate-id] duplicate tactic id 'A1'\n"
+                 "[orphan-tactic] tactic 'A2' references unknown phase 'P9'\n"
+                 "[duplicate-id] duplicate technique id 'T1'\n"
+                 "[duplicate-name] technique name 'technique' repeated within tactic 'A1'\n"
+                 "[orphan-technique] technique 'T2' references unknown tactic 'A9'", id="every-level"),
     pytest.param(small_taxonomy(tactics=TABLE1_TACTICS, profile="table1"), "ok", id="table1"),
+    pytest.param(small_taxonomy(tactics=TABLE1_TACTICS[:-1], profile="table1"),
+                 "[tactic-count] tactic count mismatch: profile 'table1' expects 16 tactics, found 15",
+                 id="table1-total"),
     pytest.param(small_taxonomy(tactics=[*TABLE1_TACTICS[:2], ("A3", "P2"), *TABLE1_TACTICS[3:]], profile="table1"),
                  "[tactic-count] tactic count mismatch: phase 'Plan' expects 3 tactics, found 2\n"
                  "[tactic-count] tactic count mismatch: phase 'Prepare' expects 6 tactics, found 7",
