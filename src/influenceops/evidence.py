@@ -5,14 +5,24 @@ technique ids behind them. It builds no Incident, Corpus or
 StrategyProfile. Each checked row is reduced to a technique mask over
 ``catalog.technique_bits`` (bit i for strategy i's execution technique, bit
 n + i and an own bit from 2n up for each of its preparation techniques),
-and only (incident id, mask) pairs are kept for
-``strategies.match_strategies``, the matcher of ``classify_incident``. The
-output is put together from pieces that incidents share: one evidence block
-per strategy and subset of its preparation techniques (42 for the bundled
-catalog), memoised by the matcher, and one strategy list per strategy mask,
-each list written by ``render.json_block`` at its depth. Only the row around
-them is a hand-written template. ``--pretty`` needs no evidence: it reads
-each incident's strategy mask with ``strategies.strategy_mask``.
+and only (incident id, mask) pairs are kept.
+
+A JSON row is one f-string of six pieces, each looked up, not built: the
+escaped id; per strategy mask, the strategy list and the opening of
+``evidence``; the evidence of the catalog's first ceil(n/2) strategies; a
+separator; the evidence of the rest; a closing. The catalog is split in two
+halves, and each half's evidence is memoised on its key: the half's matched
+strategies and the own bits of their preparation techniques in the row
+(``catalog.own_bits``). The memo is bounded by the catalog, not the corpus:
+a half has at most the product of 1 + 2^|prep_i| over its strategies i as
+keys, 2,125 and 135 for the bundled catalog, where one memo per whole row
+would take a key per distinct row. An entry is the join of evidence blocks,
+one per strategy and subset of its preparation techniques (42 for the
+bundled catalog); each block and strategy list is ``render.json_block`` at
+its depth. The renderer inlines the rule, ``strategies.strategy_mask``, in
+its loop; ``classify_incident`` applies it through
+``strategies.match_strategies``. ``--pretty`` needs no evidence: it reads
+each incident's strategy mask with ``strategy_mask``.
 
 The masks come from the same scan of the corpus file as ``ingest_corpus``
 (``corpus.scan_corpus``), which resolves the technique ids against the
@@ -36,7 +46,7 @@ from pathlib import Path
 
 from .corpus import IngestionReport, scan_corpus
 from .render import chunked, json_block
-from .strategies import StrategyCatalog, _Memo, match_strategies, strategy_mask
+from .strategies import StrategyCatalog, _Memo, strategy_mask
 from .taxonomy import Taxonomy
 
 
@@ -58,17 +68,41 @@ def classification_json_chunks(
 ) -> Iterator[str]:
     """The ``classify`` JSON document of ``ingest_technique_masks`` pairs, in
     chunks of ``render.CHUNK_ROWS`` incidents."""
+    n, own_bits = len(catalog.strategies), catalog.own_bits
+    shift, low = (n if strict_prep else 0), (1 << n) - 1
+    first = (1 << (n + 1) // 2) - 1  # the first half: strategies 0 .. ceil(n/2) - 1
 
-    def block(i, matched):
-        strategy_id, ids = catalog.evidence_item(i, matched)
+    def cut(half):
+        """The bits of half's strategies and the own bits of their preparation techniques."""
+        bits = half
+        for i in range(n):
+            if half >> i & 1:
+                bits |= own_bits[i]
+        return bits
+
+    def block(item):
+        strategy_id, ids = catalog.evidence_item(*item)
         return f"{encode_basestring(strategy_id)}: {json_block(list(ids), 3)}"
 
+    def pieces(sm):
+        a, b = sm & first, sm & ~first
+        opening, closing = ("{\n      ", "\n    }\n  }") if sm else ("{", "}\n  }")
+        strategies = json_block(list(catalog.ids_of_mask(sm)), 2)
+        return (f',\n    "strategies": {strategies},\n    "evidence": {opening}', cut(a),
+                ",\n      " if a and b else "", cut(b), closing)
+
+    blocks = _Memo(block)  # per (strategy i, own bits of i in the row)
+    # A half's key is tm & cut(half): the half's matched strategies and their own bits in the row.
+    # The two halves share the memo: their keys differ in the strategy bits, or are both 0.
+    halves = _Memo(lambda key: ",\n      ".join(blocks[i, key & own_bits[i]] for i in range(n) if key >> i & 1))
+    of_mask = _Memo(pieces)  # per strategy mask: the row's text before, between and after the halves
+
     def rows():
-        lists = _Memo(lambda sm: json_block(list(catalog.ids_of_mask(sm)), 2))
-        for incident_id, sm, blocks in match_strategies(pairs, catalog, strict_prep, block):
-            evidence = "{\n      " + ",\n      ".join(blocks) + "\n    }" if blocks else "{}"
-            yield (f'  {{\n    "incident_id": {encode_basestring(incident_id)},\n    "strategies": {lists[sm]},\n'
-                   f'    "evidence": {evidence}\n  }}')
+        for incident_id, tm in pairs:
+            sm = tm & tm >> shift & low  # strategy_mask(tm, n, strict_prep), inlined in this loop
+            head, cut_a, separator, cut_b, closing = of_mask[sm]
+            yield (f'  {{\n    "incident_id": {encode_basestring(incident_id)}{head}'
+                   f"{halves[tm & cut_a]}{separator}{halves[tm & cut_b]}{closing}")
 
     return chunked(rows(), "[\n", ",\n", "\n]\n", "[]\n")
 

@@ -16,10 +16,12 @@ at most 128 bins, and every corpus statistic is a function of them.
 
 The rule is stated once, as ``strategy_mask``, over technique masks in the
 one bit layout of ``catalog.technique_bits``. ``match_strategies`` applies
-it per incident for ``classify_incident`` and the ``classify`` command
-(``evidence.py``). ``classify_corpus`` and ``ingest_histogram``
-(``validate``, ``stats``, ``graph``) apply it once per distinct mask. The
-tests hold every path to a set-based reference.
+it per incident for ``classify_incident``; ``classify`` inlines it and reads
+each row's evidence from two halves of the catalog, memoised on their
+matched strategies' ``own_bits`` (``evidence.py``), 2,125 + 135 at most.
+``classify_corpus`` and ``ingest_histogram`` (``validate``, ``stats``,
+``graph``) apply it once per distinct mask. The tests hold every path to a
+set-based reference.
 
 ``corpus`` is imported by ``ingest_histogram``, where it is first used, so
 that loading a catalog imports neither the corpus scanner nor ``render``.
@@ -115,6 +117,12 @@ class StrategyCatalog:
             for p in sorted(s.preparation_techniques):
                 bits[p] = bits.get(p, 0) | 1 << n + i | 1 << 2 * n + own.setdefault(p, len(own))
         return bits
+
+    @cached_property
+    def own_bits(self) -> tuple[int, ...]:
+        """Per strategy, its preparation techniques' own bits (cut first: bit n + i would carry)."""
+        own = -1 << 2 * len(self.strategies)
+        return tuple(sum(self.technique_bits[p] & own for p in s.preparation_techniques) for s in self.strategies)
 
     def evidence_item(self, i: int, matched: int) -> tuple[str, tuple[str, ...]]:
         """(strategy id, evidence ids) of strategy i: its execution technique,
@@ -272,15 +280,10 @@ def check_disjointness(catalog: StrategyCatalog) -> ValidationReport:
         for technique_id in sorted(strategy.technique_ids()):
             owners.setdefault(technique_id, []).append(strategy.id)
 
-    violations = [
-        Violation(
-            "shared-technique",
-            f"technique {technique_id!r} appears in strategies {', '.join(ids)}",
-        )
-        for technique_id, ids in sorted(owners.items())
-        if len(ids) > 1
-    ]
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(
+        Violation("shared-technique", f"technique {technique_id!r} appears in strategies {', '.join(ids)}")
+        for technique_id, ids in sorted(owners.items()) if len(ids) > 1
+    ))
 
 
 def _check_technique(taxonomy: Taxonomy, where: str, strategy_id: str, role: str, technique: str, phase: str):
@@ -350,19 +353,15 @@ class _Memo(dict):
 def match_strategies(
     pairs: Iterable[tuple[str, int]], catalog: StrategyCatalog, strict_prep: bool, found
 ) -> Iterator[tuple[str, int, list]]:
-    """(incident id, strategy mask, [found(i, matched) per matched strategy i])
-    per (incident id, technique mask) pair; ``matched`` is the own bits of i's
-    preparation techniques in the mask. ``found`` runs once per (i, matched);
-    incidents share its values."""
-    n, bits = len(catalog.strategies), catalog.technique_bits
-    shift, low, own = (n if strict_prep else 0), (1 << n) - 1, -1 << 2 * n
-    # Own bits are masked before the sum: bit n + i, once per technique, would carry.
-    strategies = [(sum(bits[p] & own for p in s.preparation_techniques), _Memo(partial(found, i)))
-                  for i, s in enumerate(catalog.strategies)]
+    """(incident id, strategy mask, [found(i, tm & catalog.own_bits[i]) per matched
+    strategy i]) per (incident id, technique mask tm) pair; ``found`` runs once
+    per distinct argument pair."""
+    n = len(catalog.strategies)
+    strategies = [(own, _Memo(partial(found, i))) for i, own in enumerate(catalog.own_bits)]
     members = _Memo(lambda sm: [strategies[i] for i in range(n) if sm >> i & 1])
     for incident_id, tm in pairs:
-        sm = tm & tm >> shift & low  # strategy_mask(tm, n, strict_prep), inlined in this loop
-        yield incident_id, sm, [found_of[tm & prep_bits] for prep_bits, found_of in members[sm]]
+        sm = strategy_mask(tm, n, strict_prep)
+        yield incident_id, sm, [found_of[tm & own] for own, found_of in members[sm]]
 
 
 def _technique_masks(incidents: Iterable[Incident], catalog: StrategyCatalog) -> Iterator[tuple[str, int]]:

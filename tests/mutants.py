@@ -42,6 +42,7 @@ GENERATE = ("tests/test_generate.py",)
 RENDER = ("tests/test_render.py",)
 GRAPHEXPORT = ("tests/test_graphexport.py",)
 TAXONOMY = ("tests/test_taxonomy.py",)
+EVIDENCE = ("tests/test_ingest_paths.py",)
 
 MUTANTS = (
     Mutant("sweep stop test reaches need only strictly", "generate.py",
@@ -100,6 +101,14 @@ MUTANTS = (
            "(tech.tactic_id, tech.name.lower())", "(tech.tactic_id, tech.name)", TAXONOMY),
     Mutant("table1 per-phase count flags only too few tactics", "taxonomy.py",
            "if per_phase[phase_name] != expected:", "if per_phase[phase_name] < expected:", TAXONOMY),
+    Mutant("classify's own-bits union carries a shared own bit", "evidence.py",
+           "bits |= own_bits[i]", "bits += own_bits[i]", EVIDENCE),
+    Mutant("classify's first-half key keeps the second half's own bits", "evidence.py",
+           "cut(a),", "a | cut(sm) & ~low,", EVIDENCE),
+    Mutant("classify's first half holds every strategy", "evidence.py",
+           "first = (1 << (n + 1) // 2) - 1", "first = (1 << n) - 1", EVIDENCE),
+    Mutant("classify's separator between halves when either is non-empty", "evidence.py",
+           "if a and b else", "if a or b else", EVIDENCE),
     Mutant("CSV field with a lone \\r left unquoted", "corpus.py",
            """re.compile('[,"\\r\\n]')""", """re.compile('[,"\\n]')""", ("tests/test_corpus.py",)),
 )

@@ -7,12 +7,14 @@ bundled catalog and draws the corpora. Both are loaded by path, as they
 are, so this is the check of every decimal the CLI prints that shares no
 code with it. ``classify --pretty``, which check.py does not parse, is held
 line by line to ``inputs.strategy_set``, and ``generate`` on a drawn scale of
-``inputs.scaled_spec`` to ``check.check_generated``. It covers the bundled
-catalog only; ``test_roundtrip.py`` covers a smaller one.
+``inputs.scaled_spec`` to ``check.check_generated``; ``classify`` of one
+5,000-incident corpus to pinned sha256s. It covers the bundled catalog only;
+``test_roundtrip.py`` covers a smaller one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -22,6 +24,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -167,3 +170,34 @@ def test_a_generated_corpus_is_the_checkers(scale, seed, fmt):
         code, out, err = run(["generate", "--spec", str(spec), "--corpus-format", fmt])
     assert (code, err) == (0, "")
     assert check.check_generated(out, fmt, scale) == 81 * scale
+
+
+# sha256 of the classify JSON of inputs.make_incidents(1, 5_000, "CL",
+# unknown_rate=0.05, cover_all=True), --lenient, without and with --strict-prep.
+# The CSV and JSON corpora give the same bytes.
+LARGE_CLASSIFY_SHA256 = {
+    False: "4b5a7e181be3397ae6a8c8c416c07b1a6a57ccae5540a27efa43ce2e14a3a906",
+    True: "e77fee0dbc22347a446003bf98c681b0ed81a80c09a110e91bd2478bda4b044f",
+}
+
+
+@pytest.fixture(scope="module")
+def large_corpora(tmp_path_factory):
+    """The pinned 5,000-incident corpus, as CSV and as JSON."""
+    incidents = inputs.make_incidents(1, 5_000, "CL", unknown_rate=0.05, cover_all=True)
+    paths = {}
+    for fmt in ("csv", "json"):
+        paths[fmt] = tmp_path_factory.mktemp("large") / f"corpus.{fmt}"
+        inputs.write_corpus(paths[fmt], incidents)
+    return paths
+
+
+@pytest.mark.parametrize("strict_prep", [False, True], ids=["default", "strict-prep"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_classify_of_a_large_corpus_keeps_its_bytes(large_corpora, fmt, strict_prep):
+    """Ten chunks of rows over all 127 strategy sets: the classify renderer's
+    memos fill and are reused across chunks, and the bytes stay pinned."""
+    argv = ["classify", "--lenient", "--corpus", str(large_corpora[fmt])] + ["--strict-prep"] * strict_prep
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_CLASSIFY_SHA256[strict_prep]

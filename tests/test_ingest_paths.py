@@ -612,6 +612,50 @@ def test_classify_output_across_chunk_boundaries(taxonomy, catalog, tmp_path, ca
     assert out.read_bytes() == expected.encode("utf-8")
 
 
+def test_the_classify_memo_is_bounded_by_the_catalog(catalog):
+    """The classify JSON of 4N incidents, each of a different strategy set and
+    matched preparation techniques, peaks within 10% of the traced peak for N
+    of them: its memos are bounded by the catalog, not by the corpus. A memo
+    per whole row, or a half's key that keeps another half's own bits, grows
+    with the rows. Each chunk is dropped as it comes; the pairs are built first."""
+    import tracemalloc
+    from functools import reduce
+    from operator import or_
+
+    n, bits = 5_000, catalog.technique_bits
+    # Per strategy, its technique masks: absent, or present with one subset of its preparation techniques.
+    choices = []
+    for s in catalog.strategies:
+        preps = sorted(s.preparation_techniques)
+        subsets = ([p for k, p in enumerate(preps) if m >> k & 1] for m in range(1 << len(preps)))
+        choices.append([0] + [reduce(or_, map(bits.get, subset), bits[s.execution_technique]) for subset in subsets])
+    space = 1
+    for c in choices:
+        space *= len(c)
+
+    def technique_mask(key):
+        tm = 0
+        for c in choices:
+            key, digit = divmod(key, len(c))
+            tm |= c[digit]
+        return tm
+
+    pairs = [(f"I-{k}", technique_mask(key)) for k, key in enumerate(random.Random(3).sample(range(space), 4 * n))]
+
+    def peak(pairs):
+        tracemalloc.start()
+        try:
+            for _ in classification_json_chunks(pairs, catalog):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(pairs[:10])  # loads what any first call loads
+    few, many = peak(pairs[:n]), peak(pairs)
+    assert many < 1.1 * few, (few, many)
+
+
 @pytest.mark.parametrize(
     "incident_id, printed",
     [
